@@ -11,8 +11,10 @@ import argparse
 import configparser
 import dataclasses
 import hashlib
+import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -24,13 +26,14 @@ from .perf import evaluate
 from .reports import CSV_COLUMNS, SCHEMA_VERSION, dump_json, flat_row, json_payload
 from .tech import (
     CalibrationProfile,
+    TechParams,
     apply_overrides,
     apply_profile,
     builtin_profiles,
     default_tech_params,
     get_profile,
 )
-from .workload import ChipConfig
+from .workload import ChipConfig, load_topology, topology_path
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -38,8 +41,23 @@ EXIT_TOPOLOGY = 2
 EXIT_EVAL = 3
 EXIT_INFEASIBLE = 4
 
-_INT_LIST = lambda s: tuple(int(x) for x in s.split())
-_FLOAT_LIST = lambda s: tuple(float(x) for x in s.split())
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
+
+
+# Field annotation (a string under `from __future__ import annotations`) ->
+# parser of one INI value. Fields of any other type cannot be set from a file.
+_PARSERS = {
+    "int": int,
+    "float": _finite,
+    "str": str,
+    "tuple[int, ...]": lambda raw: tuple(int(x) for x in raw.split()),
+    "tuple[float, ...]": lambda raw: tuple(_finite(x) for x in raw.split()),
+}
 
 
 @dataclass(frozen=True)
@@ -88,32 +106,37 @@ def _read_ini(path: Path, allowed_sections: set[str]) -> configparser.ConfigPars
     return parser
 
 
-def _coerce_fields(cls, items: dict[str, str], source: str) -> dict:
-    by_name = {f.name: f for f in fields(cls)}
+def _section(parser: configparser.ConfigParser, section: str, cls, source) -> dict:
+    """Keyword arguments for dataclass `cls` from one INI section.
+
+    Each key must name a field of `cls` whose annotation `_PARSERS` knows, and
+    its value must parse as that type; otherwise the ConfigError names the
+    file, the section and the key.
+    """
+    where = f"{source} [{section}]"
+    kinds = {f.name: f.type for f in fields(cls) if f.type in _PARSERS}
     out = {}
-    for key, raw in items.items():
-        if key not in by_name:
-            raise ConfigError(f"{source}: unknown key {key!r}")
-        want = by_name[key].type
+    for key, raw in (parser[section].items() if parser.has_section(section) else ()):
+        if key not in kinds:
+            raise ConfigError(f"{where}: unknown key {key!r}; allowed: "
+                              f"{', '.join(sorted(kinds))}")
         try:
-            if want in ("int", int):
-                out[key] = int(float(raw))
-            else:
-                out[key] = float(raw)
+            out[key] = _PARSERS[kinds[key]](raw)
         except ValueError as exc:
-            raise ConfigError(f"{source}: key {key!r}: {exc}") from exc
+            raise ConfigError(f"{where}: key {key!r} must be {kinds[key]}: {exc}") from exc
     return out
 
 
-def _chip_from_section(parser: configparser.ConfigParser, source: str,
-                       section: str = "chip") -> ChipConfig:
-    items = dict(parser[section]) if parser.has_section(section) else {}
+def _build(where: str, make, *args, **kwargs):
+    """Call `make`; a value it rejects becomes a ConfigError that names `where`."""
     try:
-        return ChipConfig(**_coerce_fields(ChipConfig, items, f"{source} [{section}]"))
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"{source} [{section}]: {exc}") from exc
+        return make(*args, **kwargs)
+    except (ConfigError, ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _chip(parser: configparser.ConfigParser, source) -> ChipConfig:
+    return _build(f"{source} [chip]", ChipConfig, **_section(parser, "chip", ChipConfig, source))
 
 
 def load_profile(spec: str | None) -> CalibrationProfile:
@@ -129,31 +152,24 @@ def load_profile(spec: str | None) -> CalibrationProfile:
             f"({', '.join(sorted(builtin_profiles()))}) nor a file"
         )
     parser = _read_ini(path, {"profile", "overrides", "notes"})
-    name = parser.get("profile", "name", fallback=path.stem)
-    try:
-        overrides = {k: float(v) for k, v in (parser["overrides"].items()
-                                              if parser.has_section("overrides") else [])}
-    except ValueError as exc:
-        raise ConfigError(f"{path} [overrides]: {exc}") from exc
-    notes = dict(parser["notes"]) if parser.has_section("notes") else {}
-    return CalibrationProfile(name=name, overrides=overrides, notes=notes)
+    return CalibrationProfile(
+        name=_section(parser, "profile", CalibrationProfile, path).get("name", path.stem),
+        overrides=_section(parser, "overrides", TechParams, path),
+        notes=dict(parser["notes"]) if parser.has_section("notes") else {},
+    )
 
 
 def load_run_inputs(config_path: str | None, profile_spec: str | None):
     """Resolve (ChipConfig, TechParams, hashes) from CLI arguments."""
-    tech = default_tech_params()
     profile = load_profile(profile_spec)
-    tech = apply_profile(tech, profile)
+    tech = apply_profile(default_tech_params(), profile)
     if config_path:
         path = Path(config_path)
         parser = _read_ini(path, {"chip", "tech"})
-        cfg = _chip_from_section(parser, str(path))
-        if parser.has_section("tech"):
-            try:
-                tech_over = {k: float(v) for k, v in parser["tech"].items()}
-            except ValueError as exc:
-                raise ConfigError(f"{path} [tech]: {exc}") from exc
-            tech = apply_overrides(tech, tech_over, source=f"{path} [tech]")
+        cfg = _chip(parser, path)
+        where = f"{path} [tech]"
+        tech = _build(where, apply_overrides, tech,
+                      _section(parser, "tech", TechParams, path), source=where)
         config_hash = _sha256_file(path)
     else:
         cfg = ChipConfig()
@@ -162,9 +178,15 @@ def load_run_inputs(config_path: str | None, profile_spec: str | None):
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.chmod(tmp, 0o644)  # mkstemp makes 0600; match a plain write under umask 022
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _manifest(command: str, config_hash: str, profile: str, topology: Path) -> RunManifest:
@@ -192,21 +214,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _resolve_topology(spec: str) -> tuple[list, Path]:
-    from .workload import bundled_topology_path, parse_topology
-
-    p = Path(spec)
-    if p.exists():
-        return parse_topology(p), p
-    path = bundled_topology_path(spec)
-    return parse_topology(path), path
+def _topology(spec: str) -> tuple[list, Path]:
+    path = topology_path(spec)
+    layers = load_topology(path)
+    if not layers:
+        raise TopologyError(f"topology {path} contains no layers")
+    return layers, path
 
 
 def cmd_evaluate(args) -> int:
     cfg, tech, profile, config_hash = load_run_inputs(args.config, args.profile)
-    layers, topo_path = _resolve_topology(args.topology)
-    if not layers:
-        raise TopologyError(f"topology {topo_path} contains no layers")
+    layers, topo_path = _topology(args.topology)
     try:
         report = evaluate(layers, cfg, tech)
     except OxsimError:
@@ -230,36 +248,19 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _grid_from_file(path: Path) -> SweepGrid:
-    parser = _read_ini(path, {"grid", "chip"})
-    template = _chip_from_section(parser, str(path))
-    axes = dict(parser["grid"]) if parser.has_section("grid") else {}
-    known = {"rows", "cols", "batch", "input_sram_mb", "cores"}
-    for key in axes:
-        if key not in known:
-            raise ConfigError(f"{path} [grid]: unknown axis {key!r}; allowed: "
-                              f"{', '.join(sorted(known))}")
-    try:
-        return SweepGrid(
-            template=template,
-            rows=_INT_LIST(axes.get("rows", "")),
-            cols=_INT_LIST(axes.get("cols", "")),
-            batch=_INT_LIST(axes.get("batch", "")),
-            input_sram_mb=_FLOAT_LIST(axes.get("input_sram_mb", "")),
-            cores=_INT_LIST(axes.get("cores", "")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path} [grid]: {exc}") from exc
+def _over_chip(path: Path, section: str, cls):
+    """A SweepGrid or Constraints: one section over a [chip] template."""
+    parser = _read_ini(path, {section, "chip"})
+    return _build(f"{path} [{section}]", cls, template=_chip(parser, path),
+                  **_section(parser, section, cls, path))
 
 
 def cmd_sweep(args) -> int:
     _, tech, profile, _ = load_run_inputs(None, args.profile)
     grid_path = Path(args.grid)
-    grid = _grid_from_file(grid_path)
-    layers, topo_path = _resolve_topology(args.topology)
-    if not layers:
-        raise TopologyError(f"topology {topo_path} contains no layers")
-    results = sweep(grid, layers, tech, threads=args.threads)
+    grid = _over_chip(grid_path, "grid", SweepGrid)
+    layers, topo_path = _topology(args.topology)
+    results = sweep(grid, layers, tech)
     manifest = _manifest("sweep", _sha256_file(grid_path), profile.name, topo_path)
     rows = [flat_row(cfg, report) for cfg, report in results]
     out_path = Path(args.out or "sweep.csv")
@@ -269,42 +270,16 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _constraints_from_file(path: Path) -> Constraints:
-    parser = _read_ini(path, {"constraints", "chip"})
-    template = _chip_from_section(parser, str(path))
-    items = dict(parser["constraints"]) if parser.has_section("constraints") else {}
-    kwargs: dict = {"template": template}
-    converters = {
-        "area_cap_mm2": float,
-        "batch_candidates": _INT_LIST,
-        "array_rows": _INT_LIST,
-        "array_cols": _INT_LIST,
-        "sram_step_mb": float,
-        "hiding_eps": float,
-        "tie_tol": float,
-    }
-    for key, raw in items.items():
-        if key not in converters:
-            raise ConfigError(f"{path} [constraints]: unknown key {key!r}")
-        try:
-            kwargs[key] = converters[key](raw)
-        except ValueError as exc:
-            raise ConfigError(f"{path} [constraints]: key {key!r}: {exc}") from exc
-    return Constraints(**kwargs)
-
-
 def cmd_optimize(args) -> int:
     _, tech, profile, _ = load_run_inputs(None, args.profile)
     if args.constraints:
         cons_path = Path(args.constraints)
-        cons = _constraints_from_file(cons_path)
+        cons = _over_chip(cons_path, "constraints", Constraints)
         cons_hash = _sha256_file(cons_path)
     else:
         cons = Constraints()
         cons_hash = _sha256_text(repr(cons))
-    layers, topo_path = _resolve_topology(args.topology)
-    if not layers:
-        raise TopologyError(f"topology {topo_path} contains no layers")
+    layers, topo_path = _topology(args.topology)
 
     result = optimize(layers, tech, cons)
     manifest = _manifest("optimize", cons_hash, profile.name, topo_path)
@@ -360,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--topology", required=True)
     sw.add_argument("--profile")
     sw.add_argument("--out", help="output CSV path (default: sweep.csv)")
-    sw.add_argument("--threads", type=int, default=1)
     sw.set_defaults(func=cmd_sweep)
 
     op = sub.add_parser("optimize", help="run the batch -> SRAM -> array flow")
@@ -369,10 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--profile")
     op.add_argument("--out", help="audit JSON path (default: optimize_audit.json)")
     op.set_defaults(func=cmd_optimize)
-
-    for p in (ev, sw, op):
-        p.add_argument("--seed", type=int, default=0,
-                       help="reserved; the model is deterministic")
     return parser
 
 

@@ -50,33 +50,19 @@ class SweepGrid:
         return out
 
 
-def sweep(grid: SweepGrid, layers, tech,
-          threads: int = 1) -> list[tuple[ChipConfig, PerfReport]]:
-    """Evaluate the full Cartesian grid in deterministic (lexicographic) order.
-
-    With threads > 1 the evaluations run in a thread pool; the result order
-    is still the grid order, so output files do not depend on scheduling.
-    """
-    configs = grid.configs()
-
-    def one(cfg: ChipConfig) -> PerfReport:
+def sweep(grid: SweepGrid, layers, tech) -> list[tuple[ChipConfig, PerfReport]]:
+    """Evaluate the full Cartesian grid in deterministic (lexicographic) order."""
+    results = []
+    for cfg in grid.configs():
         try:
-            return evaluate(layers, cfg, tech)
+            results.append((cfg, evaluate(layers, cfg, tech)))
         except Exception as exc:
             raise EvaluationError(
                 f"sweep evaluation failed at rows={cfg.rows} cols={cfg.cols} "
                 f"batch={cfg.batch} input_sram_mb={cfg.sram_input_mb} "
                 f"cores={cfg.cores}: {exc}"
             ) from exc
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(one, configs))
-    else:
-        reports = [one(cfg) for cfg in configs]
-    return list(zip(configs, reports))
+    return results
 
 
 def find_min_hiding_batch(layers, cfg_template: ChipConfig, tech,
@@ -231,10 +217,7 @@ def optimize(layers, tech, constraints: Constraints) -> OptimizationResult:
     batch = batch_step(cfg)
     cfg = cfg.with_(batch=batch, cores=2)
 
-    try:
-        plan = size_sram(layers, cfg, tech, cons.area_cap_mm2, cons.sram_step_mb)
-    except InfeasibleError:
-        raise
+    plan = size_sram(layers, cfg, tech, cons.area_cap_mm2, cons.sram_step_mb)
     steps.append(StepRecord("sram", plan.candidates,
                             {"input_sram_mb": plan.input_mb,
                              "critical_input_sram_mb": plan.critical_mb}))

@@ -16,7 +16,6 @@ therefore (E_laser / (N*sqrt(M))) * sum_i v_i * w_ij.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -33,7 +32,6 @@ __all__ = [
     "crossbar_mvm",
     "coherent_detect",
     "loss_budget",
-    "dump_plan_csv",
 ]
 
 
@@ -283,27 +281,3 @@ def loss_budget(cfg, tech) -> LossBudget:
         laser_wallplug_power_w=optical / tech.laser_wallplug_eff,
     )
 
-
-def dump_plan_csv(plan: CouplerPlan, path) -> None:
-    """Write the coupler ratios and their propagated checks for inspection."""
-    delivered = plan.delivered_input_fields()
-    collected = plan.collection_weights()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "index", "k_field", "propagated_weight", "target"])
-        for j, k in enumerate(plan.k_in):
-            writer.writerow(["row_tap", j, repr(float(k)), repr(float(delivered[j])),
-                             repr(1.0 / math.sqrt(plan.cols))])
-        for i, k in enumerate(plan.k_out):
-            writer.writerow(["col_injector", i, repr(float(k)), repr(float(collected[i])),
-                             repr(1.0 / math.sqrt(plan.rows))])
-
-
-def dump_budget_csv(budget: LossBudget, path) -> None:
-    """Write a loss budget as one CSV row for inspection."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        names = ["worst_path_db", "crossings_on_path", "waveguide_len_cm",
-                 "laser_optical_power_w", "laser_wallplug_power_w"]
-        writer.writerow(names)
-        writer.writerow([repr(getattr(budget, n)) for n in names])

@@ -132,10 +132,6 @@ class TileMap:
     vectors_per_tile: int
     programming_events: int
 
-    @property
-    def tiles(self) -> int:
-        return self.programming_events
-
 
 def tile_layer(layer: LayerSpec, cfg: ChipConfig) -> TileMap:
     row_tiles = -(-layer.window_size // cfg.rows)
@@ -166,10 +162,6 @@ class Counts:
     dram_read_bits: int = 0
     dram_write_bits: int = 0
 
-    def __add__(self, other: "Counts") -> "Counts":
-        return Counts(**{f.name: getattr(self, f.name) + getattr(other, f.name)
-                         for f in fields(self)})
-
     @property
     def sram_read_bits(self) -> int:
         return (self.sram_input_read_bits + self.sram_filter_read_bits
@@ -187,6 +179,9 @@ class Counts:
     @property
     def dram_bits(self) -> int:
         return self.dram_read_bits + self.dram_write_bits
+
+
+_COUNT_FIELDS = tuple(f.name for f in fields(Counts))
 
 
 @dataclass(frozen=True)
@@ -269,9 +264,8 @@ def network_runtime(layers, cfg: ChipConfig) -> RuntimeStats:
         )
         per_layer.append(lr)
         prev_forwarded = lr.output_forwarded
-    total = Counts()
-    for lr in per_layer:
-        total = total + lr.counts
+    total = Counts(**{name: sum(getattr(lr.counts, name) for lr in per_layer)
+                      for name in _COUNT_FIELDS})
     return RuntimeStats(layers=tuple(per_layer), total=total)
 
 
@@ -328,9 +322,12 @@ def bundled_topology_path(name: str) -> Path:
     return Path(str(base))
 
 
+def topology_path(name_or_path) -> Path:
+    """An existing topology path as given, otherwise the bundled fixture of that name."""
+    p = Path(name_or_path)
+    return p if p.exists() else bundled_topology_path(str(name_or_path))
+
+
 def load_topology(name_or_path) -> list[LayerSpec]:
     """Load a topology from a path, falling back to bundled fixtures by name."""
-    p = Path(name_or_path)
-    if p.exists():
-        return parse_topology(p)
-    return parse_topology(bundled_topology_path(str(name_or_path)))
+    return parse_topology(topology_path(name_or_path))

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from oxsim.cli import main
+from oxsim.cli import _atomic_write, main
 
 CONFIG_HEADLINE = """\
 [chip]
@@ -174,8 +174,7 @@ def test_sweep_reruns_byte_identical(tmp_path):
     grid.write_text(GRID_SMALL)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["sweep", "--grid", str(grid), "--topology", "toy3", "--out", str(a)]) == 0
-    assert main(["sweep", "--grid", str(grid), "--topology", "toy3", "--out", str(b),
-                 "--threads", "3"]) == 0
+    assert main(["sweep", "--grid", str(grid), "--topology", "toy3", "--out", str(b)]) == 0
     assert _sha(a) == _sha(b)
 
 
@@ -268,3 +267,40 @@ def test_timestamp_honors_source_date_epoch(tmp_path, monkeypatch):
     assert main(["evaluate", "--topology", "toy3", "--out", str(out)]) == 0
     payload = json.loads((out / "report.json").read_text())
     assert payload["manifest"]["timestamp"] == "2023-11-14T22:13:20Z"
+
+
+@pytest.mark.parametrize("command, flag, text, key", [
+    ("evaluate", "--config", "[chip]\nrows = 32.7\n", "rows"),
+    ("evaluate", "--config", "[chip]\nclock_hz = inf\n", "clock_hz"),
+    ("evaluate", "--config", "[tech]\ne_dram_per_bit = nan\n", "e_dram_per_bit"),
+    ("evaluate", "--profile", "[overrides]\nloss_mmi_crossing_db = nan\n",
+     "loss_mmi_crossing_db"),
+    ("evaluate", "--profile", "[profile]\nname = x\ncolour = red\n", "colour"),
+    ("sweep", "--grid", "[grid]\ninput_sram_mb = 1 -inf\n", "input_sram_mb"),
+    ("optimize", "--constraints", "[constraints]\narea_cap_mm2 = nan\n", "area_cap_mm2"),
+    ("optimize", "--constraints", "[constraints]\ntemplate = x\n", "template"),
+], ids=["fractional-int", "inf-chip", "nan-tech", "nan-profile-override",
+        "unknown-profile-key", "inf-grid-axis", "nan-constraint", "template-key"])
+def test_loader_rejects_bad_key_or_value(tmp_path, capsys, command, flag, text, key):
+    p = tmp_path / "input.ini"
+    p.write_text(text)
+    out = tmp_path / "out"
+    rc = main([command, flag, str(p), "--topology", "toy3", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert key in err and str(p) in err
+    assert not out.exists()
+
+
+def test_atomic_write_failure_leaves_target_and_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("old")
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        _atomic_write(target, "new")
+    assert target.read_text() == "old"
+    assert not list(tmp_path.glob("*.tmp"))

@@ -41,15 +41,6 @@ def test_sweep_order_is_lexicographic(toy_layers, tech_default):
     assert combos == [(r, b, k) for r in (8, 16) for b in (1, 2) for k in (1, 2)]
 
 
-def test_sweep_threaded_matches_serial(toy_layers, tech_default):
-    tpl = ChipConfig(rows=8, cols=8, cores=2, batch=1)
-    grid = SweepGrid(template=tpl, rows=(8, 16, 32), cols=(8, 16))
-    serial = sweep(grid, toy_layers, tech_default, threads=1)
-    threaded = sweep(grid, toy_layers, tech_default, threads=4)
-    assert [(c, r.ips, r.power_w) for c, r in serial] == \
-        [(c, r.ips, r.power_w) for c, r in threaded]
-
-
 # --- batch hiding -------------------------------------------------------------
 
 def _stream_layer(cycles_per_tile_at_b1, tiles):

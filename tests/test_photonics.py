@@ -263,19 +263,3 @@ def test_budget_wallplug_scales_with_efficiency():
     assert b.laser_wallplug_power_w == pytest.approx(
         b.laser_optical_power_w / tech.laser_wallplug_eff, rel=1e-12)
 
-
-def test_inspection_csv_dumps(tmp_path):
-    from oxsim.photonics import dump_budget_csv, dump_plan_csv
-
-    plan = CouplerPlan.for_array(3, 4)
-    plan_path = tmp_path / "plan.csv"
-    dump_plan_csv(plan, plan_path)
-    lines = plan_path.read_text().splitlines()
-    assert len(lines) == 1 + 4 + 3  # header + M taps + N injectors
-
-    budget_path = tmp_path / "budget.csv"
-    dump_budget_csv(loss_budget(ChipConfig(rows=2, cols=2), default_tech_params()),
-                    budget_path)
-    header, row = budget_path.read_text().splitlines()
-    assert header.split(",")[0] == "worst_path_db"
-    assert len(row.split(",")) == 5
