@@ -152,7 +152,8 @@ def load_profile(spec: str | None) -> CalibrationProfile:
             f"({', '.join(sorted(builtin_profiles()))}) nor a file"
         )
     parser = _read_ini(path, {"profile", "overrides", "notes"})
-    return CalibrationProfile(
+    return _build(
+        f"{path} [overrides]", CalibrationProfile,
         name=_section(parser, "profile", CalibrationProfile, path).get("name", path.stem),
         overrides=_section(parser, "overrides", TechParams, path),
         notes=dict(parser["notes"]) if parser.has_section("notes") else {},

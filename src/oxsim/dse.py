@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .errors import EvaluationError, InfeasibleError
+from .errors import ConfigError, EvaluationError, InfeasibleError
 from .perf import PerfReport, area_model, evaluate, timeline_dual_core
-from .workload import ChipConfig, network_runtime
+from .workload import ChipConfig, network_runtime, residency_breakpoints
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,14 @@ def size_sram(layers, cfg_template: ChipConfig, tech, area_cap_mm2: float,
 
     Also reports the critical input SRAM size: the smallest grid size at
     which total DRAM traffic bottoms out (growing SRAM further buys nothing).
+
+    Every grid size is a candidate with its area and DRAM traffic, but the
+    network is mapped only once per residency pattern. Traffic depends on
+    capacity only through the residency tests against the layers' batched
+    ifmap and output sizes (`residency_breakpoints`), so candidates with the
+    same `bisect_right` index into those sizes have identical counts; the
+    first candidate with each index is mapped and the rest reuse its
+    `dram_bits`. The result equals a scan that maps every candidate.
     """
     if step_mb <= 0:
         raise ValueError("step_mb must be > 0")
@@ -129,7 +138,16 @@ def size_sram(layers, cfg_template: ChipConfig, tech, area_cap_mm2: float,
         )
     max_units = int((headroom / tech.a_sram_per_mb + 1e-9) / step_mb)
 
-    floor_bits = _dram_bits(layers, cfg_template.with_(sram_input_mb=1e9))
+    breakpoints = residency_breakpoints(layers, cfg_template)
+    traffic_by_pattern: dict[int, int] = {}
+
+    def traffic_of(cfg: ChipConfig) -> int:
+        pattern = bisect_right(breakpoints, cfg.input_sram_bits)
+        if pattern not in traffic_by_pattern:
+            traffic_by_pattern[pattern] = _dram_bits(layers, cfg)
+        return traffic_by_pattern[pattern]
+
+    floor_bits = traffic_of(cfg_template.with_(sram_input_mb=1e9))
     candidates = []
     critical: float | None = None
     chosen = step_mb
@@ -137,7 +155,7 @@ def size_sram(layers, cfg_template: ChipConfig, tech, area_cap_mm2: float,
         mb = unit * step_mb
         cfg = cfg_template.with_(sram_input_mb=mb)
         area = sum(area_model(cfg, tech).values())
-        traffic = _dram_bits(layers, cfg)
+        traffic = traffic_of(cfg)
         candidates.append({"input_sram_mb": mb, "area_mm2": area, "dram_bits": traffic})
         chosen = mb
         if critical is None and traffic <= floor_bits:
@@ -178,6 +196,23 @@ class Constraints:
     hiding_eps: float = 0.01
     tie_tol: float = 0.02
     template: ChipConfig = field(default_factory=ChipConfig)
+
+    def __post_init__(self) -> None:
+        b = self.batch_candidates
+        if not b or b[0] < 1 or any(x >= y for x, y in zip(b, b[1:])):
+            raise ConfigError(f"batch_candidates must be non-empty, >= 1 and strictly "
+                              f"ascending, got {list(b)}")
+        for name in ("array_rows", "array_cols"):
+            sizes = getattr(self, name)
+            if not sizes or min(sizes) < 1:
+                raise ConfigError(f"{name} must list at least one size, all >= 1, "
+                                  f"got {list(sizes)}")
+        for name in ("area_cap_mm2", "sram_step_mb"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("hiding_eps", "tie_tol"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
     def array_candidates(self) -> list[tuple[int, int]]:
         return [(r, c) for r in self.array_rows for c in self.array_cols]

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import EvaluationError
+
 __all__ = [
     "CouplerPlan",
     "WeightMatrix",
@@ -272,7 +274,14 @@ def loss_budget(cfg, tech) -> LossBudget:
         + waveguide_len_cm * tech.loss_waveguide_db_per_cm
         + 10.0 * math.log10(n * m)
     )
-    optical = m * tech.p_rx_min_per_column * 10.0 ** (worst_path_db / 10.0)
+    try:
+        path_gain = 10.0 ** (worst_path_db / 10.0)
+    except OverflowError as exc:
+        raise EvaluationError(
+            f"loss budget: the worst path of a {n}x{m} array loses {worst_path_db:.1f} dB; "
+            f"the laser power needed to overcome it overflows a float"
+        ) from exc
+    optical = m * tech.p_rx_min_per_column * path_gain
     return LossBudget(
         worst_path_db=worst_path_db,
         crossings_on_path=crossings,

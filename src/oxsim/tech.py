@@ -114,7 +114,8 @@ class CalibrationProfile:
     """Sparse named overlay on TechParams.
 
     `overrides` maps field name -> value; `notes` documents why each
-    override exists. The stock profile has no overrides at all.
+    override exists. The stock profile has no overrides at all. Each value
+    must pass the same check as the TechParams field it replaces.
     """
 
     name: str
@@ -125,6 +126,7 @@ class CalibrationProfile:
         for key in self.overrides:
             if key not in _TECH_FIELD_NAMES:
                 raise ConfigError(f"profile {self.name!r} overrides unknown tech parameter {key!r}")
+        TechParams(**self.overrides)
 
 
 def default_tech_params() -> TechParams:

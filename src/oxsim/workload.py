@@ -203,14 +203,31 @@ class RuntimeStats:
     total: Counts
 
 
+def _io_bits(layer: LayerSpec, cfg: ChipConfig) -> tuple[int, int]:
+    """Batched ifmap and output sizes of one layer, in bits."""
+    return (layer.ifmap_h * layer.ifmap_w * layer.channels * cfg.batch * cfg.b_in,
+            layer.out_h * layer.out_w * layer.num_filters * cfg.batch * cfg.b_out)
+
+
+def residency_breakpoints(layers, cfg: ChipConfig) -> list[int]:
+    """Sorted distinct sizes that `_layer_counts` tests against input SRAM.
+
+    Input-SRAM capacity enters the counts only through `ifmap_bits <=
+    capacity` and `output_bits <= capacity`. Two configs that differ only in
+    `sram_input_mb` and have the same `bisect_right(breakpoints,
+    cfg.input_sram_bits)` therefore resolve every residency test alike and
+    get identical counts.
+    """
+    return sorted({bits for layer in layers for bits in _io_bits(layer, cfg)})
+
+
 def _layer_counts(layer: LayerSpec, cfg: ChipConfig, *,
                   ifmap_from_dram: bool, is_last: bool) -> LayerRuntime:
     tiles = tile_layer(layer, cfg)
     compute_cycles = tiles.programming_events * tiles.vectors_per_tile
 
-    ifmap_bits = layer.ifmap_h * layer.ifmap_w * layer.channels * cfg.batch * cfg.b_in
+    ifmap_bits, output_bits = _io_bits(layer, cfg)
     weight_bits = layer.window_size * layer.num_filters * cfg.b_w
-    output_bits = layer.out_h * layer.out_w * layer.num_filters * cfg.batch * cfg.b_out
 
     capacity = cfg.input_sram_bits
     resident = ifmap_bits <= capacity

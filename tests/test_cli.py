@@ -269,26 +269,45 @@ def test_timestamp_honors_source_date_epoch(tmp_path, monkeypatch):
     assert payload["manifest"]["timestamp"] == "2023-11-14T22:13:20Z"
 
 
-@pytest.mark.parametrize("command, flag, text, key", [
-    ("evaluate", "--config", "[chip]\nrows = 32.7\n", "rows"),
-    ("evaluate", "--config", "[chip]\nclock_hz = inf\n", "clock_hz"),
-    ("evaluate", "--config", "[tech]\ne_dram_per_bit = nan\n", "e_dram_per_bit"),
+@pytest.mark.parametrize("command, flag, text, section, key", [
+    ("evaluate", "--config", "[chip]\nrows = 32.7\n", "chip", "rows"),
+    ("evaluate", "--config", "[chip]\nclock_hz = inf\n", "chip", "clock_hz"),
+    ("evaluate", "--config", "[tech]\ne_dram_per_bit = nan\n", "tech", "e_dram_per_bit"),
     ("evaluate", "--profile", "[overrides]\nloss_mmi_crossing_db = nan\n",
-     "loss_mmi_crossing_db"),
-    ("evaluate", "--profile", "[profile]\nname = x\ncolour = red\n", "colour"),
-    ("sweep", "--grid", "[grid]\ninput_sram_mb = 1 -inf\n", "input_sram_mb"),
-    ("optimize", "--constraints", "[constraints]\narea_cap_mm2 = nan\n", "area_cap_mm2"),
-    ("optimize", "--constraints", "[constraints]\ntemplate = x\n", "template"),
+     "overrides", "loss_mmi_crossing_db"),
+    ("evaluate", "--profile", "[profile]\nname = x\ncolour = red\n", "profile", "colour"),
+    ("sweep", "--grid", "[grid]\ninput_sram_mb = 1 -inf\n", "grid", "input_sram_mb"),
+    ("optimize", "--constraints", "[constraints]\narea_cap_mm2 = nan\n",
+     "constraints", "area_cap_mm2"),
+    ("optimize", "--constraints", "[constraints]\ntemplate = x\n", "constraints", "template"),
+    ("optimize", "--constraints", "[constraints]\nbatch_candidates = 4 2 1\n",
+     "constraints", "batch_candidates"),
+    ("optimize", "--constraints", "[constraints]\nbatch_candidates = 0 1\n",
+     "constraints", "batch_candidates"),
+    ("optimize", "--constraints", "[constraints]\nbatch_candidates =\n",
+     "constraints", "batch_candidates"),
+    ("optimize", "--constraints", "[constraints]\narray_rows =\n", "constraints", "array_rows"),
+    ("optimize", "--constraints", "[constraints]\narray_cols =\n", "constraints", "array_cols"),
+    ("optimize", "--constraints", "[constraints]\nsram_step_mb = 0\n",
+     "constraints", "sram_step_mb"),
+    ("optimize", "--constraints", "[constraints]\narea_cap_mm2 = -5\n",
+     "constraints", "area_cap_mm2"),
+    ("optimize", "--constraints", "[constraints]\nhiding_eps = 1\n", "constraints", "hiding_eps"),
+    ("optimize", "--constraints", "[constraints]\ntie_tol = -0.1\n", "constraints", "tie_tol"),
+    ("evaluate", "--profile", "[overrides]\np_tia = -1\n", "overrides", "p_tia"),
 ], ids=["fractional-int", "inf-chip", "nan-tech", "nan-profile-override",
-        "unknown-profile-key", "inf-grid-axis", "nan-constraint", "template-key"])
-def test_loader_rejects_bad_key_or_value(tmp_path, capsys, command, flag, text, key):
+        "unknown-profile-key", "inf-grid-axis", "nan-constraint", "template-key",
+        "batch-descending", "batch-zero", "batch-empty", "rows-empty", "cols-empty",
+        "sram-step-zero", "area-cap-negative", "hiding-eps-one", "tie-tol-negative",
+        "profile-override-negative"])
+def test_loader_rejects_bad_key_or_value(tmp_path, capsys, command, flag, text, section, key):
     p = tmp_path / "input.ini"
     p.write_text(text)
     out = tmp_path / "out"
     rc = main([command, flag, str(p), "--topology", "toy3", "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert key in err and str(p) in err
+    assert f"{p} [{section}]" in err and key in err
     assert not out.exists()
 
 
@@ -304,3 +323,15 @@ def test_atomic_write_failure_leaves_target_and_no_temp_file(tmp_path, monkeypat
         _atomic_write(target, "new")
     assert target.read_text() == "old"
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_loss_budget_overflow_exits_3_naming_array_and_loss(tmp_path, capsys):
+    p = tmp_path / "huge.ini"
+    p.write_text("[chip]\nrows = 100000\ncols = 100000\n")
+    out = tmp_path / "out"
+    rc = main(["evaluate", "--config", str(p), "--topology", "toy3", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "100000x100000 array loses" in err and " dB" in err
+    assert "Numerical result out of range" not in err
+    assert not out.exists()

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oxsim import (
     ChipConfig,
@@ -8,13 +10,16 @@ from oxsim import (
     SweepGrid,
     evaluate,
     find_min_hiding_batch,
+    load_topology,
     network_runtime,
     optimize,
     pick_array_size,
     size_sram,
     sweep,
 )
+from oxsim import dse
 from oxsim.perf import area_model
+from oxsim.workload import residency_breakpoints
 
 
 def test_sweep_single_point_equals_evaluate(toy_layers, tech_default):
@@ -131,6 +136,69 @@ def test_size_sram_critical_size_matches_traffic_scan(resnet_layers, tech_calibr
     # traffic at every candidate is recorded and non-increasing
     traffics = [c["dram_bits"] for c in plan.candidates]
     assert all(a >= b for a, b in zip(traffics, traffics[1:]))
+
+
+def _scan_every_candidate(layers, tpl, tech, n_candidates, step_mb):
+    """Reference for size_sram: map the network once per candidate."""
+    floor = network_runtime(layers, tpl.with_(sram_input_mb=1e9)).total.dram_bits
+    candidates, critical = [], None
+    for unit in range(1, n_candidates + 1):
+        mb = unit * step_mb
+        cfg = tpl.with_(sram_input_mb=mb)
+        traffic = network_runtime(layers, cfg).total.dram_bits
+        candidates.append({"input_sram_mb": mb, "area_mm2": sum(area_model(cfg, tech).values()),
+                           "dram_bits": traffic})
+        if critical is None and traffic <= floor:
+            critical = mb
+    return tuple(candidates), critical
+
+
+@pytest.mark.parametrize("topology", ["toy3", "resnet50_v15"])
+@settings(max_examples=25, deadline=None)
+@given(batch=st.integers(1, 64), b_in=st.integers(1, 12), b_out=st.integers(1, 12),
+       side=st.sampled_from([8, 32, 128, 512]),
+       # binary steps from 2**-22 MB (a few bits) to 4 MB, so that the grid
+       # straddles the residency breakpoints of toy3 and of ResNet-50 alike
+       step_mb=st.builds(lambda e, m: m * 2.0 ** e, st.integers(-22, 1),
+                         st.one_of(st.just(1.0), st.floats(1.0, 2.0, exclude_max=True))),
+       units=st.integers(1, 150), slack=st.floats(0.0, 0.99))
+def test_size_sram_memo_equals_scan_of_every_candidate(
+        tech_calibrated, topology, batch, b_in, b_out, side, step_mb, units, slack):
+    layers = load_topology(topology)
+    tpl = ChipConfig(rows=side, cols=side, cores=2, batch=batch, b_in=b_in, b_out=b_out)
+    fixed = sum(area_model(tpl.with_(sram_input_mb=step_mb), tech_calibrated).values()) \
+        - step_mb * tech_calibrated.a_sram_per_mb
+    cap = fixed + (units + slack) * step_mb * tech_calibrated.a_sram_per_mb
+
+    calls = []
+
+    def counting_runtime(layers_, cfg):
+        calls.append(cfg.sram_input_mb)
+        return network_runtime(layers_, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dse, "network_runtime", counting_runtime)
+        plan = size_sram(layers, tpl, tech_calibrated, cap, step_mb)
+
+    candidates, critical = _scan_every_candidate(
+        layers, tpl, tech_calibrated, len(plan.candidates), step_mb)
+    assert plan.candidates == candidates
+    assert plan.critical_mb == critical
+    traffics = [c["dram_bits"] for c in plan.candidates]
+    assert all(a >= b for a, b in zip(traffics, traffics[1:]))
+    assert len(calls) <= len(residency_breakpoints(layers, tpl)) + 1
+
+
+def test_size_sram_memo_counts_a_capacity_equal_to_a_breakpoint_as_resident(tech_default):
+    # the ifmap is exactly 1 MB and the 0.5 MB grid lands on it; with two
+    # column tiles a non-resident ifmap is fetched twice
+    layers = [LayerSpec("mb", 1024, 1024, 1, 1, 1, 2, 1)]
+    tpl = ChipConfig(rows=1, cols=1, cores=2, batch=1, b_in=8, b_out=8)
+    assert residency_breakpoints(layers, tpl) == [8 * 2**20, 16 * 2**20]
+    cap = sum(area_model(tpl.with_(sram_input_mb=2.0), tech_default).values())
+    plan = size_sram(layers, tpl, tech_default, cap, step_mb=0.5)
+    assert plan.candidates == _scan_every_candidate(layers, tpl, tech_default, 4, 0.5)[0]
+    assert plan.critical_mb == 1.0
 
 
 # --- array selection ------------------------------------------------------------
