@@ -17,18 +17,6 @@ from .tech import (
     default_tech_params,
     get_profile,
 )
-from .photonics import (
-    CouplerPlan,
-    InputVector,
-    LossBudget,
-    WeightMatrix,
-    coherent_detect,
-    crossbar_mvm,
-    loss_budget,
-    quantize,
-    synth_input_couplers,
-    synth_output_couplers,
-)
 from .workload import (
     ChipConfig,
     Counts,
@@ -44,11 +32,13 @@ from .workload import (
     tile_layer,
 )
 from .perf import (
+    LossBudget,
     PerfReport,
     Timeline,
     area_model,
     energy_model,
     evaluate,
+    loss_budget,
     timeline_dual_core,
     timeline_single_core,
 )
@@ -79,3 +69,12 @@ __all__ = [
     "SweepGrid", "Constraints", "OptimizationResult",
     "sweep", "find_min_hiding_batch", "size_sram", "pick_array_size", "optimize",
 ]
+
+
+def __getattr__(name: str):
+    # Only the numpy-backed functional model (`photonics`) is exported but not
+    # imported above; it loads on first use, so the CLI never loads numpy.
+    if name in __all__:
+        from . import photonics
+        return getattr(photonics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

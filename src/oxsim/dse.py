@@ -30,15 +30,22 @@ class SweepGrid:
     input_sram_mb: tuple[float, ...] = ()
     cores: tuple[int, ...] = ()
 
+    # (axis field, the ChipConfig field its values set)
+    _AXES = (("rows", "rows"), ("cols", "cols"), ("batch", "batch"),
+             ("input_sram_mb", "sram_input_mb"), ("cores", "cores"))
+
+    def __post_init__(self) -> None:
+        # Every ChipConfig check reads one field, so a value that passes on
+        # the template passes at every grid point.
+        for key, name in self._AXES:
+            for v in getattr(self, key):
+                try:
+                    self.template.with_(**{name: v})
+                except ConfigError as exc:
+                    raise ConfigError(f"{key} = {v}: {exc}") from exc
+
     def axes(self) -> list[tuple[str, tuple]]:
-        pairs = [
-            ("rows", self.rows),
-            ("cols", self.cols),
-            ("batch", self.batch),
-            ("sram_input_mb", self.input_sram_mb),
-            ("cores", self.cores),
-        ]
-        return [(name, vals) for name, vals in pairs if vals]
+        return [(name, getattr(self, key)) for key, name in self._AXES if getattr(self, key)]
 
     def configs(self) -> list[ChipConfig]:
         axes = self.axes()
@@ -166,18 +173,33 @@ def size_sram(layers, cfg_template: ChipConfig, tech, area_cap_mm2: float,
 def pick_array_size(layers, cfg_template: ChipConfig, tech, size_candidates,
                     tie_tol: float = 0.02,
                     _audit: list | None = None) -> tuple[int, int]:
-    """Array size maximizing IPS/W; near-ties resolve to the largest array."""
+    """Array size maximizing IPS/W; near-ties resolve to the largest array.
+
+    A candidate whose evaluation fails (e.g. a loss budget that overflows) is
+    unbuildable: its audit row carries the reason under "infeasible" and it
+    is not scored. Only when no candidate is buildable does the step fail.
+    """
     candidates = sorted(set((int(r), int(c)) for r, c in size_candidates))
     if not candidates:
         raise ValueError("array size candidate list is empty")
     scored = []
+    failures = []
     for r, c in candidates:
         cfg = cfg_template.with_(rows=r, cols=c)
-        report = evaluate(layers, cfg, tech)
+        try:
+            report = evaluate(layers, cfg, tech)
+        except EvaluationError as exc:
+            failures.append(str(exc))
+            if _audit is not None:
+                _audit.append({"rows": r, "cols": c, "infeasible": str(exc)})
+            continue
         scored.append(((r, c), report.ips_per_w, report.ips))
         if _audit is not None:
             _audit.append({"rows": r, "cols": c, "ips_per_w": report.ips_per_w,
                            "ips": report.ips})
+    if not scored:
+        raise InfeasibleError(f"array step: none of the {len(candidates)} candidate "
+                              f"arrays is buildable; the first fails with: {failures[0]}")
     best_ipsw = max(s[1] for s in scored)
     tied = [s for s in scored if s[1] >= best_ipsw * (1.0 - tie_tol)]
     tied.sort(key=lambda s: (s[0][0] * s[0][1], s[0][0], s[0][1]), reverse=True)

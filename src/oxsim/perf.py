@@ -1,5 +1,8 @@
 """Runtime counters -> time, energy, power, area, IPS, IPS/W.
 
+The worst-case optical loss budget of the array, which sizes the laser, is
+computed here too: `evaluate` and `energy_model` are its only users.
+
 Timelines are computed in integer MAC cycles (programming time is rounded
 to whole cycles once) and converted to seconds at the end, so single- vs
 dual-core comparisons and replay checks are exact.
@@ -14,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import EvaluationError
-from .photonics import LossBudget, loss_budget
 from .workload import ChipConfig, RuntimeStats, network_runtime
 
 ENERGY_CATEGORIES = (
@@ -143,6 +145,57 @@ def make_timeline(stats: RuntimeStats, cfg: ChipConfig, tech) -> Timeline:
     if cfg.cores == 2:
         return timeline_dual_core(stats, cfg, tech)
     return timeline_single_core(stats, cfg, tech)
+
+
+@dataclass(frozen=True)
+class LossBudget:
+    """Worst-case optical path budget and the laser power it implies."""
+
+    worst_path_db: float
+    crossings_on_path: int
+    waveguide_len_cm: float
+    laser_optical_power_w: float
+    laser_wallplug_power_w: float
+
+
+def loss_budget(cfg, tech) -> LossBudget:
+    """Budget the worst-case laser-facet-to-detector path of an N x M array.
+
+    Fixed insertion losses (grating, splitter tree, modulator OMA) add to
+    the crossing loss of the farthest cell ((M-1) row junctions plus (N-1)
+    column hops) and the propagation loss over (N+M) unit-cell pitches.
+    The equal-split field prefactor 1/(N*sqrt(M)) costs 10*log10(N*M) in
+    power for a single-cell contribution, which is the minimum level the
+    receiver must still resolve; the coherent sum across a column only adds
+    signal on top of it. The laser is sized so all M columns clear the
+    receiver floor at that worst case.
+    """
+    n, m = cfg.rows, cfg.cols
+    waveguide_len_cm = (n + m) * tech.unit_cell_pitch_um / 1e4
+    crossings = (m - 1) + (n - 1)
+    worst_path_db = (
+        tech.loss_grating_coupler_db
+        + tech.loss_splitter_tree_db
+        + tech.loss_odac_oma_db
+        + crossings * tech.loss_mmi_crossing_db
+        + waveguide_len_cm * tech.loss_waveguide_db_per_cm
+        + 10.0 * math.log10(n * m)
+    )
+    try:
+        path_gain = 10.0 ** (worst_path_db / 10.0)
+    except OverflowError as exc:
+        raise EvaluationError(
+            f"loss budget: the worst path of a {n}x{m} array loses {worst_path_db:.1f} dB; "
+            f"the laser power needed to overcome it overflows a float"
+        ) from exc
+    optical = m * tech.p_rx_min_per_column * path_gain
+    return LossBudget(
+        worst_path_db=worst_path_db,
+        crossings_on_path=crossings,
+        waveguide_len_cm=waveguide_len_cm,
+        laser_optical_power_w=optical,
+        laser_wallplug_power_w=optical / tech.laser_wallplug_eff,
+    )
 
 
 def energy_model(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, tech,

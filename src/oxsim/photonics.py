@@ -13,6 +13,11 @@ sees v_i * E_laser / sqrt(N*M). The cell's stored transmission w_ij scales
 the field, and a mirrored coupler ladder collects every cell product onto
 the column bus with an equal 1/sqrt(N) weight. The end-of-column field is
 therefore (E_laser / (N*sqrt(M))) * sum_i v_i * w_ij.
+
+This is the only module that needs numpy. No CLI command calls it, and the
+package imports it on first use of one of its names, so `oxsim` runs without
+loading numpy. The worst-path loss budget that sizes the laser is scalar
+arithmetic and lives in perf.py, next to the energy model that uses it.
 """
 from __future__ import annotations
 
@@ -21,19 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError
-
 __all__ = [
     "CouplerPlan",
     "WeightMatrix",
     "InputVector",
-    "LossBudget",
     "synth_input_couplers",
     "synth_output_couplers",
     "quantize",
     "crossbar_mvm",
     "coherent_detect",
-    "loss_budget",
 ]
 
 
@@ -238,55 +239,3 @@ def coherent_detect(e_cols, e_lo: float, responsivity: float = 1.0) -> np.ndarra
     if e_lo <= 0.0:
         raise ValueError(f"local-oscillator field must be > 0, got {e_lo}")
     return responsivity * e_lo * np.asarray(e_cols, dtype=float)
-
-
-@dataclass(frozen=True)
-class LossBudget:
-    """Worst-case optical path budget and the laser power it implies."""
-
-    worst_path_db: float
-    crossings_on_path: int
-    waveguide_len_cm: float
-    laser_optical_power_w: float
-    laser_wallplug_power_w: float
-
-
-def loss_budget(cfg, tech) -> LossBudget:
-    """Budget the worst-case laser-facet-to-detector path of an N x M array.
-
-    Fixed insertion losses (grating, splitter tree, modulator OMA) add to
-    the crossing loss of the farthest cell ((M-1) row junctions plus (N-1)
-    column hops) and the propagation loss over (N+M) unit-cell pitches.
-    The equal-split field prefactor 1/(N*sqrt(M)) costs 10*log10(N*M) in
-    power for a single-cell contribution, which is the minimum level the
-    receiver must still resolve; the coherent sum across a column only adds
-    signal on top of it. The laser is sized so all M columns clear the
-    receiver floor at that worst case.
-    """
-    n, m = cfg.rows, cfg.cols
-    waveguide_len_cm = (n + m) * tech.unit_cell_pitch_um / 1e4
-    crossings = (m - 1) + (n - 1)
-    worst_path_db = (
-        tech.loss_grating_coupler_db
-        + tech.loss_splitter_tree_db
-        + tech.loss_odac_oma_db
-        + crossings * tech.loss_mmi_crossing_db
-        + waveguide_len_cm * tech.loss_waveguide_db_per_cm
-        + 10.0 * math.log10(n * m)
-    )
-    try:
-        path_gain = 10.0 ** (worst_path_db / 10.0)
-    except OverflowError as exc:
-        raise EvaluationError(
-            f"loss budget: the worst path of a {n}x{m} array loses {worst_path_db:.1f} dB; "
-            f"the laser power needed to overcome it overflows a float"
-        ) from exc
-    optical = m * tech.p_rx_min_per_column * path_gain
-    return LossBudget(
-        worst_path_db=worst_path_db,
-        crossings_on_path=crossings,
-        waveguide_len_cm=waveguide_len_cm,
-        laser_optical_power_w=optical,
-        laser_wallplug_power_w=optical / tech.laser_wallplug_eff,
-    )
-

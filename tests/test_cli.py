@@ -1,10 +1,16 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oxsim
 from oxsim.cli import _atomic_write, main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 CONFIG_HEADLINE = """\
 [chip]
@@ -295,11 +301,15 @@ def test_timestamp_honors_source_date_epoch(tmp_path, monkeypatch):
     ("optimize", "--constraints", "[constraints]\nhiding_eps = 1\n", "constraints", "hiding_eps"),
     ("optimize", "--constraints", "[constraints]\ntie_tol = -0.1\n", "constraints", "tie_tol"),
     ("evaluate", "--profile", "[overrides]\np_tia = -1\n", "overrides", "p_tia"),
+    ("sweep", "--grid", "[grid]\nrows = 32 0\n", "grid", "rows"),
+    ("sweep", "--grid", "[grid]\ncores = 1 3\n", "grid", "cores"),
+    ("sweep", "--grid", "[grid]\ninput_sram_mb = 0 1\n", "grid", "input_sram_mb"),
 ], ids=["fractional-int", "inf-chip", "nan-tech", "nan-profile-override",
         "unknown-profile-key", "inf-grid-axis", "nan-constraint", "template-key",
         "batch-descending", "batch-zero", "batch-empty", "rows-empty", "cols-empty",
         "sram-step-zero", "area-cap-negative", "hiding-eps-one", "tie-tol-negative",
-        "profile-override-negative"])
+        "profile-override-negative", "grid-rows-zero", "grid-cores-three",
+        "grid-sram-zero"])
 def test_loader_rejects_bad_key_or_value(tmp_path, capsys, command, flag, text, section, key):
     p = tmp_path / "input.ini"
     p.write_text(text)
@@ -335,3 +345,69 @@ def test_loss_budget_overflow_exits_3_naming_array_and_loss(tmp_path, capsys):
     assert "100000x100000 array loses" in err and " dB" in err
     assert "Numerical result out of range" not in err
     assert not out.exists()
+
+
+def _array_step_constraints(tmp_path, rows, cols):
+    cons = tmp_path / "cons.ini"
+    cons.write_text(f"[constraints]\narray_rows = {rows}\narray_cols = {cols}\n")
+    return cons
+
+
+def test_optimize_skips_unbuildable_array_candidates(tmp_path, capsys):
+    # under paper-default a 1024x1024 array's worst path overflows the laser power
+    cons = _array_step_constraints(tmp_path, "128 1024", "128 1024")
+    out = tmp_path / "audit.json"
+    rc = main(["optimize", "--constraints", str(cons), "--topology", "resnet50_v15",
+               "--profile", "paper-default", "--out", str(out)])
+    assert rc == 0
+    audit = json.loads(out.read_text())
+    arrays = [s for s in audit["steps"] if s["step"] == "array"]
+    assert arrays
+    for step in arrays:
+        unbuildable = {(c["rows"], c["cols"]) for c in step["candidates"] if "infeasible" in c}
+        assert unbuildable == {(1024, 1024)}
+        assert all("1024x1024 array loses" in c["infeasible"]
+                   for c in step["candidates"] if "infeasible" in c)
+        assert (step["chosen"]["rows"], step["chosen"]["cols"]) not in unbuildable
+    chosen = audit["chosen_config"]
+    assert (chosen["rows"], chosen["cols"]) != (1024, 1024)
+
+
+def test_optimize_with_no_buildable_array_exits_4(tmp_path, capsys):
+    cons = _array_step_constraints(tmp_path, "1024", "1024 2048")
+    out = tmp_path / "audit.json"
+    rc = main(["optimize", "--constraints", str(cons), "--topology", "resnet50_v15",
+               "--profile", "paper-default", "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "array step" in err and "1024x1024 array loses" in err
+    assert not out.exists()
+
+
+def test_cli_commands_do_not_import_numpy(tmp_path):
+    src = Path(oxsim.__file__).resolve().parents[1]
+    script = f"""
+import sys
+from oxsim.cli import main
+out = {str(tmp_path)!r}
+assert main(["evaluate", "--config", {str(CONFIGS / "headline.ini")!r},
+             "--topology", "resnet50_v15", "--out", out + "/eval"]) == 0
+assert main(["sweep", "--grid", {str(CONFIGS / "array_sweep.ini")!r},
+             "--topology", "toy3", "--out", out + "/sweep.csv"]) == 0
+assert main(["optimize", "--topology", "toy3", "--out", out + "/audit.json"]) == 0
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if "numpy" in m)[:5]
+"""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "audit.json").exists()
+
+
+def test_package_exports_resolve_and_functional_model_loads_on_first_use():
+    for name in oxsim.__all__:
+        assert getattr(oxsim, name) is not None
+    assert oxsim.crossbar_mvm is oxsim.photonics.crossbar_mvm
+    assert oxsim.loss_budget is oxsim.perf.loss_budget
+    with pytest.raises(AttributeError, match="no_such_name"):
+        oxsim.no_such_name

@@ -8,8 +8,11 @@ from oxsim import (
     InfeasibleError,
     LayerSpec,
     SweepGrid,
+    apply_profile,
+    default_tech_params,
     evaluate,
     find_min_hiding_batch,
+    get_profile,
     load_topology,
     network_runtime,
     optimize,
@@ -277,3 +280,28 @@ def test_optimize_reproducible(toy_layers, tech_calibrated):
     assert a.config == b.config
     assert a.report.ips == b.report.ips
     assert a.report.energy_j == b.report.energy_j
+
+
+@pytest.mark.filterwarnings("ignore:no candidate batch hides programming")
+@settings(max_examples=40, deadline=None)
+@given(cap=st.floats(5.0, 150.0), step=st.floats(0.1, 2.0),
+       batches=st.lists(st.integers(1, 256), min_size=1, max_size=5, unique=True).map(sorted),
+       rows=st.lists(st.integers(8, 256), min_size=1, max_size=3),
+       cols=st.lists(st.integers(8, 256), min_size=1, max_size=3),
+       profile=st.sampled_from(["paper-default", "paper-consistent"]))
+def test_optimize_result_meets_its_own_constraints(toy_layers, cap, step, batches, rows,
+                                                   cols, profile):
+    tech = apply_profile(default_tech_params(), get_profile(profile))
+    cons = Constraints(area_cap_mm2=cap, batch_candidates=tuple(batches),
+                       array_rows=tuple(rows), array_cols=tuple(cols), sram_step_mb=step)
+    try:
+        res = optimize(toy_layers, tech, cons)
+    except InfeasibleError:
+        return
+    cfg = res.config
+    assert res.report.area_mm2 <= cap + 1e-9
+    assert cfg.rows in rows and cfg.cols in cols and cfg.batch in batches
+    last = {s.step: s.chosen for s in res.steps}
+    assert last["batch"]["batch"] == cfg.batch
+    assert last["sram"]["input_sram_mb"] == cfg.sram_input_mb
+    assert (last["array"]["rows"], last["array"]["cols"]) == (cfg.rows, cfg.cols)

@@ -2,12 +2,17 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oxsim import (
     ChipConfig,
     LayerSpec,
+    apply_profile,
     default_tech_params,
     evaluate,
+    get_profile,
+    load_topology,
     network_runtime,
     timeline_dual_core,
     timeline_single_core,
@@ -238,6 +243,25 @@ def test_evaluate_core_count_invariance(toy_layers, tech_default):
     assert dual.energy_total_j == pytest.approx(single.energy_total_j, rel=1e-12)
     assert dual.ips_per_w == pytest.approx(single.ips_per_w, rel=1e-6)
     assert dual.ips >= single.ips
+
+
+@pytest.mark.parametrize("topology", ["toy3", "resnet50_v15"])
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(8, 256), cols=st.integers(8, 256), batch=st.integers(1, 64),
+       sram_mb=st.floats(0.01, 64.0), b_in=st.integers(1, 12), b_out=st.integers(1, 12),
+       profile=st.sampled_from(["paper-default", "paper-consistent"]))
+def test_second_core_cuts_time_not_energy(topology, rows, cols, batch, sram_mb, b_in, b_out,
+                                          profile):
+    # every energy category is charged on compute cycles or t_compute, never
+    # on t_total, so the energy per pass is the same to the last bit
+    layers = load_topology(topology)
+    tech = apply_profile(default_tech_params(), get_profile(profile))
+    cfg = ChipConfig(rows=rows, cols=cols, cores=1, batch=batch, sram_input_mb=sram_mb,
+                     b_in=b_in, b_out=b_out)
+    single = evaluate(layers, cfg, tech)
+    dual = evaluate(layers, cfg.with_(cores=2), tech)
+    assert dual.energy_j == single.energy_j
+    assert dual.timeline.t_total <= single.timeline.t_total
 
 
 def test_evaluate_breakdowns_sum(resnet_layers, headline_config, tech_calibrated):
