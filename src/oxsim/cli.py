@@ -50,7 +50,8 @@ def _finite(raw: str) -> float:
 
 
 # Field annotation (a string under `from __future__ import annotations`) ->
-# parser of one INI value. Fields of any other type cannot be set from a file.
+# parser of one INI value; an optional field (`X | None`) parses as X. Fields of
+# any other type cannot be set from a file.
 _PARSERS = {
     "int": int,
     "float": _finite,
@@ -114,7 +115,8 @@ def _section(parser: configparser.ConfigParser, section: str, cls, source) -> di
     file, the section and the key.
     """
     where = f"{source} [{section}]"
-    kinds = {f.name: f.type for f in fields(cls) if f.type in _PARSERS}
+    kinds = {f.name: f.type.removesuffix(" | None") for f in fields(cls)}
+    kinds = {name: kind for name, kind in kinds.items() if kind in _PARSERS}
     out = {}
     for key, raw in (parser[section].items() if parser.has_section(section) else ()):
         if key not in kinds:

@@ -6,6 +6,10 @@ much input SRAM as the chip-area cap allows, (3) the array size with the
 best IPS/W, preferring the largest array among near-ties. Because a larger
 array shortens per-tile compute, batch hiding is re-checked once after the
 array is chosen.
+
+`sweep` and `size_sram` score many configs that differ in a few fields and
+run each stage once per distinct input (`_runtime_memo` for the mapping);
+their results equal evaluating every point on its own.
 """
 from __future__ import annotations
 
@@ -14,21 +18,31 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+from . import perf
 from .errors import ConfigError, EvaluationError, InfeasibleError
-from .perf import PerfReport, area_model, evaluate, timeline_dual_core
-from .workload import ChipConfig, network_runtime, residency_breakpoints
+from .perf import PerfReport, Timeline, area_model, evaluate, roll_up, timeline_dual_core
+from .workload import (
+    MB_BITS,
+    ChipConfig,
+    RuntimeStats,
+    network_runtime,
+    residency_breakpoints,
+)
 
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Axis candidates swept against a fixed template config."""
+    """Axis candidates swept against a fixed template config.
+
+    An axis left as None is not swept; one given must list at least one value.
+    """
 
     template: ChipConfig
-    rows: tuple[int, ...] = ()
-    cols: tuple[int, ...] = ()
-    batch: tuple[int, ...] = ()
-    input_sram_mb: tuple[float, ...] = ()
-    cores: tuple[int, ...] = ()
+    rows: tuple[int, ...] | None = None
+    cols: tuple[int, ...] | None = None
+    batch: tuple[int, ...] | None = None
+    input_sram_mb: tuple[float, ...] | None = None
+    cores: tuple[int, ...] | None = None
 
     # (axis field, the ChipConfig field its values set)
     _AXES = (("rows", "rows"), ("cols", "cols"), ("batch", "batch"),
@@ -38,14 +52,20 @@ class SweepGrid:
         # Every ChipConfig check reads one field, so a value that passes on
         # the template passes at every grid point.
         for key, name in self._AXES:
-            for v in getattr(self, key):
+            values = getattr(self, key)
+            if values is None:
+                continue
+            if not values:
+                raise ConfigError(f"{key} is given but lists no values")
+            for v in values:
                 try:
                     self.template.with_(**{name: v})
                 except ConfigError as exc:
                     raise ConfigError(f"{key} = {v}: {exc}") from exc
 
     def axes(self) -> list[tuple[str, tuple]]:
-        return [(name, getattr(self, key)) for key, name in self._AXES if getattr(self, key)]
+        return [(name, getattr(self, key)) for key, name in self._AXES
+                if getattr(self, key) is not None]
 
     def configs(self) -> list[ChipConfig]:
         axes = self.axes()
@@ -58,12 +78,54 @@ class SweepGrid:
         return out
 
 
+def _runtime_memo(layers):
+    """`runtime(cfg, input_sram_mb)`: `network_runtime` of `cfg` with
+    `input_sram_mb` of input SRAM, mapped once per distinct mapping input.
+
+    Besides input SRAM, the mapping reads the array, the batch and the bit
+    widths. Capacity enters it only through the residency tests against the
+    layers' batched ifmap and output sizes (`residency_breakpoints`), so
+    configs that agree on those fields and on `bisect_right(breakpoints,
+    capacity)` get identical counts. The first such config is mapped (its
+    ChipConfig is built only then) and the rest share its `RuntimeStats`.
+    """
+    breakpoints: dict[tuple[int, int, int], list[int]] = {}
+    memo: dict[tuple, RuntimeStats] = {}
+
+    def runtime(cfg: ChipConfig, input_sram_mb: float) -> RuntimeStats:
+        io = (cfg.batch, cfg.b_in, cfg.b_out)
+        if io not in breakpoints:
+            breakpoints[io] = residency_breakpoints(layers, cfg)
+        key = (cfg.rows, cfg.cols, cfg.b_w, cfg.b_acc, *io,
+               bisect_right(breakpoints[io], input_sram_mb * MB_BITS))
+        if key not in memo:
+            memo[key] = network_runtime(layers, cfg.with_(sram_input_mb=input_sram_mb))
+        return memo[key]
+
+    return runtime
+
+
 def sweep(grid: SweepGrid, layers, tech) -> list[tuple[ChipConfig, PerfReport]]:
-    """Evaluate the full Cartesian grid in deterministic (lexicographic) order."""
+    """Evaluate the full Cartesian grid in deterministic (lexicographic) order.
+
+    Every report equals `evaluate(layers, cfg, tech)` at its point, but the
+    network is mapped once per (array, batch, residency pattern) through
+    `_runtime_memo`, and the timeline, which reads the tile streams, the core
+    count and the sweep's fixed clock and technology, once per (array, batch,
+    cores). Points share those objects; only `roll_up` runs per point.
+    """
+    runtime = _runtime_memo(layers)
+    timelines: dict[tuple[int, int, int, int], Timeline] = {}
     results = []
     for cfg in grid.configs():
         try:
-            results.append((cfg, evaluate(layers, cfg, tech)))
+            stats = runtime(cfg, cfg.sram_input_mb)
+            shape = (cfg.rows, cfg.cols, cfg.batch, cfg.cores)
+            if shape not in timelines:
+                # looked up on the module, so a wrapper installed on
+                # perf.make_timeline (a tracer) sees the sweep's timelines too
+                timelines[shape] = perf.make_timeline(stats, cfg, tech)
+            results.append((cfg, roll_up(stats, timelines[shape], cfg, tech)))
         except Exception as exc:
             raise EvaluationError(
                 f"sweep evaluation failed at rows={cfg.rows} cols={cfg.cols} "
@@ -114,10 +176,6 @@ class SramPlan:
     candidates: tuple[dict, ...]
 
 
-def _dram_bits(layers, cfg: ChipConfig) -> int:
-    return network_runtime(layers, cfg).total.dram_bits
-
-
 def size_sram(layers, cfg_template: ChipConfig, tech, area_cap_mm2: float,
               step_mb: float = 0.25) -> SramPlan:
     """Largest input SRAM (on a step grid) that keeps total area under the cap.
@@ -126,17 +184,14 @@ def size_sram(layers, cfg_template: ChipConfig, tech, area_cap_mm2: float,
     which total DRAM traffic bottoms out (growing SRAM further buys nothing).
 
     Every grid size is a candidate with its area and DRAM traffic, but the
-    network is mapped only once per residency pattern. Traffic depends on
-    capacity only through the residency tests against the layers' batched
-    ifmap and output sizes (`residency_breakpoints`), so candidates with the
-    same `bisect_right` index into those sizes have identical counts; the
-    first candidate with each index is mapped and the rest reuse its
+    network is mapped only once per residency pattern (`_runtime_memo`): the
+    first candidate with each pattern is mapped and the rest reuse its
     `dram_bits`. The result equals a scan that maps every candidate.
     """
     if step_mb <= 0:
         raise ValueError("step_mb must be > 0")
-    fixed = sum(area_model(cfg_template.with_(sram_input_mb=step_mb), tech).values()) \
-        - step_mb * tech.a_sram_per_mb
+    first = area_model(cfg_template.with_(sram_input_mb=step_mb), tech)
+    fixed = sum(first.values()) - step_mb * tech.a_sram_per_mb
     headroom = area_cap_mm2 - fixed
     if headroom < step_mb * tech.a_sram_per_mb - 1e-9:
         raise InfeasibleError(
@@ -145,24 +200,22 @@ def size_sram(layers, cfg_template: ChipConfig, tech, area_cap_mm2: float,
         )
     max_units = int((headroom / tech.a_sram_per_mb + 1e-9) / step_mb)
 
-    breakpoints = residency_breakpoints(layers, cfg_template)
-    traffic_by_pattern: dict[int, int] = {}
-
-    def traffic_of(cfg: ChipConfig) -> int:
-        pattern = bisect_right(breakpoints, cfg.input_sram_bits)
-        if pattern not in traffic_by_pattern:
-            traffic_by_pattern[pattern] = _dram_bits(layers, cfg)
-        return traffic_by_pattern[pattern]
-
-    floor_bits = traffic_of(cfg_template.with_(sram_input_mb=1e9))
+    # Only the SRAM term of `area_model` changes between candidates. Adding
+    # the banks in `total_sram_mb`'s order and summing the same six terms in
+    # the same order keeps each area equal to sum(area_model(cfg, tech).values())
+    # without building a ChipConfig.
+    _, *other_areas = first.values()
+    t = cfg_template
+    runtime = _runtime_memo(layers)
+    floor_bits = runtime(t, 1e9).total.dram_bits
     candidates = []
     critical: float | None = None
     chosen = step_mb
     for unit in range(1, max_units + 1):
         mb = unit * step_mb
-        cfg = cfg_template.with_(sram_input_mb=mb)
-        area = sum(area_model(cfg, tech).values())
-        traffic = traffic_of(cfg)
+        sram_area = (mb + t.sram_filter_mb + t.sram_output_mb + t.sram_acc_mb) * tech.a_sram_per_mb
+        area = sum((sram_area, *other_areas))
+        traffic = runtime(t, mb).total.dram_bits
         candidates.append({"input_sram_mb": mb, "area_mm2": area, "dram_bits": traffic})
         chosen = mb
         if critical is None and traffic <= floor_bits:

@@ -265,7 +265,15 @@ def _check_breakdown(parts: dict[str, float], total: float, what: str) -> None:
 def evaluate(layers, cfg: ChipConfig, tech) -> PerfReport:
     """Full pipeline: map the network, build the timeline, roll up metrics."""
     stats = network_runtime(layers, cfg)
-    timeline = make_timeline(stats, cfg, tech)
+    return roll_up(stats, make_timeline(stats, cfg, tech), cfg, tech)
+
+
+def roll_up(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, tech) -> PerfReport:
+    """Loss budget, energy, power, area and IPS of a mapped and timed config.
+
+    `stats` and `timeline` must be those `evaluate` would compute for `cfg`;
+    the report keeps references to both, so reports may share them.
+    """
     budget = loss_budget(cfg, tech)
     energy = energy_model(stats, timeline, cfg, tech, budget)
     area = area_model(cfg, tech)

@@ -304,12 +304,13 @@ def test_timestamp_honors_source_date_epoch(tmp_path, monkeypatch):
     ("sweep", "--grid", "[grid]\nrows = 32 0\n", "grid", "rows"),
     ("sweep", "--grid", "[grid]\ncores = 1 3\n", "grid", "cores"),
     ("sweep", "--grid", "[grid]\ninput_sram_mb = 0 1\n", "grid", "input_sram_mb"),
+    ("sweep", "--grid", "[grid]\nrows =\ncols = 32 64\n", "grid", "rows"),
 ], ids=["fractional-int", "inf-chip", "nan-tech", "nan-profile-override",
         "unknown-profile-key", "inf-grid-axis", "nan-constraint", "template-key",
         "batch-descending", "batch-zero", "batch-empty", "rows-empty", "cols-empty",
         "sram-step-zero", "area-cap-negative", "hiding-eps-one", "tie-tol-negative",
         "profile-override-negative", "grid-rows-zero", "grid-cores-three",
-        "grid-sram-zero"])
+        "grid-sram-zero", "grid-rows-empty"])
 def test_loader_rejects_bad_key_or_value(tmp_path, capsys, command, flag, text, section, key):
     p = tmp_path / "input.ini"
     p.write_text(text)

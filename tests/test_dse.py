@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from oxsim import (
     ChipConfig,
     Constraints,
+    EvaluationError,
     InfeasibleError,
     LayerSpec,
     SweepGrid,
@@ -20,8 +23,9 @@ from oxsim import (
     size_sram,
     sweep,
 )
-from oxsim import dse
+from oxsim import dse, perf
 from oxsim.perf import area_model
+from oxsim.reports import flat_row
 from oxsim.workload import residency_breakpoints
 
 
@@ -47,6 +51,64 @@ def test_sweep_order_is_lexicographic(toy_layers, tech_default):
     grid = SweepGrid(template=tpl, rows=(8, 16), batch=(1, 2), cores=(1, 2))
     combos = [(c.rows, c.batch, c.cores) for c, _ in sweep(grid, toy_layers, tech_default)]
     assert combos == [(r, b, k) for r in (8, 16) for b in (1, 2) for k in (1, 2)]
+
+
+def test_sweep_names_the_point_that_fails(toy_layers, tech_default):
+    # under paper-default a 1024x1024 array's loss budget overflows
+    grid = SweepGrid(template=ChipConfig(), rows=(32, 1024), cols=(1024,))
+    with pytest.raises(EvaluationError, match=r"at rows=1024 cols=1024 .*1024x1024 array loses"):
+        sweep(grid, toy_layers, tech_default)
+
+
+def _axis(pool):
+    return st.none() | st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True)
+
+
+@pytest.mark.parametrize("topology", ["toy3", "resnet50_v15"])
+@settings(max_examples=20, deadline=None)
+@given(rows=_axis([8, 16, 32, 128, 512]), cols=_axis([8, 16, 32, 128, 512]),
+       batch=_axis([1, 2, 8, 32, 256]), cores=_axis([1, 2]),
+       # sizes from 2**-24 MB (half a bit) to 2**13 MB: with batches up to
+       # 256 a grid takes the refetch path and the fully resident path on
+       # toy3 and on ResNet-50 alike
+       sram=st.lists(st.builds(lambda e, m: m * 2.0 ** e, st.integers(-24, 12),
+                               st.floats(1.0, 2.0, exclude_max=True)),
+                     min_size=1, max_size=4, unique=True),
+       b_in=st.integers(1, 12), b_out=st.integers(1, 12),
+       profile=st.sampled_from(["paper-default", "paper-consistent"]))
+def test_sweep_memo_equals_evaluate_at_every_point(topology, rows, cols, batch, cores, sram,
+                                                   b_in, b_out, profile):
+    layers = load_topology(topology)
+    tech = apply_profile(default_tech_params(), get_profile(profile))
+    grid = SweepGrid(template=ChipConfig(b_in=b_in, b_out=b_out), rows=rows, cols=cols,
+                     batch=batch, input_sram_mb=tuple(sram), cores=cores)
+    mapped, timed = [], []
+
+    def counting_runtime(layers_, cfg):
+        mapped.append(cfg)
+        return network_runtime(layers_, cfg)
+
+    def counting_timeline(stats, cfg, tech_):
+        timed.append(cfg)
+        return make_timeline(stats, cfg, tech_)
+
+    make_timeline = perf.make_timeline
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dse, "network_runtime", counting_runtime)
+        mp.setattr(perf, "make_timeline", counting_timeline)
+        results = sweep(grid, layers, tech)
+
+    configs = grid.configs()
+    assert [cfg for cfg, _ in results] == configs
+    for cfg, report in results:
+        direct = evaluate(layers, cfg, tech)
+        assert flat_row(cfg, report) == flat_row(cfg, direct)
+        assert report.stats == direct.stats and report.timeline == direct.timeline
+    assert len(mapped) == len({
+        (c.rows, c.cols, c.batch,
+         bisect_right(residency_breakpoints(layers, c), c.input_sram_bits))
+        for c in configs})
+    assert len(timed) == len({(c.rows, c.cols, c.batch, c.cores) for c in configs})
 
 
 # --- batch hiding -------------------------------------------------------------

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oxsim import (
     ChipConfig,
@@ -139,6 +141,22 @@ def test_mvm_matches_dense_matvec_oracle():
         got = crossbar_mvm(v, w, plan, e_laser=1.7)
         want = (1.7 / (8 * math.sqrt(8))) * (w.T @ v)
         np.testing.assert_allclose(got, want, rtol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 64), m=st.integers(1, 64), bits=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), e_laser=st.floats(0.1, 10.0), phased=st.booleans())
+def test_tap_by_tap_propagation_equals_closed_form(n, m, bits, seed, e_laser, phased):
+    rng = np.random.default_rng(seed)
+    levels = 2**bits - 1
+    v = InputVector(rng.integers(0, levels, n, endpoint=True) / levels, bits=bits)
+    w = WeightMatrix(rng.integers(0, levels, (n, m), endpoint=True) / levels, bits=bits)
+    phi = rng.uniform(-math.pi, math.pi, (n, m)) if phased else None
+    # crossbar_mvm raises ArithmeticError if its propagation leaves the closed form
+    got = crossbar_mvm(v, w, CouplerPlan.for_array(n, m), e_laser=e_laser, phase_offsets=phi)
+    effective = w.values if phi is None else w.values * np.cos(phi)
+    want = (e_laser / (n * math.sqrt(m))) * (effective.T @ v.values)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * e_laser)
 
 
 def test_mvm_weight_scaling_is_linear():
