@@ -7,9 +7,9 @@ best IPS/W, preferring the largest array among near-ties. Because a larger
 array shortens per-tile compute, batch hiding is re-checked once after the
 array is chosen.
 
-`sweep` and `size_sram` score many configs that differ in a few fields and
-run each stage once per distinct input (`_runtime_memo` for the mapping);
-their results equal evaluating every point on its own.
+`sweep` and `optimize` score many configs that differ in a few fields. Each
+call keeps one `_Stages` memo that maps the network and builds a timeline
+once per distinct input; every score equals evaluating its point on its own.
 """
 from __future__ import annotations
 
@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 
 from . import perf
 from .errors import ConfigError, EvaluationError, InfeasibleError
-from .perf import PerfReport, Timeline, area_model, evaluate, roll_up, timeline_dual_core
+from .perf import PerfReport, Timeline, area_model, roll_up
+# unused here; perfbench/tracing.py's BOUNDARIES wraps these dse names (--trace 1)
+from .perf import evaluate, timeline_dual_core  # noqa: F401
 from .workload import (
     MB_BITS,
     ChipConfig,
@@ -78,54 +80,58 @@ class SweepGrid:
         return out
 
 
-def _runtime_memo(layers):
-    """`runtime(cfg, input_sram_mb)`: `network_runtime` of `cfg` with
-    `input_sram_mb` of input SRAM, mapped once per distinct mapping input.
+class _Stages:
+    """Memo of the evaluation stages of one run, for fixed layers and tech.
 
-    Besides input SRAM, the mapping reads the array, the batch and the bit
-    widths. Capacity enters it only through the residency tests against the
-    layers' batched ifmap and output sizes (`residency_breakpoints`), so
-    configs that agree on those fields and on `bisect_right(breakpoints,
-    capacity)` get identical counts. The first such config is mapped (its
-    ChipConfig is built only then) and the rest share its `RuntimeStats`.
+    `runtime(cfg, input_sram_mb)` maps `cfg` with `input_sram_mb` of input SRAM
+    (default: its own). The mapping reads the array, the batch, the bit widths
+    and, through the residency tests (`residency_breakpoints`), only
+    `bisect_right(breakpoints, capacity)` of the SRAM: one mapping per such key.
+    `timeline(cfg)` reads the tile streams, cores and clock: one per (array,
+    batch, cores, clock). `report(cfg)` rolls both up and equals `evaluate`.
     """
-    breakpoints: dict[tuple[int, int, int], list[int]] = {}
-    memo: dict[tuple, RuntimeStats] = {}
 
-    def runtime(cfg: ChipConfig, input_sram_mb: float) -> RuntimeStats:
+    def __init__(self, layers, tech) -> None:
+        self.layers, self.tech = layers, tech
+        self._breakpoints: dict[tuple[int, int, int], list[int]] = {}
+        self._runtimes: dict[tuple, RuntimeStats] = {}
+        self._timelines: dict[tuple, Timeline] = {}
+
+    def runtime(self, cfg: ChipConfig, input_sram_mb: float | None = None) -> RuntimeStats:
+        mb = cfg.sram_input_mb if input_sram_mb is None else input_sram_mb
         io = (cfg.batch, cfg.b_in, cfg.b_out)
-        if io not in breakpoints:
-            breakpoints[io] = residency_breakpoints(layers, cfg)
+        if io not in self._breakpoints:
+            self._breakpoints[io] = residency_breakpoints(self.layers, cfg)
         key = (cfg.rows, cfg.cols, cfg.b_w, cfg.b_acc, *io,
-               bisect_right(breakpoints[io], input_sram_mb * MB_BITS))
-        if key not in memo:
-            memo[key] = network_runtime(layers, cfg.with_(sram_input_mb=input_sram_mb))
-        return memo[key]
+               bisect_right(self._breakpoints[io], mb * MB_BITS))
+        if key not in self._runtimes:
+            self._runtimes[key] = network_runtime(self.layers, cfg.with_(sram_input_mb=mb))
+        return self._runtimes[key]
 
-    return runtime
+    def timeline(self, cfg: ChipConfig) -> Timeline:
+        key = (cfg.rows, cfg.cols, cfg.batch, cfg.cores, cfg.clock_hz)
+        if key not in self._timelines:
+            # looked up on the module, so a tracer's wrapper on it sees every call
+            self._timelines[key] = perf.make_timeline(self.runtime(cfg), cfg, self.tech)
+        return self._timelines[key]
+
+    def report(self, cfg: ChipConfig) -> PerfReport:
+        return roll_up(self.runtime(cfg), self.timeline(cfg), cfg, self.tech)
 
 
 def sweep(grid: SweepGrid, layers, tech) -> list[tuple[ChipConfig, PerfReport]]:
     """Evaluate the full Cartesian grid in deterministic (lexicographic) order.
 
-    Every report equals `evaluate(layers, cfg, tech)` at its point, but the
-    network is mapped once per (array, batch, residency pattern) through
-    `_runtime_memo`, and the timeline, which reads the tile streams, the core
-    count and the sweep's fixed clock and technology, once per (array, batch,
-    cores). Points share those objects; only `roll_up` runs per point.
+    Every report equals `evaluate(layers, cfg, tech)` at its point, but one
+    `_Stages` memo maps the network once per (array, batch, residency
+    pattern) and builds the timeline once per (array, batch, cores). Points
+    share those objects; only `roll_up` runs per point.
     """
-    runtime = _runtime_memo(layers)
-    timelines: dict[tuple[int, int, int, int], Timeline] = {}
+    stages = _Stages(layers, tech)
     results = []
     for cfg in grid.configs():
         try:
-            stats = runtime(cfg, cfg.sram_input_mb)
-            shape = (cfg.rows, cfg.cols, cfg.batch, cfg.cores)
-            if shape not in timelines:
-                # looked up on the module, so a wrapper installed on
-                # perf.make_timeline (a tracer) sees the sweep's timelines too
-                timelines[shape] = perf.make_timeline(stats, cfg, tech)
-            results.append((cfg, roll_up(stats, timelines[shape], cfg, tech)))
+            results.append((cfg, stages.report(cfg)))
         except Exception as exc:
             raise EvaluationError(
                 f"sweep evaluation failed at rows={cfg.rows} cols={cfg.cols} "
@@ -137,17 +143,17 @@ def sweep(grid: SweepGrid, layers, tech) -> list[tuple[ChipConfig, PerfReport]]:
 
 def find_min_hiding_batch(layers, cfg_template: ChipConfig, tech,
                           batch_candidates, hiding_eps: float = 0.01,
-                          _audit: list | None = None) -> int:
+                          _audit: list | None = None, _stages: _Stages | None = None) -> int:
     """Smallest batch whose dual-core exposed programming time is <= eps of total."""
     candidates = list(batch_candidates)
     if not candidates:
         raise ValueError("batch candidate list is empty")
     if sorted(candidates) != candidates:
         raise ValueError("batch candidates must be ascending")
+    stages = _stages or _Stages(layers, tech)
     best = None
     for b in candidates:
-        cfg = cfg_template.with_(batch=b, cores=2)
-        tl = timeline_dual_core(network_runtime(layers, cfg), cfg, tech)
+        tl = stages.timeline(cfg_template.with_(batch=b, cores=2))
         hidden = tl.t_program_exposed <= hiding_eps * tl.t_total
         if _audit is not None:
             _audit.append({
@@ -177,14 +183,14 @@ class SramPlan:
 
 
 def size_sram(layers, cfg_template: ChipConfig, tech, area_cap_mm2: float,
-              step_mb: float = 0.25) -> SramPlan:
+              step_mb: float = 0.25, _stages: _Stages | None = None) -> SramPlan:
     """Largest input SRAM (on a step grid) that keeps total area under the cap.
 
     Also reports the critical input SRAM size: the smallest grid size at
     which total DRAM traffic bottoms out (growing SRAM further buys nothing).
 
     Every grid size is a candidate with its area and DRAM traffic, but the
-    network is mapped only once per residency pattern (`_runtime_memo`): the
+    network is mapped only once per residency pattern (`_Stages`): the
     first candidate with each pattern is mapped and the rest reuse its
     `dram_bits`. The result equals a scan that maps every candidate.
     """
@@ -206,8 +212,8 @@ def size_sram(layers, cfg_template: ChipConfig, tech, area_cap_mm2: float,
     # without building a ChipConfig.
     _, *other_areas = first.values()
     t = cfg_template
-    runtime = _runtime_memo(layers)
-    floor_bits = runtime(t, 1e9).total.dram_bits
+    stages = _stages or _Stages(layers, tech)
+    floor_bits = stages.runtime(t, 1e9).total.dram_bits
     candidates = []
     critical: float | None = None
     chosen = step_mb
@@ -215,7 +221,7 @@ def size_sram(layers, cfg_template: ChipConfig, tech, area_cap_mm2: float,
         mb = unit * step_mb
         sram_area = (mb + t.sram_filter_mb + t.sram_output_mb + t.sram_acc_mb) * tech.a_sram_per_mb
         area = sum((sram_area, *other_areas))
-        traffic = runtime(t, mb).total.dram_bits
+        traffic = stages.runtime(t, mb).total.dram_bits
         candidates.append({"input_sram_mb": mb, "area_mm2": area, "dram_bits": traffic})
         chosen = mb
         if critical is None and traffic <= floor_bits:
@@ -224,8 +230,8 @@ def size_sram(layers, cfg_template: ChipConfig, tech, area_cap_mm2: float,
 
 
 def pick_array_size(layers, cfg_template: ChipConfig, tech, size_candidates,
-                    tie_tol: float = 0.02,
-                    _audit: list | None = None) -> tuple[int, int]:
+                    tie_tol: float = 0.02, _audit: list | None = None,
+                    _stages: _Stages | None = None) -> tuple[int, int]:
     """Array size maximizing IPS/W; near-ties resolve to the largest array.
 
     A candidate whose evaluation fails (e.g. a loss budget that overflows) is
@@ -235,12 +241,12 @@ def pick_array_size(layers, cfg_template: ChipConfig, tech, size_candidates,
     candidates = sorted(set((int(r), int(c)) for r, c in size_candidates))
     if not candidates:
         raise ValueError("array size candidate list is empty")
+    stages = _stages or _Stages(layers, tech)
     scored = []
     failures = []
     for r, c in candidates:
-        cfg = cfg_template.with_(rows=r, cols=c)
         try:
-            report = evaluate(layers, cfg, tech)
+            report = stages.report(cfg_template.with_(rows=r, cols=c))
         except EvaluationError as exc:
             failures.append(str(exc))
             if _audit is not None:
@@ -312,55 +318,49 @@ class OptimizationResult:
 
 
 def optimize(layers, tech, constraints: Constraints) -> OptimizationResult:
-    """Batch -> SRAM -> array size, with one hiding re-check after the array step."""
-    cons = constraints
-    cfg = cons.template
-    steps: list[StepRecord] = []
+    """Batch -> SRAM -> array size, with one hiding re-check after the array step.
 
-    def batch_step(template: ChipConfig) -> int:
+    The steps, the re-check and the final report all read one `_Stages` memo.
+    """
+    cons = constraints
+    steps: list[StepRecord] = []
+    stages = _Stages(layers, tech)
+
+    def batch_step(template: ChipConfig) -> ChipConfig:
         audit: list[dict] = []
         b = find_min_hiding_batch(layers, template, tech, cons.batch_candidates,
-                                  cons.hiding_eps, _audit=audit)
+                                  cons.hiding_eps, _audit=audit, _stages=stages)
         steps.append(StepRecord("batch", tuple(audit), {"batch": b}))
-        return b
+        return template.with_(batch=b)
 
-    batch = batch_step(cfg)
-    cfg = cfg.with_(batch=batch, cores=2)
+    def sram_step(template: ChipConfig) -> ChipConfig:
+        plan = size_sram(layers, template, tech, cons.area_cap_mm2, cons.sram_step_mb,
+                         _stages=stages)
+        steps.append(StepRecord("sram", plan.candidates,
+                                {"input_sram_mb": plan.input_mb,
+                                 "critical_input_sram_mb": plan.critical_mb}))
+        return template.with_(sram_input_mb=plan.input_mb)
 
-    plan = size_sram(layers, cfg, tech, cons.area_cap_mm2, cons.sram_step_mb)
-    steps.append(StepRecord("sram", plan.candidates,
-                            {"input_sram_mb": plan.input_mb,
-                             "critical_input_sram_mb": plan.critical_mb}))
-    cfg = cfg.with_(sram_input_mb=plan.input_mb)
-
-    def array_step(template: ChipConfig) -> tuple[int, int]:
+    def array_step(template: ChipConfig) -> ChipConfig:
         audit: list[dict] = []
         rows, cols = pick_array_size(layers, template, tech, cons.array_candidates(),
-                                     cons.tie_tol, _audit=audit)
+                                     cons.tie_tol, _audit=audit, _stages=stages)
         steps.append(StepRecord("array", tuple(audit), {"rows": rows, "cols": cols}))
-        return rows, cols
+        return template.with_(rows=rows, cols=cols)
 
-    rows, cols = array_step(cfg)
-    cfg = cfg.with_(rows=rows, cols=cols)
+    cfg = array_step(sram_step(batch_step(cons.template.with_(cores=2))))
 
     # The array step changes the premises of the first two: a bigger array
     # shrinks per-tile compute (can re-expose programming) and adds
     # peripheral area (can blow the cap the SRAM was sized against).
     # Re-run the offended step once against the final array.
-    tl = timeline_dual_core(network_runtime(layers, cfg), cfg, tech)
+    tl = stages.timeline(cfg)
     if tl.t_program_exposed > cons.hiding_eps * tl.t_total:
-        batch = batch_step(cfg)
-        cfg = cfg.with_(batch=batch)
+        cfg = batch_step(cfg)
     if sum(area_model(cfg, tech).values()) > cons.area_cap_mm2 + 1e-9:
-        plan = size_sram(layers, cfg, tech, cons.area_cap_mm2, cons.sram_step_mb)
-        steps.append(StepRecord("sram", plan.candidates,
-                                {"input_sram_mb": plan.input_mb,
-                                 "critical_input_sram_mb": plan.critical_mb}))
-        cfg = cfg.with_(sram_input_mb=plan.input_mb)
-        rows, cols = array_step(cfg)
-        cfg = cfg.with_(rows=rows, cols=cols)
+        cfg = array_step(sram_step(cfg))
 
-    report = evaluate(layers, cfg, tech)
+    report = stages.report(cfg)
     if report.area_mm2 > cons.area_cap_mm2 + 1e-9:
         raise InfeasibleError(
             f"array step: chosen config measures {report.area_mm2:.2f} mm2, over "

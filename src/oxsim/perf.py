@@ -287,6 +287,12 @@ def roll_up(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, tech) -> P
     area_total = sum(area.values())
     power_by = {k: v / t_total for k, v in energy.items()}
 
+    # an overflowed total would pass _check_breakdown (isclose(inf, inf))
+    for what, value in (("IPS", ips), ("power", power), ("area", area_total),
+                        ("total energy", energy_total)):
+        if not math.isfinite(value):
+            raise EvaluationError(f"{what} is {value}, not a finite number: an input "
+                                  f"is too large for the model")
     _check_breakdown(energy, energy_total, "energy")
     _check_breakdown(power_by, power, "power")
     _check_breakdown(area, area_total, "area")
@@ -304,7 +310,3 @@ def roll_up(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, tech) -> P
         stats=stats,
         budget=budget,
     )
-
-
-# Published reference point for context in reports; not a model input.
-NVIDIA_A100_REFERENCE = {"ips": 29733, "ips_per_w": 75, "power_w": 396, "area_mm2": 826}

@@ -11,13 +11,12 @@ from dataclasses import asdict
 from .perf import AREA_CATEGORIES, ENERGY_CATEGORIES, PerfReport
 from .workload import ChipConfig
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CONFIG_COLUMNS = [
     "rows", "cols", "clock_hz", "cores", "batch",
     "b_in", "b_w", "b_out", "b_acc",
     "sram_input_mb", "sram_filter_mb", "sram_output_mb", "sram_acc_mb",
-    "serdes_ratio",
 ]
 
 METRIC_COLUMNS = [
@@ -131,4 +130,4 @@ def json_payload(cfg: ChipConfig, report: PerfReport, manifest: dict) -> dict:
 
 
 def dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"

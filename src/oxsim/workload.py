@@ -90,7 +90,6 @@ class ChipConfig:
     sram_filter_mb: float = 0.75
     sram_output_mb: float = 0.75
     sram_acc_mb: float = 0.75
-    serdes_ratio: int = 10
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
@@ -107,8 +106,6 @@ class ChipConfig:
         for f in ("sram_input_mb", "sram_filter_mb", "sram_output_mb", "sram_acc_mb"):
             if getattr(self, f) <= 0:
                 raise ConfigError(f"{f} must be > 0")
-        if self.serdes_ratio < 1:
-            raise ConfigError("serdes_ratio must be >= 1")
 
     @property
     def input_sram_bits(self) -> float:

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -67,7 +68,7 @@ def test_evaluate_writes_reports(tmp_path, cfg_file, capsys):
     printed = capsys.readouterr().out
     assert "ips=" in printed and "power_w=" in printed
     payload = json.loads((out / "report.json").read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["manifest"]["profile"] == "paper-consistent"
     e = payload["energy_breakdown_j"]
     assert sum(e.values()) == pytest.approx(payload["metrics"]["energy_total_j"], rel=1e-9)
@@ -305,12 +306,13 @@ def test_timestamp_honors_source_date_epoch(tmp_path, monkeypatch):
     ("sweep", "--grid", "[grid]\ncores = 1 3\n", "grid", "cores"),
     ("sweep", "--grid", "[grid]\ninput_sram_mb = 0 1\n", "grid", "input_sram_mb"),
     ("sweep", "--grid", "[grid]\nrows =\ncols = 32 64\n", "grid", "rows"),
+    ("evaluate", "--config", "[chip]\nserdes_ratio = 10\n", "chip", "serdes_ratio"),
 ], ids=["fractional-int", "inf-chip", "nan-tech", "nan-profile-override",
         "unknown-profile-key", "inf-grid-axis", "nan-constraint", "template-key",
         "batch-descending", "batch-zero", "batch-empty", "rows-empty", "cols-empty",
         "sram-step-zero", "area-cap-negative", "hiding-eps-one", "tie-tol-negative",
         "profile-override-negative", "grid-rows-zero", "grid-cores-three",
-        "grid-sram-zero", "grid-rows-empty"])
+        "grid-sram-zero", "grid-rows-empty", "serdes-ratio-removed"])
 def test_loader_rejects_bad_key_or_value(tmp_path, capsys, command, flag, text, section, key):
     p = tmp_path / "input.ini"
     p.write_text(text)
@@ -346,6 +348,17 @@ def test_loss_budget_overflow_exits_3_naming_array_and_loss(tmp_path, capsys):
     assert "100000x100000 array loses" in err and " dB" in err
     assert "Numerical result out of range" not in err
     assert not out.exists()
+
+
+def test_overflowing_total_exits_3_and_writes_no_report(tmp_path, capsys):
+    # every input is finite and in range, but the SRAM area overflows to inf
+    p = tmp_path / "huge_sram.ini"
+    p.write_text("[chip]\nsram_input_mb = 1e308\n[tech]\na_sram_per_mb = 10\n")
+    out = tmp_path / "out"
+    rc = main(["evaluate", "--config", str(p), "--topology", "toy3", "--out", str(out)])
+    assert rc == 3
+    assert "area is inf" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def _array_step_constraints(tmp_path, rows, cols):
@@ -412,3 +425,14 @@ def test_package_exports_resolve_and_functional_model_loads_on_first_use():
     assert oxsim.loss_budget is oxsim.perf.loss_budget
     with pytest.raises(AttributeError, match="no_such_name"):
         oxsim.no_such_name
+
+
+def test_every_perfbench_trace_boundary_resolves():
+    # `perfbench/run.py --trace 1` replaces each (module, attr) of BOUNDARIES
+    # and fails with an AttributeError on a name the package no longer binds
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, attr, _, _ in tracing.BOUNDARIES:
+        assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)

@@ -344,6 +344,43 @@ def test_optimize_reproducible(toy_layers, tech_calibrated):
     assert a.report.energy_j == b.report.energy_j
 
 
+def test_optimize_maps_and_times_each_distinct_input_once(resnet_layers, tech_calibrated):
+    mapped, mapped_outside, timed = [], [], []
+
+    def counting_runtime(layers_, cfg):
+        mapped.append(cfg)
+        return network_runtime(layers_, cfg)
+
+    def counting_perf_runtime(layers_, cfg):
+        mapped_outside.append(cfg)
+        return network_runtime(layers_, cfg)
+
+    def counting(timeline_fn):
+        def timeline(stats, cfg, tech_):
+            timed.append(cfg)
+            return timeline_fn(stats, cfg, tech_)
+        return timeline
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dse, "network_runtime", counting_runtime)
+        mp.setattr(perf, "network_runtime", counting_perf_runtime)
+        mp.setattr(perf, "make_timeline", counting(perf.make_timeline))
+        mp.setattr(dse, "timeline_dual_core", counting(dse.timeline_dual_core))
+        res = optimize(resnet_layers, tech_calibrated, Constraints())
+
+    assert mapped_outside == []
+    keys = [(c.rows, c.cols, c.b_w, c.b_acc, c.batch, c.b_in, c.b_out,
+             bisect_right(residency_breakpoints(resnet_layers, c), c.input_sram_bits))
+            for c in mapped]
+    # new keys per step: batch 9, sram 14, array 24 (32x32 is the sram step's
+    # pick), sram again 14, array again 0 (it shares every key)
+    assert len(keys) == len(set(keys)) == 61
+    shapes = [(c.rows, c.cols, c.batch, c.cores) for c in timed]
+    assert len(shapes) == len(set(shapes))
+    direct = evaluate(resnet_layers, res.config, tech_calibrated)
+    assert flat_row(res.config, res.report) == flat_row(res.config, direct)
+
+
 @pytest.mark.filterwarnings("ignore:no candidate batch hides programming")
 @settings(max_examples=40, deadline=None)
 @given(cap=st.floats(5.0, 150.0), step=st.floats(0.1, 2.0),

@@ -264,6 +264,30 @@ def test_second_core_cuts_time_not_energy(topology, rows, cols, batch, sram_mb, 
     assert dual.timeline.t_total <= single.timeline.t_total
 
 
+@pytest.mark.parametrize("topology", ["toy3", "resnet50_v15"])
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(8, 256), cols=st.integers(8, 256),
+       batches=st.lists(st.integers(1, 256), min_size=2, max_size=2, unique=True).map(sorted),
+       # 2**-24 to 2**13 MB: both sizes may refetch, both be resident, or straddle
+       srams=st.lists(st.builds(lambda e, m: m * 2.0 ** e, st.integers(-24, 12),
+                                st.floats(1.0, 2.0, exclude_max=True)),
+                      min_size=2, max_size=2, unique=True).map(sorted),
+       b_in=st.integers(1, 12), b_out=st.integers(1, 12),
+       profile=st.sampled_from(["paper-default", "paper-consistent"]))
+def test_input_sram_buys_energy_not_speed_and_batch_hides_programming(
+        topology, rows, cols, batches, srams, b_in, b_out, profile):
+    layers = load_topology(topology)
+    tech = apply_profile(default_tech_params(), get_profile(profile))
+    cfg = ChipConfig(rows=rows, cols=cols, cores=2, batch=batches[0], b_in=b_in, b_out=b_out)
+    small, large = (evaluate(layers, cfg.with_(sram_input_mb=mb), tech) for mb in srams)
+    assert large.ips == small.ips
+    assert large.energy_total_j <= small.energy_total_j
+    # the dual-core exposed-programming share does not grow with batch (the
+    # premise of find_min_hiding_batch), compared exactly in whole cycles
+    lo, hi = (evaluate(layers, cfg.with_(batch=b), tech).timeline for b in batches)
+    assert hi.exposed_prog_cycles * lo.total_cycles <= lo.exposed_prog_cycles * hi.total_cycles
+
+
 def test_evaluate_breakdowns_sum(resnet_layers, headline_config, tech_calibrated):
     r = evaluate(resnet_layers, headline_config, tech_calibrated)
     assert sum(r.energy_j.values()) == pytest.approx(r.energy_total_j, rel=1e-9)

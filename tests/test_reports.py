@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from oxsim import ChipConfig, evaluate
 from oxsim.reports import CSV_COLUMNS, SCHEMA_VERSION, dump_json, flat_row, json_payload
 
@@ -31,3 +33,10 @@ def test_json_payload_round_trips(toy_layers, tech_calibrated):
     assert set(back["energy_breakdown_j"]) == set(report.energy_j)
     # serialization is stable: same payload, same bytes
     assert dump_json(json.loads(text)) == text
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_dump_json_rejects_non_finite_numbers(value):
+    # json.dumps would write Infinity/NaN, which is not JSON
+    with pytest.raises(ValueError):
+        dump_json({"metrics": {"area_mm2": value}})
