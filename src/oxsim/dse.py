@@ -3,9 +3,9 @@
 The optimizer follows the observed trends: (1) smallest batch whose
 dual-core timeline leaves essentially no programming time exposed, (2) as
 much input SRAM as the chip-area cap allows, (3) the array size with the
-best IPS/W, preferring the largest array among near-ties. Because a larger
-array shortens per-tile compute, batch hiding is re-checked once after the
-array is chosen.
+best IPS/W, preferring the largest array among near-ties. The three steps
+share one signature and return one `StepRecord`; `optimize` re-runs a step
+while the chosen array breaks its premise, for at most `MAX_PASSES` passes.
 
 `sweep` and `optimize` score many configs that differ in a few fields. Each
 call keeps one `_Stages` memo that maps the network and builds a timeline
@@ -141,133 +141,9 @@ def sweep(grid: SweepGrid, layers, tech) -> list[tuple[ChipConfig, PerfReport]]:
     return results
 
 
-def find_min_hiding_batch(layers, cfg_template: ChipConfig, tech,
-                          batch_candidates, hiding_eps: float = 0.01,
-                          _audit: list | None = None, _stages: _Stages | None = None) -> int:
-    """Smallest batch whose dual-core exposed programming time is <= eps of total."""
-    candidates = list(batch_candidates)
-    if not candidates:
-        raise ValueError("batch candidate list is empty")
-    if sorted(candidates) != candidates:
-        raise ValueError("batch candidates must be ascending")
-    stages = _stages or _Stages(layers, tech)
-    best = None
-    for b in candidates:
-        tl = stages.timeline(cfg_template.with_(batch=b, cores=2))
-        hidden = tl.t_program_exposed <= hiding_eps * tl.t_total
-        if _audit is not None:
-            _audit.append({
-                "batch": b,
-                "t_total_s": tl.t_total,
-                "t_program_exposed_s": tl.t_program_exposed,
-                "hidden": hidden,
-            })
-        if hidden and best is None:
-            best = b
-    if best is None:
-        warnings.warn(
-            f"no candidate batch hides programming within {hiding_eps:.0%} of "
-            f"total time; falling back to the largest ({candidates[-1]})"
-        )
-        best = candidates[-1]
-    return best
-
-
-@dataclass(frozen=True)
-class SramPlan:
-    """Outcome of input-SRAM sizing under an area cap."""
-
-    input_mb: float
-    critical_mb: float | None
-    candidates: tuple[dict, ...]
-
-
-def size_sram(layers, cfg_template: ChipConfig, tech, area_cap_mm2: float,
-              step_mb: float = 0.25, _stages: _Stages | None = None) -> SramPlan:
-    """Largest input SRAM (on a step grid) that keeps total area under the cap.
-
-    Also reports the critical input SRAM size: the smallest grid size at
-    which total DRAM traffic bottoms out (growing SRAM further buys nothing).
-
-    Every grid size is a candidate with its area and DRAM traffic, but the
-    network is mapped only once per residency pattern (`_Stages`): the
-    first candidate with each pattern is mapped and the rest reuse its
-    `dram_bits`. The result equals a scan that maps every candidate.
-    """
-    if step_mb <= 0:
-        raise ValueError("step_mb must be > 0")
-    first = area_model(cfg_template.with_(sram_input_mb=step_mb), tech)
-    fixed = sum(first.values()) - step_mb * tech.a_sram_per_mb
-    headroom = area_cap_mm2 - fixed
-    if headroom < step_mb * tech.a_sram_per_mb - 1e-9:
-        raise InfeasibleError(
-            f"sram step: area cap {area_cap_mm2} mm2 leaves {headroom:.3f} mm2 for "
-            f"input SRAM; even {step_mb} MB does not fit"
-        )
-    max_units = int((headroom / tech.a_sram_per_mb + 1e-9) / step_mb)
-
-    # Only the SRAM term of `area_model` changes between candidates. Adding
-    # the banks in `total_sram_mb`'s order and summing the same six terms in
-    # the same order keeps each area equal to sum(area_model(cfg, tech).values())
-    # without building a ChipConfig.
-    _, *other_areas = first.values()
-    t = cfg_template
-    stages = _stages or _Stages(layers, tech)
-    floor_bits = stages.runtime(t, 1e9).total.dram_bits
-    candidates = []
-    critical: float | None = None
-    chosen = step_mb
-    for unit in range(1, max_units + 1):
-        mb = unit * step_mb
-        sram_area = (mb + t.sram_filter_mb + t.sram_output_mb + t.sram_acc_mb) * tech.a_sram_per_mb
-        area = sum((sram_area, *other_areas))
-        traffic = stages.runtime(t, mb).total.dram_bits
-        candidates.append({"input_sram_mb": mb, "area_mm2": area, "dram_bits": traffic})
-        chosen = mb
-        if critical is None and traffic <= floor_bits:
-            critical = mb
-    return SramPlan(input_mb=chosen, critical_mb=critical, candidates=tuple(candidates))
-
-
-def pick_array_size(layers, cfg_template: ChipConfig, tech, size_candidates,
-                    tie_tol: float = 0.02, _audit: list | None = None,
-                    _stages: _Stages | None = None) -> tuple[int, int]:
-    """Array size maximizing IPS/W; near-ties resolve to the largest array.
-
-    A candidate whose evaluation fails (e.g. a loss budget that overflows) is
-    unbuildable: its audit row carries the reason under "infeasible" and it
-    is not scored. Only when no candidate is buildable does the step fail.
-    """
-    candidates = sorted(set((int(r), int(c)) for r, c in size_candidates))
-    if not candidates:
-        raise ValueError("array size candidate list is empty")
-    stages = _stages or _Stages(layers, tech)
-    scored = []
-    failures = []
-    for r, c in candidates:
-        try:
-            report = stages.report(cfg_template.with_(rows=r, cols=c))
-        except EvaluationError as exc:
-            failures.append(str(exc))
-            if _audit is not None:
-                _audit.append({"rows": r, "cols": c, "infeasible": str(exc)})
-            continue
-        scored.append(((r, c), report.ips_per_w, report.ips))
-        if _audit is not None:
-            _audit.append({"rows": r, "cols": c, "ips_per_w": report.ips_per_w,
-                           "ips": report.ips})
-    if not scored:
-        raise InfeasibleError(f"array step: none of the {len(candidates)} candidate "
-                              f"arrays is buildable; the first fails with: {failures[0]}")
-    best_ipsw = max(s[1] for s in scored)
-    tied = [s for s in scored if s[1] >= best_ipsw * (1.0 - tie_tol)]
-    tied.sort(key=lambda s: (s[0][0] * s[0][1], s[0][0], s[0][1]), reverse=True)
-    return tied[0][0]
-
-
 @dataclass(frozen=True)
 class Constraints:
-    """Inputs to the optimizer; defaults mirror the published sweep axes."""
+    """Inputs to the optimizer, validated only here; defaults mirror the published axes."""
 
     area_cap_mm2: float = 100.0
     batch_candidates: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -296,14 +172,114 @@ class Constraints:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
     def array_candidates(self) -> list[tuple[int, int]]:
-        return [(r, c) for r in self.array_rows for c in self.array_cols]
+        return sorted({(r, c) for r in self.array_rows for c in self.array_cols})
 
 
 @dataclass(frozen=True)
 class StepRecord:
+    """One optimizer step: its audit rows, its choice, and the template with it applied."""
+
     step: str
     candidates: tuple[dict, ...]
     chosen: dict
+    config: ChipConfig
+
+
+def find_min_hiding_batch(layers, template: ChipConfig, tech, cons: Constraints,
+                          _stages: _Stages | None = None) -> StepRecord:
+    """Smallest batch whose dual-core exposed programming time is <= eps of total."""
+    stages = _stages or _Stages(layers, tech)
+    audit = []
+    for b in cons.batch_candidates:
+        tl = stages.timeline(template.with_(batch=b, cores=2))
+        audit.append({
+            "batch": b,
+            "t_total_s": tl.t_total,
+            "t_program_exposed_s": tl.t_program_exposed,
+            "hidden": tl.t_program_exposed <= cons.hiding_eps * tl.t_total,
+        })
+    best = next((row["batch"] for row in audit if row["hidden"]), None)
+    if best is None:
+        best = cons.batch_candidates[-1]
+        warnings.warn(
+            f"no candidate batch hides programming within {cons.hiding_eps:.0%} of "
+            f"total time; falling back to the largest ({best})"
+        )
+    return StepRecord("batch", tuple(audit), {"batch": best}, template.with_(batch=best))
+
+
+def size_sram(layers, template: ChipConfig, tech, cons: Constraints,
+              _stages: _Stages | None = None) -> StepRecord:
+    """Largest input SRAM (on a step grid) that keeps total area under the cap.
+
+    Also reports the critical input SRAM size: the smallest grid size at
+    which total DRAM traffic bottoms out (growing SRAM further buys nothing).
+
+    Every grid size is a candidate with its area and DRAM traffic, but the
+    network is mapped only once per residency pattern (`_Stages`): the
+    first candidate with each pattern is mapped and the rest reuse its
+    `dram_bits`. The result equals a scan that maps every candidate.
+    """
+    step_mb = cons.sram_step_mb
+    first = area_model(template.with_(sram_input_mb=step_mb), tech)
+    headroom = cons.area_cap_mm2 - (sum(first.values()) - step_mb * tech.a_sram_per_mb)
+    max_units = int((headroom / tech.a_sram_per_mb + 1e-9) / step_mb)
+    if max_units < 1:
+        raise InfeasibleError(
+            f"sram step: area cap {cons.area_cap_mm2} mm2 leaves {headroom:.3f} mm2 for "
+            f"input SRAM; even {step_mb} MB does not fit"
+        )
+
+    # Only the SRAM term of `area_model` changes between candidates. Adding
+    # the banks in `total_sram_mb`'s order and summing the same six terms in
+    # the same order keeps each area equal to sum(area_model(cfg, tech).values())
+    # without building a ChipConfig.
+    _, *other_areas = first.values()
+    t = template
+    stages = _stages or _Stages(layers, tech)
+    floor_bits = stages.runtime(t, 1e9).total.dram_bits
+    candidates = []
+    critical: float | None = None
+    for unit in range(1, max_units + 1):
+        mb = unit * step_mb
+        sram_area = (mb + t.sram_filter_mb + t.sram_output_mb + t.sram_acc_mb) * tech.a_sram_per_mb
+        traffic = stages.runtime(t, mb).total.dram_bits
+        candidates.append({"input_sram_mb": mb, "area_mm2": sum((sram_area, *other_areas)),
+                           "dram_bits": traffic})
+        if critical is None and traffic <= floor_bits:
+            critical = mb
+    chosen = max_units * step_mb
+    return StepRecord("sram", tuple(candidates),
+                      {"input_sram_mb": chosen, "critical_input_sram_mb": critical},
+                      template.with_(sram_input_mb=chosen))
+
+
+def pick_array_size(layers, template: ChipConfig, tech, cons: Constraints,
+                    _stages: _Stages | None = None) -> StepRecord:
+    """Array size maximizing IPS/W; near-ties resolve to the largest array.
+
+    A candidate whose evaluation fails (e.g. a loss budget that overflows) is
+    unbuildable: its audit row carries the reason under "infeasible" and it
+    is not scored. Only when no candidate is buildable does the step fail.
+    """
+    stages = _stages or _Stages(layers, tech)
+    audit, scored = [], []
+    for r, c in cons.array_candidates():
+        try:
+            report = stages.report(template.with_(rows=r, cols=c))
+        except EvaluationError as exc:
+            audit.append({"rows": r, "cols": c, "infeasible": str(exc)})
+            continue
+        scored.append(((r, c), report.ips_per_w))
+        audit.append({"rows": r, "cols": c, "ips_per_w": report.ips_per_w, "ips": report.ips})
+    if not scored:
+        raise InfeasibleError(f"array step: none of the {len(audit)} candidate arrays is "
+                              f"buildable; the first fails with: {audit[0]['infeasible']}")
+    best_ipsw = max(ipsw for _, ipsw in scored)
+    tied = [size for size, ipsw in scored if ipsw >= best_ipsw * (1.0 - cons.tie_tol)]
+    rows, cols = max(tied, key=lambda s: (s[0] * s[1], s[0], s[1]))
+    return StepRecord("array", tuple(audit), {"rows": rows, "cols": cols},
+                      template.with_(rows=rows, cols=cols))
 
 
 @dataclass(frozen=True)
@@ -317,48 +293,41 @@ class OptimizationResult:
         return sum(len(s.candidates) for s in self.steps)
 
 
-def optimize(layers, tech, constraints: Constraints) -> OptimizationResult:
-    """Batch -> SRAM -> array size, with one hiding re-check after the array step.
+MAX_PASSES = 4  # bound of optimize's re-run loop; the shipped constraints settle in two
 
-    The steps, the re-check and the final report all read one `_Stages` memo.
+
+def optimize(layers, tech, constraints: Constraints) -> OptimizationResult:
+    """Batch -> SRAM -> array size, re-run until the choice meets its premises.
+
+    The array step changes the premises of the first two: a bigger array
+    shrinks per-tile compute (can re-expose programming) and adds peripheral
+    area (can break the cap the SRAM was sized against). After each pass the
+    batch step is queued if programming is exposed beyond `hiding_eps`, and
+    the SRAM and array steps if the area is over the cap. The loop stops when
+    nothing is queued, when a pass leaves the config unchanged, or after
+    `MAX_PASSES` passes; a config still over the cap then fails.
+
+    Every step and the final report read one `_Stages` memo.
     """
     cons = constraints
-    steps: list[StepRecord] = []
     stages = _Stages(layers, tech)
-
-    def batch_step(template: ChipConfig) -> ChipConfig:
-        audit: list[dict] = []
-        b = find_min_hiding_batch(layers, template, tech, cons.batch_candidates,
-                                  cons.hiding_eps, _audit=audit, _stages=stages)
-        steps.append(StepRecord("batch", tuple(audit), {"batch": b}))
-        return template.with_(batch=b)
-
-    def sram_step(template: ChipConfig) -> ChipConfig:
-        plan = size_sram(layers, template, tech, cons.area_cap_mm2, cons.sram_step_mb,
-                         _stages=stages)
-        steps.append(StepRecord("sram", plan.candidates,
-                                {"input_sram_mb": plan.input_mb,
-                                 "critical_input_sram_mb": plan.critical_mb}))
-        return template.with_(sram_input_mb=plan.input_mb)
-
-    def array_step(template: ChipConfig) -> ChipConfig:
-        audit: list[dict] = []
-        rows, cols = pick_array_size(layers, template, tech, cons.array_candidates(),
-                                     cons.tie_tol, _audit=audit, _stages=stages)
-        steps.append(StepRecord("array", tuple(audit), {"rows": rows, "cols": cols}))
-        return template.with_(rows=rows, cols=cols)
-
-    cfg = array_step(sram_step(batch_step(cons.template.with_(cores=2))))
-
-    # The array step changes the premises of the first two: a bigger array
-    # shrinks per-tile compute (can re-expose programming) and adds
-    # peripheral area (can blow the cap the SRAM was sized against).
-    # Re-run the offended step once against the final array.
-    tl = stages.timeline(cfg)
-    if tl.t_program_exposed > cons.hiding_eps * tl.t_total:
-        cfg = batch_step(cfg)
-    if sum(area_model(cfg, tech).values()) > cons.area_cap_mm2 + 1e-9:
-        cfg = array_step(sram_step(cfg))
+    steps: list[StepRecord] = []
+    cfg = cons.template.with_(cores=2)
+    # looked up on the module at call time, so a tracer's wrappers see every step
+    queue = [find_min_hiding_batch, size_sram, pick_array_size]
+    for _ in range(MAX_PASSES):
+        start = cfg
+        for step in queue:
+            steps.append(step(layers, cfg, tech, cons, stages))
+            cfg = steps[-1].config
+        tl = stages.timeline(cfg)
+        queue = []
+        if tl.t_program_exposed > cons.hiding_eps * tl.t_total:
+            queue.append(find_min_hiding_batch)
+        if sum(area_model(cfg, tech).values()) > cons.area_cap_mm2 + 1e-9:
+            queue += [size_sram, pick_array_size]
+        if not queue or cfg == start:
+            break
 
     report = stages.report(cfg)
     if report.area_mm2 > cons.area_cap_mm2 + 1e-9:

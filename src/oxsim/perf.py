@@ -293,6 +293,9 @@ def roll_up(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, tech) -> P
         if not math.isfinite(value):
             raise EvaluationError(f"{what} is {value}, not a finite number: an input "
                                   f"is too large for the model")
+    if not power > 0:
+        raise EvaluationError(f"power is {power} W, not > 0: IPS/W is undefined when "
+                              f"every energy and power term is 0")
     _check_breakdown(energy, energy_total, "energy")
     _check_breakdown(power_by, power, "power")
     _check_breakdown(area, area_total, "area")

@@ -398,6 +398,75 @@ def test_optimize_with_no_buildable_array_exits_4(tmp_path, capsys):
     assert not out.exists()
 
 
+# the chosen 128x64 array breaks the cap the SRAM was sized against, and so
+# does the 256x64 array chosen after the first re-run: two re-runs settle it
+CONSTRAINTS_TWO_RERUNS = """\
+[constraints]
+area_cap_mm2 = 79.2
+sram_step_mb = 1.5
+batch_candidates = 16 256
+array_rows = 128 256
+array_cols = 64
+"""
+
+
+def test_optimize_reruns_sram_and_array_until_the_cap_holds(tmp_path):
+    cons = tmp_path / "cons.ini"
+    cons.write_text(CONSTRAINTS_TWO_RERUNS)
+    out = tmp_path / "audit.json"
+    rc = main(["optimize", "--constraints", str(cons), "--topology", "resnet50_v15",
+               "--profile", "paper-consistent", "--out", str(out)])
+    assert rc == 0
+    audit = json.loads(out.read_text())
+    chosen = audit["chosen_config"]
+    assert (chosen["rows"], chosen["cols"]) == (256, 64)
+    assert audit["metrics"]["area_mm2"] <= 79.2
+    assert [s["step"] for s in audit["steps"]] == [
+        "batch", "sram", "array", "sram", "array", "sram", "array"]
+
+
+@pytest.mark.parametrize("profile, digest", [
+    ("paper-consistent", "0185527e9e31010fd43770d8e9422d083b7cc7834f0e874394ee581ab0ac02cd"),
+    ("paper-default", "f706c417f16a14fee04f982ef0b3de825353b1b673e638d4185a54101bf3f9f5"),
+])
+def test_shipped_optimize_audit_is_pinned(tmp_path, monkeypatch, profile, digest):
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    out = tmp_path / "audit.json"
+    rc = main(["optimize", "--constraints", str(CONFIGS / "optimize_default.ini"),
+               "--topology", "resnet50_v15", "--profile", profile, "--out", str(out)])
+    assert rc == 0
+    assert _sha(out) == digest
+
+
+ZERO_POWER_PROFILE = "[profile]\nname = zero-power\n\n[overrides]\n" + "".join(
+    f"{name} = 0\n" for name in (
+        "e_odac_driver", "p_thermal_per_ring", "p_tia", "p_adc", "e_serdes_per_bit",
+        "e_clock_per_lane_cycle", "e_sram_per_bit", "e_dram_per_bit",
+        "e_pcm_program_per_cell", "p_rx_min_per_column"))
+
+
+def test_zero_power_evaluate_exits_3_naming_power(tmp_path, capsys):
+    prof = tmp_path / "zero.ini"
+    prof.write_text(ZERO_POWER_PROFILE)
+    out = tmp_path / "out"
+    rc = main(["evaluate", "--topology", "toy3", "--profile", str(prof), "--out", str(out)])
+    assert rc == 3
+    assert "power is 0.0 W, not > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:no candidate batch hides programming")
+def test_zero_power_optimize_exits_4(tmp_path, capsys):
+    prof = tmp_path / "zero.ini"
+    prof.write_text(ZERO_POWER_PROFILE)
+    out = tmp_path / "audit.json"
+    rc = main(["optimize", "--topology", "toy3", "--profile", str(prof), "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "array step" in err and "power is 0.0 W" in err
+    assert not out.exists()
+
+
 def test_cli_commands_do_not_import_numpy(tmp_path):
     src = Path(oxsim.__file__).resolve().parents[1]
     script = f"""

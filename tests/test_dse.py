@@ -122,15 +122,18 @@ def test_min_batch_when_already_hidden(tech_default):
     # 160 ns/tile at batch 1, long enough that the head programming is noise
     layers = [_stream_layer(1600, 200)]
     tpl = ChipConfig(rows=1, cols=1, cores=2, batch=1)
-    assert find_min_hiding_batch(layers, tpl, tech_default, [1, 2, 4]) == 1
+    cons = Constraints(batch_candidates=(1, 2, 4))
+    assert find_min_hiding_batch(layers, tpl, tech_default, cons).chosen == {"batch": 1}
 
 
 def test_min_batch_crosses_programming_time(tech_default):
     # 500 cycles/tile at batch 1 -> 50 ns < 100 ns; batch 2 reaches 100 ns
     layers = [_stream_layer(500, 400)]
     tpl = ChipConfig(rows=1, cols=1, cores=2, batch=1)
-    picked = find_min_hiding_batch(layers, tpl, tech_default, [1, 2, 4, 8])
-    assert picked == 2
+    record = find_min_hiding_batch(layers, tpl, tech_default,
+                                   Constraints(batch_candidates=(1, 2, 4, 8)))
+    assert record.chosen == {"batch": 2}
+    assert record.config == tpl.with_(batch=2)
     # oracle: every candidate >= picked also hides (monotone predicate)
     from oxsim import timeline_dual_core
     for b in (2, 4, 8):
@@ -143,21 +146,15 @@ def test_min_batch_falls_back_with_warning(tech_default):
     layers = [_stream_layer(8, 40)]  # hopeless: 0.8 ns/tile
     tpl = ChipConfig(rows=1, cols=1, cores=2, batch=1)
     with pytest.warns(UserWarning, match="falling back"):
-        assert find_min_hiding_batch(layers, tpl, tech_default, [1, 2]) == 2
-
-
-def test_min_batch_candidate_validation(toy_layers, tech_default):
-    tpl = ChipConfig(rows=8, cols=8, cores=2, batch=1)
-    with pytest.raises(ValueError):
-        find_min_hiding_batch(toy_layers, tpl, tech_default, [])
-    with pytest.raises(ValueError):
-        find_min_hiding_batch(toy_layers, tpl, tech_default, [4, 2, 1])
+        record = find_min_hiding_batch(layers, tpl, tech_default,
+                                       Constraints(batch_candidates=(1, 2)))
+    assert record.chosen == {"batch": 2}
 
 
 def test_resnet_hiding_batch_is_32(resnet_layers, tech_calibrated, headline_config):
-    picked = find_min_hiding_batch(resnet_layers, headline_config, tech_calibrated,
-                                   (1, 2, 4, 8, 16, 32, 64, 128, 256))
-    assert picked == 32
+    # the default candidates are the published batch axis, 1 to 256
+    record = find_min_hiding_batch(resnet_layers, headline_config, tech_calibrated, Constraints())
+    assert record.chosen == {"batch": 32}
 
 
 # --- SRAM sizing ----------------------------------------------------------------
@@ -166,29 +163,31 @@ def test_size_sram_one_unit_fits(toy_layers, tech_default):
     tpl = ChipConfig(rows=8, cols=8, cores=2, batch=1)
     fixed = sum(area_model(tpl.with_(sram_input_mb=1.0), tech_default).values()) \
         - 1.0 * tech_default.a_sram_per_mb
-    plan = size_sram(toy_layers, tpl, tech_default, area_cap_mm2=fixed + 0.45)
-    assert plan.input_mb == 1.0
+    plan = size_sram(toy_layers, tpl, tech_default, Constraints(area_cap_mm2=fixed + 0.45))
+    assert plan.chosen["input_sram_mb"] == 1.0
+    assert plan.config == tpl.with_(sram_input_mb=1.0)
 
 
 def test_size_sram_cap_below_fixed_area(toy_layers, tech_default):
     tpl = ChipConfig(rows=128, cols=128, cores=2, batch=1)
     with pytest.raises(InfeasibleError, match="sram"):
-        size_sram(toy_layers, tpl, tech_default, area_cap_mm2=1.0)
+        size_sram(toy_layers, tpl, tech_default, Constraints(area_cap_mm2=1.0))
 
 
 def test_size_sram_respects_cap(resnet_layers, tech_calibrated):
     tpl = ChipConfig(rows=128, cols=128, cores=2, batch=32)
     cap = 100.0
-    plan = size_sram(resnet_layers, tpl, tech_calibrated, cap)
-    area = sum(area_model(tpl.with_(sram_input_mb=plan.input_mb), tech_calibrated).values())
+    plan = size_sram(resnet_layers, tpl, tech_calibrated, Constraints(area_cap_mm2=cap))
+    chosen = plan.chosen["input_sram_mb"]
+    area = sum(area_model(tpl.with_(sram_input_mb=chosen), tech_calibrated).values())
     assert area <= cap + 1e-9
-    one_more = tpl.with_(sram_input_mb=plan.input_mb + 0.25)
+    one_more = tpl.with_(sram_input_mb=chosen + 0.25)
     assert sum(area_model(one_more, tech_calibrated).values()) > cap
 
 
 def test_size_sram_critical_size_matches_traffic_scan(resnet_layers, tech_calibrated):
     tpl = ChipConfig(rows=128, cols=128, cores=2, batch=4)
-    plan = size_sram(resnet_layers, tpl, tech_calibrated, area_cap_mm2=60.0)
+    plan = size_sram(resnet_layers, tpl, tech_calibrated, Constraints(area_cap_mm2=60.0))
     # oracle: scan the step grid for where DRAM traffic bottoms out
     floor = network_runtime(resnet_layers, tpl.with_(sram_input_mb=4096)).total.dram_bits
     critical = None
@@ -197,7 +196,7 @@ def test_size_sram_critical_size_matches_traffic_scan(resnet_layers, tech_calibr
         if network_runtime(resnet_layers, tpl.with_(sram_input_mb=mb)).total.dram_bits == floor:
             critical = mb
         mb += 0.25
-    assert plan.critical_mb == critical
+    assert plan.chosen["critical_input_sram_mb"] == critical
     # traffic at every candidate is recorded and non-increasing
     traffics = [c["dram_bits"] for c in plan.candidates]
     assert all(a >= b for a, b in zip(traffics, traffics[1:]))
@@ -243,12 +242,14 @@ def test_size_sram_memo_equals_scan_of_every_candidate(
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dse, "network_runtime", counting_runtime)
-        plan = size_sram(layers, tpl, tech_calibrated, cap, step_mb)
+        plan = size_sram(layers, tpl, tech_calibrated,
+                         Constraints(area_cap_mm2=cap, sram_step_mb=step_mb))
 
     candidates, critical = _scan_every_candidate(
         layers, tpl, tech_calibrated, len(plan.candidates), step_mb)
     assert plan.candidates == candidates
-    assert plan.critical_mb == critical
+    assert plan.chosen == {"input_sram_mb": candidates[-1]["input_sram_mb"],
+                           "critical_input_sram_mb": critical}
     traffics = [c["dram_bits"] for c in plan.candidates]
     assert all(a >= b for a, b in zip(traffics, traffics[1:]))
     assert len(calls) <= len(residency_breakpoints(layers, tpl)) + 1
@@ -261,30 +262,31 @@ def test_size_sram_memo_counts_a_capacity_equal_to_a_breakpoint_as_resident(tech
     tpl = ChipConfig(rows=1, cols=1, cores=2, batch=1, b_in=8, b_out=8)
     assert residency_breakpoints(layers, tpl) == [8 * 2**20, 16 * 2**20]
     cap = sum(area_model(tpl.with_(sram_input_mb=2.0), tech_default).values())
-    plan = size_sram(layers, tpl, tech_default, cap, step_mb=0.5)
+    plan = size_sram(layers, tpl, tech_default, Constraints(area_cap_mm2=cap, sram_step_mb=0.5))
     assert plan.candidates == _scan_every_candidate(layers, tpl, tech_default, 4, 0.5)[0]
-    assert plan.critical_mb == 1.0
+    assert plan.chosen["critical_input_sram_mb"] == 1.0
 
 
 # --- array selection ------------------------------------------------------------
 
 def test_pick_array_single_candidate(toy_layers, tech_default):
     tpl = ChipConfig(rows=8, cols=8, cores=2, batch=2)
-    assert pick_array_size(toy_layers, tpl, tech_default, [(16, 8)]) == (16, 8)
+    cons = Constraints(array_rows=(16,), array_cols=(8,))
+    record = pick_array_size(toy_layers, tpl, tech_default, cons)
+    assert record.chosen == {"rows": 16, "cols": 8}
+    assert record.config == tpl.with_(rows=16, cols=8)
 
 
 def test_pick_array_tie_resolves_to_largest(toy_layers, tech_default):
     tpl = ChipConfig(rows=8, cols=8, cores=2, batch=2)
-    # with a 100% tolerance everything ties; the largest array must win
-    picked = pick_array_size(toy_layers, tpl, tech_default,
-                             [(8, 8), (16, 8), (16, 16)], tie_tol=1.0)
-    assert picked == (16, 16)
+    # with a 99.9% tolerance everything ties; the largest array must win
+    cons = Constraints(array_rows=(8, 16), array_cols=(8, 16), tie_tol=0.999)
+    assert pick_array_size(toy_layers, tpl, tech_default, cons).chosen == {"rows": 16, "cols": 16}
 
 
 def test_pick_array_resnet_calibrated(resnet_layers, tech_calibrated, headline_config):
-    candidates = [(r, c) for r in (32, 64, 128, 256, 512) for c in (32, 64, 128, 256, 512)]
-    picked = pick_array_size(resnet_layers, headline_config, tech_calibrated, candidates)
-    assert picked == (128, 128)
+    record = pick_array_size(resnet_layers, headline_config, tech_calibrated, Constraints())
+    assert record.chosen == {"rows": 128, "cols": 128}
 
 
 # --- full flow -------------------------------------------------------------------
@@ -379,6 +381,18 @@ def test_optimize_maps_and_times_each_distinct_input_once(resnet_layers, tech_ca
     assert len(shapes) == len(set(shapes))
     direct = evaluate(resnet_layers, res.config, tech_calibrated)
     assert flat_row(res.config, res.report) == flat_row(res.config, direct)
+
+
+def test_optimize_over_the_cap_after_the_last_pass_is_infeasible(
+        resnet_layers, tech_calibrated, monkeypatch):
+    # these constraints settle in three passes; two leave the array step's
+    # 128x64 pick over the cap the SRAM was sized against
+    cons = Constraints(area_cap_mm2=79.2, sram_step_mb=1.5, batch_candidates=(16, 256),
+                       array_rows=(128, 256), array_cols=(64,))
+    assert len(optimize(resnet_layers, tech_calibrated, cons).steps) == 7
+    monkeypatch.setattr(dse, "MAX_PASSES", 2)
+    with pytest.raises(InfeasibleError, match=r"measures 84\.37 mm2, over the 79\.2 mm2 cap"):
+        optimize(resnet_layers, tech_calibrated, cons)
 
 
 @pytest.mark.filterwarnings("ignore:no candidate batch hides programming")

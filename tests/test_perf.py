@@ -224,6 +224,27 @@ def test_area_scales_with_cores(headline_config):
     assert dual["sram"] == single["sram"]
 
 
+# sizes from 2**-20 to 2**13 MB, spread evenly in log scale
+_MB = st.builds(lambda e, m: m * 2.0 ** e, st.integers(-20, 12),
+                st.floats(1.0, 2.0, exclude_max=True))
+
+
+@pytest.mark.parametrize("axis", ["rows", "cols", "cores", "sram_input_mb", "sram_filter_mb",
+                                  "sram_output_mb", "sram_acc_mb"])
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 4096), cols=st.integers(1, 4096), banks=st.lists(_MB, min_size=4,
+       max_size=4), int_step=st.integers(1, 4096), mb_step=_MB,
+       profile=st.sampled_from(["paper-default", "paper-consistent"]))
+def test_area_does_not_decrease_as_the_chip_grows(axis, rows, cols, banks, int_step, mb_step,
+                                                  profile):
+    tech = apply_profile(default_tech_params(), get_profile(profile))
+    cfg = ChipConfig(rows=rows, cols=cols, cores=1, sram_input_mb=banks[0],
+                     sram_filter_mb=banks[1], sram_output_mb=banks[2], sram_acc_mb=banks[3])
+    step = {"cores": 1, "rows": int_step, "cols": int_step}.get(axis, mb_step)
+    grown = cfg.with_(**{axis: getattr(cfg, axis) + step})
+    assert sum(area_model(grown, tech).values()) >= sum(area_model(cfg, tech).values())
+
+
 # --- evaluate -----------------------------------------------------------------
 
 def test_evaluate_toy_matches_hand_replay(toy_layers, tech_default):
