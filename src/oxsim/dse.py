@@ -26,6 +26,7 @@ from .perf import evaluate, timeline_dual_core  # noqa: F401
 from .workload import (
     MB_BITS,
     ChipConfig,
+    Network,
     RuntimeStats,
     network_runtime,
     residency_breakpoints,
@@ -83,6 +84,8 @@ class SweepGrid:
 class _Stages:
     """Memo of the evaluation stages of one run, for fixed layers and tech.
 
+    The layers are lifted into `Network` columns once, for every mapping.
+
     `runtime(cfg, input_sram_mb)` maps `cfg` with `input_sram_mb` of input SRAM
     (default: its own). The mapping reads the array, the batch, the bit widths
     and, through the residency tests (`residency_breakpoints`), only
@@ -92,7 +95,7 @@ class _Stages:
     """
 
     def __init__(self, layers, tech) -> None:
-        self.layers, self.tech = layers, tech
+        self.layers, self.tech = Network.of(layers), tech
         self._breakpoints: dict[tuple[int, int, int], list[int]] = {}
         self._runtimes: dict[tuple, RuntimeStats] = {}
         self._timelines: dict[tuple, Timeline] = {}
@@ -220,6 +223,9 @@ def size_sram(layers, template: ChipConfig, tech, cons: Constraints,
     first candidate with each pattern is mapped and the rest reuse its
     `dram_bits`. The result equals a scan that maps every candidate.
     """
+    if tech.a_sram_per_mb == 0:
+        raise InfeasibleError("sram step: a_sram_per_mb is 0, so input SRAM takes no area "
+                              "and the area cap cannot size it")
     step_mb = cons.sram_step_mb
     first = area_model(template.with_(sram_input_mb=step_mb), tech)
     headroom = cons.area_cap_mm2 - (sum(first.values()) - step_mb * tech.a_sram_per_mb)

@@ -65,14 +65,27 @@ class Timeline:
     segments: tuple[LayerSegment, ...]
 
 
+def _as_float(count: int, what: str) -> float:
+    """`count` as a float; a count beyond the float range fails naming `what`."""
+    try:
+        return float(count)
+    except OverflowError:
+        raise EvaluationError(f"{what} is a {count.bit_length()}-bit integer, too large "
+                              f"for a float: an input is too large for the model") from None
+
+
 def _prog_cycles(cfg: ChipConfig, tech) -> int:
-    return round(tech.t_pcm_program * cfg.clock_hz)
+    cycles = tech.t_pcm_program * cfg.clock_hz
+    if not math.isfinite(cycles):
+        raise EvaluationError(f"PCM programming takes {cycles} clock cycles "
+                              f"({tech.t_pcm_program} s at {cfg.clock_hz} Hz), "
+                              f"not a finite number")
+    return round(cycles)
 
 
 def _tile_stream(stats: RuntimeStats) -> list[tuple[str, int, int]]:
     """(layer name, tile count, cycles per tile) in execution order."""
-    return [(lr.layer.name, lr.tiles.programming_events, lr.tiles.vectors_per_tile)
-            for lr in stats.layers]
+    return list(zip(stats.network.names, stats.programming_events, stats.vectors_per_tile))
 
 
 def timeline_single_core(stats: RuntimeStats, cfg: ChipConfig, tech) -> Timeline:
@@ -130,9 +143,9 @@ def _timeline(stats: RuntimeStats, cfg: ChipConfig, tech, dual: bool) -> Timelin
     exposed_total = total - compute_total
     clk = cfg.clock_hz
     return Timeline(
-        t_compute=compute_total / clk,
-        t_program_exposed=exposed_total / clk,
-        t_total=total / clk,
+        t_compute=_as_float(compute_total, "compute time in cycles") / clk,
+        t_program_exposed=_as_float(exposed_total, "exposed programming time in cycles") / clk,
+        t_total=_as_float(total, "batch latency in cycles") / clk,
         compute_cycles=compute_total,
         exposed_prog_cycles=exposed_total,
         total_cycles=total,
@@ -171,7 +184,8 @@ def loss_budget(cfg, tech) -> LossBudget:
     receiver floor at that worst case.
     """
     n, m = cfg.rows, cfg.cols
-    waveguide_len_cm = (n + m) * tech.unit_cell_pitch_um / 1e4
+    # n + m bounds every other array count below, so those convert too
+    waveguide_len_cm = _as_float(n + m, "array rows + columns") * tech.unit_cell_pitch_um / 1e4
     crossings = (m - 1) + (n - 1)
     worst_path_db = (
         tech.loss_grating_coupler_db
@@ -206,28 +220,37 @@ def energy_model(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, tech,
     clk = cfg.clock_hz
     if budget is None:
         budget = loss_budget(cfg, tech)
+    column_cycles = _as_float(cycles * cfg.cols, "ADC and TIA samples")
+    serdes_bits = cycles * (cfg.rows * cfg.b_in + cfg.cols * cfg.b_out)
+    ring_cycles = cycles * cfg.rows * tech.rings_per_row_tx
     return {
-        "dram": c.dram_bits * tech.e_dram_per_bit,
-        "sram": c.sram_bits * tech.e_sram_per_bit,
-        "odac": cycles * cfg.rows * tech.e_odac_driver,
-        "adc": cycles * cfg.cols * (tech.p_adc / clk),
-        "tia": cycles * cfg.cols * (tech.p_tia / clk),
-        "serdes": cycles * (cfg.rows * cfg.b_in + cfg.cols * cfg.b_out) * tech.e_serdes_per_bit,
-        "clocking": cycles * (cfg.rows + cfg.cols) * tech.e_clock_per_lane_cycle,
+        "dram": _as_float(c.dram_bits, "DRAM bits") * tech.e_dram_per_bit,
+        "sram": _as_float(c.sram_bits, "SRAM bits") * tech.e_sram_per_bit,
+        "odac": _as_float(cycles * cfg.rows, "ODAC drive events") * tech.e_odac_driver,
+        "adc": column_cycles * (tech.p_adc / clk),
+        "tia": column_cycles * (tech.p_tia / clk),
+        "serdes": _as_float(serdes_bits, "SerDes bits") * tech.e_serdes_per_bit,
+        "clocking": _as_float(cycles * (cfg.rows + cfg.cols), "clock lane-cycles")
+                    * tech.e_clock_per_lane_cycle,
         "laser": timeline.t_compute * budget.laser_wallplug_power_w,
-        "pcm_programming": c.cells_programmed * tech.e_pcm_program_per_cell,
-        "thermal_tuning": cycles * cfg.rows * tech.rings_per_row_tx * (tech.p_thermal_per_ring / clk),
+        "pcm_programming": _as_float(c.cells_programmed, "PCM cells programmed")
+                           * tech.e_pcm_program_per_cell,
+        "thermal_tuning": _as_float(ring_cycles, "thermal ring-cycles")
+                          * (tech.p_thermal_per_ring / clk),
     }
 
 
 def area_model(cfg: ChipConfig, tech) -> dict[str, float]:
     """Per-category chip area (mm^2)."""
     pitch_mm = tech.unit_cell_pitch_um / 1e3
+    # the clock lanes bound the rows and columns of the photonic array term
     return {
         "sram": cfg.total_sram_mb * tech.a_sram_per_mb,
-        "adc": cfg.cores * cfg.cols * tech.a_adc,
-        "odac": cfg.cores * cfg.rows * tech.rings_per_row_tx * tech.a_odac,
-        "clocking": cfg.cores * (cfg.rows + cfg.cols) * tech.a_clock_per_lane,
+        "adc": _as_float(cfg.cores * cfg.cols, "ADC count") * tech.a_adc,
+        "odac": _as_float(cfg.cores * cfg.rows * tech.rings_per_row_tx, "ODAC ring count")
+                * tech.a_odac,
+        "clocking": _as_float(cfg.cores * (cfg.rows + cfg.cols), "clock lanes")
+                    * tech.a_clock_per_lane,
         "photonic_array": cfg.cores * (cfg.rows * pitch_mm) * (cfg.cols * pitch_mm),
         "digital_overhead": tech.a_digital_overhead,
     }
@@ -296,13 +319,17 @@ def roll_up(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, tech) -> P
     if not power > 0:
         raise EvaluationError(f"power is {power} W, not > 0: IPS/W is undefined when "
                               f"every energy and power term is 0")
+    ips_per_w = ips / power
+    if not math.isfinite(ips_per_w):
+        raise EvaluationError(f"IPS/W is {ips_per_w}, not a finite number: power "
+                              f"({power} W) is too small for the model")
     _check_breakdown(energy, energy_total, "energy")
     _check_breakdown(power_by, power, "power")
     _check_breakdown(area, area_total, "area")
 
     return PerfReport(
         ips=ips,
-        ips_per_w=ips / power,
+        ips_per_w=ips_per_w,
         power_w=power,
         area_mm2=area_total,
         energy_total_j=energy_total,

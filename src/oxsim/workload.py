@@ -9,12 +9,30 @@ output-channel groups), and the array is reprogrammed once per tile.
 Topology CSVs carry pre-padded ifmap dimensions (SCALE-Sim convention), so
 output size is always floor((ifmap - filter) / stride) + 1 with no implicit
 padding here.
+
+Counting is analytical and columnar. `Network` lifts a topology's geometry
+into int lists once (per layer: window size, filters, output pixels, ifmap,
+weight and output volume). `network_runtime` maps one config with list
+arithmetic over those lists and returns `RuntimeStats`, one column per
+quantity with entry i for layer i:
+
+    tiles       row_tiles, col_tiles, programming_events, vectors_per_tile
+    compute     compute_cycles, cells_programmed
+    SRAM bits   input_read_bits, input_write_bits, weight_bits, output_bits,
+                acc_bits
+    DRAM bits   dram_read_bits, dram_write_bits
+    residency   ifmap_resident, output_forwarded (bools)
+
+Its `total` sums the columns into one `Counts`. `LayerRuntime` rows are
+built only when `stats.layers` is indexed.
 """
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, fields, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 from importlib import resources
 from pathlib import Path
 
@@ -120,6 +138,39 @@ class ChipConfig:
         return replace(self, **kwargs)
 
 
+class Network(tuple):
+    """LayerSpecs in execution order, plus their geometry as int columns.
+
+    Entry i of each column belongs to layer i. The columns are lifted once
+    per topology; `network_runtime` then maps any config with list
+    arithmetic over them.
+    """
+
+    names: list[str]
+    windows: list[int]  # im2col vector length (crossbar rows needed)
+    filters: list[int]  # output channels (crossbar columns needed)
+    pixels: list[int]  # output pixels per image
+    ifmaps: list[int]  # ifmap values per image
+    weights: list[int]  # weight values
+    outputs: list[int]  # output values per image
+
+    def __new__(cls, layers=()) -> "Network":
+        net = super().__new__(cls, layers)
+        net.names = [l.name for l in net]
+        net.windows = [l.window_size for l in net]
+        net.filters = [l.num_filters for l in net]
+        net.pixels = [l.out_h * l.out_w for l in net]
+        net.ifmaps = [l.ifmap_h * l.ifmap_w * l.channels for l in net]
+        net.weights = [w * f for w, f in zip(net.windows, net.filters)]
+        net.outputs = [p * f for p, f in zip(net.pixels, net.filters)]
+        return net
+
+    @classmethod
+    def of(cls, layers) -> "Network":
+        """`layers` itself if it is a Network already, else its columns lifted."""
+        return layers if isinstance(layers, cls) else cls(layers)
+
+
 @dataclass(frozen=True)
 class TileMap:
     """How one layer splits across crossbar programmings."""
@@ -128,17 +179,6 @@ class TileMap:
     col_tiles: int
     vectors_per_tile: int
     programming_events: int
-
-
-def tile_layer(layer: LayerSpec, cfg: ChipConfig) -> TileMap:
-    row_tiles = -(-layer.window_size // cfg.rows)
-    col_tiles = -(-layer.num_filters // cfg.cols)
-    return TileMap(
-        row_tiles=row_tiles,
-        col_tiles=col_tiles,
-        vectors_per_tile=layer.out_h * layer.out_w * cfg.batch,
-        programming_events=row_tiles * col_tiles,
-    )
 
 
 @dataclass(frozen=True)
@@ -178,9 +218,6 @@ class Counts:
         return self.dram_read_bits + self.dram_write_bits
 
 
-_COUNT_FIELDS = tuple(f.name for f in fields(Counts))
-
-
 @dataclass(frozen=True)
 class LayerRuntime:
     """Per-layer counters plus the residency decisions behind them."""
@@ -192,22 +229,77 @@ class LayerRuntime:
     output_forwarded: bool
 
 
-@dataclass(frozen=True)
-class RuntimeStats:
-    """Per-layer and aggregate runtime counters for one network pass."""
+class RuntimeStats(NamedTuple):
+    """Counters of one network pass: one column per quantity, plus their sums.
 
-    layers: tuple[LayerRuntime, ...]
+    Entry i of each column belongs to `network[i]`. Weight, output and
+    accumulator bits are each read once and written once. `layers` shows
+    the columns as `LayerRuntime` rows, built only when read.
+    """
+
+    network: Network
+    row_tiles: list[int]
+    col_tiles: list[int]
+    vectors_per_tile: list[int]
+    programming_events: list[int]
+    compute_cycles: list[int]
+    cells_programmed: list[int]
+    input_read_bits: list[int]
+    input_write_bits: list[int]
+    weight_bits: list[int]
+    output_bits: list[int]
+    acc_bits: list[int]
+    dram_read_bits: list[int]
+    dram_write_bits: list[int]
+    ifmap_resident: list[bool]
+    output_forwarded: list[bool]
     total: Counts
 
+    @property
+    def layers(self) -> "LayerRows":
+        return LayerRows(self)
 
-def _io_bits(layer: LayerSpec, cfg: ChipConfig) -> tuple[int, int]:
-    """Batched ifmap and output sizes of one layer, in bits."""
-    return (layer.ifmap_h * layer.ifmap_w * layer.channels * cfg.batch * cfg.b_in,
-            layer.out_h * layer.out_w * layer.num_filters * cfg.batch * cfg.b_out)
+
+# the RuntimeStats column behind each Counts field, in field order
+_COUNT_COLUMNS = ("compute_cycles", "programming_events", "cells_programmed",
+                  "input_read_bits", "input_write_bits", "weight_bits", "weight_bits",
+                  "output_bits", "output_bits", "acc_bits", "acc_bits", "dram_read_bits",
+                  "dram_write_bits")
+
+
+class LayerRows(Sequence):
+    """`RuntimeStats.layers`: one `LayerRuntime` per layer, built on indexing."""
+
+    __slots__ = ("_stats",)
+
+    def __init__(self, stats: RuntimeStats) -> None:
+        self._stats = stats
+
+    def __len__(self) -> int:
+        return len(self._stats.network)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        s = self._stats
+        return LayerRuntime(
+            layer=s.network[i],
+            tiles=TileMap(s.row_tiles[i], s.col_tiles[i], s.vectors_per_tile[i],
+                          s.programming_events[i]),
+            counts=Counts(*(getattr(s, name)[i] for name in _COUNT_COLUMNS)),
+            ifmap_resident=s.ifmap_resident[i],
+            output_forwarded=s.output_forwarded[i],
+        )
+
+
+def _io_columns(net: Network, cfg: ChipConfig) -> tuple[list[int], list[int]]:
+    """Batched ifmap and output sizes of each layer, in bits."""
+    in_scale, out_scale = cfg.batch * cfg.b_in, cfg.batch * cfg.b_out
+    return [v * in_scale for v in net.ifmaps], [v * out_scale for v in net.outputs]
 
 
 def residency_breakpoints(layers, cfg: ChipConfig) -> list[int]:
-    """Sorted distinct sizes that `_layer_counts` tests against input SRAM.
+    """Sorted distinct sizes that `network_runtime` tests against input SRAM.
 
     Input-SRAM capacity enters the counts only through `ifmap_bits <=
     capacity` and `output_bits <= capacity`. Two configs that differ only in
@@ -215,47 +307,8 @@ def residency_breakpoints(layers, cfg: ChipConfig) -> list[int]:
     cfg.input_sram_bits)` therefore resolve every residency test alike and
     get identical counts.
     """
-    return sorted({bits for layer in layers for bits in _io_bits(layer, cfg)})
-
-
-def _layer_counts(layer: LayerSpec, cfg: ChipConfig, *,
-                  ifmap_from_dram: bool, is_last: bool) -> LayerRuntime:
-    tiles = tile_layer(layer, cfg)
-    compute_cycles = tiles.programming_events * tiles.vectors_per_tile
-
-    ifmap_bits, output_bits = _io_bits(layer, cfg)
-    weight_bits = layer.window_size * layer.num_filters * cfg.b_w
-
-    capacity = cfg.input_sram_bits
-    resident = ifmap_bits <= capacity
-    fetch_passes = 1 if resident else tiles.col_tiles
-    output_fits = output_bits <= capacity
-    forwarded = output_fits and not is_last
-
-    acc_half = compute_cycles * cfg.cols * cfg.b_acc if tiles.row_tiles > 1 else 0
-
-    counts = Counts(
-        compute_cycles=compute_cycles,
-        programming_events=tiles.programming_events,
-        cells_programmed=tiles.programming_events * cfg.rows * cfg.cols,
-        sram_input_read_bits=compute_cycles * cfg.rows * cfg.b_in,
-        sram_input_write_bits=ifmap_bits * fetch_passes,
-        sram_filter_read_bits=weight_bits,
-        sram_filter_write_bits=weight_bits,
-        sram_output_read_bits=output_bits,
-        sram_output_write_bits=output_bits,
-        sram_acc_read_bits=acc_half,
-        sram_acc_write_bits=acc_half,
-        dram_read_bits=weight_bits + (ifmap_bits * fetch_passes if ifmap_from_dram else 0),
-        dram_write_bits=0 if forwarded else output_bits,
-    )
-    return LayerRuntime(layer=layer, tiles=tiles, counts=counts,
-                        ifmap_resident=resident, output_forwarded=forwarded)
-
-
-def layer_runtime(layer: LayerSpec, cfg: ChipConfig) -> LayerRuntime:
-    """Counters for one layer in isolation (ifmap fetched, output written)."""
-    return _layer_counts(layer, cfg, ifmap_from_dram=True, is_last=True)
+    ifmap_bits, output_bits = _io_columns(Network.of(layers), cfg)
+    return sorted({*ifmap_bits, *output_bits})
 
 
 def network_runtime(layers, cfg: ChipConfig) -> RuntimeStats:
@@ -263,24 +316,59 @@ def network_runtime(layers, cfg: ChipConfig) -> RuntimeStats:
 
     A layer whose full batched output fits input SRAM hands it to the next
     layer on chip; that next layer then reads nothing from DRAM. The final
-    layer's output always goes off chip.
+    layer's output always goes off chip. An ifmap that does not fit input
+    SRAM is fetched once per column tile.
     """
-    layers = list(layers)
-    if not layers:
+    net = Network.of(layers)
+    if not net:
         raise ValueError("network must contain at least one layer")
-    per_layer: list[LayerRuntime] = []
-    prev_forwarded = False
-    for idx, layer in enumerate(layers):
-        lr = _layer_counts(
-            layer, cfg,
-            ifmap_from_dram=(idx == 0 or not prev_forwarded),
-            is_last=(idx == len(layers) - 1),
-        )
-        per_layer.append(lr)
-        prev_forwarded = lr.output_forwarded
-    total = Counts(**{name: sum(getattr(lr.counts, name) for lr in per_layer)
-                      for name in _COUNT_FIELDS})
-    return RuntimeStats(layers=tuple(per_layer), total=total)
+    rows, cols, batch = cfg.rows, cfg.cols, cfg.batch
+    cells_per_event, input_bits_per_cycle = rows * cols, rows * cfg.b_in
+    row_tiles = [-(-w // rows) for w in net.windows]
+    col_tiles = [-(-f // cols) for f in net.filters]
+    events = [r * c for r, c in zip(row_tiles, col_tiles)]
+    vectors = [p * batch for p in net.pixels]
+    cycles = [e * v for e, v in zip(events, vectors)]
+    # partial sums go through the accumulator only when the window is row-tiled
+    acc_bits_per_cycle = cols * cfg.b_acc
+    acc = [c * acc_bits_per_cycle if r > 1 else 0 for c, r in zip(cycles, row_tiles)]
+
+    ifmap_bits, output_bits = _io_columns(net, cfg)
+    weight_bits = [w * cfg.b_w for w in net.weights]
+    capacity = cfg.input_sram_bits
+    resident = [b <= capacity for b in ifmap_bits]
+    forwarded = [b <= capacity for b in output_bits[:-1]] + [False]
+    input_write = [b if r else b * t for b, r, t in zip(ifmap_bits, resident, col_tiles)]
+    fed_on_chip = [False, *forwarded[:-1]]
+    columns = dict(
+        row_tiles=row_tiles,
+        col_tiles=col_tiles,
+        vectors_per_tile=vectors,
+        programming_events=events,
+        compute_cycles=cycles,
+        cells_programmed=[e * cells_per_event for e in events],
+        input_read_bits=[c * input_bits_per_cycle for c in cycles],
+        input_write_bits=input_write,
+        weight_bits=weight_bits,
+        output_bits=output_bits,
+        acc_bits=acc,
+        dram_read_bits=[w if fed else w + b
+                        for w, b, fed in zip(weight_bits, input_write, fed_on_chip)],
+        dram_write_bits=[0 if f else b for f, b in zip(forwarded, output_bits)],
+        ifmap_resident=resident,
+        output_forwarded=forwarded,
+    )
+    total = Counts(*(sum(columns[name]) for name in _COUNT_COLUMNS))
+    return RuntimeStats(network=net, **columns, total=total)
+
+
+def layer_runtime(layer: LayerSpec, cfg: ChipConfig) -> LayerRuntime:
+    """Counters for one layer in isolation (ifmap fetched, output written)."""
+    return network_runtime([layer], cfg).layers[0]
+
+
+def tile_layer(layer: LayerSpec, cfg: ChipConfig) -> TileMap:
+    return layer_runtime(layer, cfg).tiles
 
 
 def parse_topology(path) -> list[LayerSpec]:

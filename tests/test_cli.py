@@ -361,6 +361,47 @@ def test_overflowing_total_exits_3_and_writes_no_report(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+BIG = 10**320  # beyond the float range
+
+
+@pytest.mark.parametrize("command, config", [
+    ("evaluate", f"[chip]\nbatch = {BIG}\n"),
+    ("optimize", f"[constraints]\nbatch_candidates = 1 {BIG}\narray_rows = 32\n"
+                 f"array_cols = 32\n"),
+], ids=["evaluate", "optimize"])
+def test_count_too_large_for_a_float_exits_3_naming_it(tmp_path, capsys, command, config):
+    p = tmp_path / "big.ini"
+    p.write_text(config)
+    flag = "--config" if command == "evaluate" else "--constraints"
+    out = tmp_path / "out"
+    rc = main([command, flag, str(p), "--topology", "toy3", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "compute time in cycles is a 1070-bit integer, too large for a float" in err
+    assert not out.exists()
+
+
+FREE_SRAM_PROFILE = "[profile]\nname = free-sram\n\n[overrides]\na_sram_per_mb = 0\n"
+
+
+@pytest.mark.filterwarnings("ignore:no candidate batch hides programming")
+def test_free_sram_cannot_be_sized_by_the_area_cap(tmp_path, capsys):
+    prof = tmp_path / "free.ini"
+    prof.write_text(FREE_SRAM_PROFILE)
+    out = tmp_path / "audit.json"
+    rc = main(["optimize", "--topology", "toy3", "--profile", str(prof), "--out", str(out)])
+    assert rc == 4
+    assert "a_sram_per_mb is 0" in capsys.readouterr().err
+    assert not out.exists()
+    # evaluate and sweep still accept free SRAM
+    grid = tmp_path / "grid.ini"
+    grid.write_text(GRID_SMALL)
+    assert main(["evaluate", "--topology", "toy3", "--profile", str(prof),
+                 "--out", str(tmp_path / "eval")]) == 0
+    assert main(["sweep", "--grid", str(grid), "--topology", "toy3", "--profile", str(prof),
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+
+
 def _array_step_constraints(tmp_path, rows, cols):
     cons = tmp_path / "cons.ini"
     cons.write_text(f"[constraints]\narray_rows = {rows}\narray_cols = {cols}\n")

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 
 from oxsim import (
     ChipConfig,
+    EvaluationError,
     LayerSpec,
+    TechParams,
     apply_profile,
     default_tech_params,
     evaluate,
@@ -18,7 +22,8 @@ from oxsim import (
     timeline_single_core,
 )
 from oxsim.perf import area_model, energy_model
-from oxsim.workload import Counts, RuntimeStats
+from oxsim.reports import flat_row, json_payload
+from oxsim.workload import Counts, Network, RuntimeStats
 
 
 def replay_single(stream, p):
@@ -145,7 +150,9 @@ def test_timeline_core_count_must_match():
 # --- energy -------------------------------------------------------------------
 
 def test_energy_zero_activity_is_all_zero():
-    stats = RuntimeStats(layers=(), total=Counts())
+    # a network with no layers: every column empty, every total 0
+    columns = dict.fromkeys(RuntimeStats._fields, [])
+    stats = RuntimeStats(**{**columns, "network": Network(), "total": Counts()})
     cfg = ChipConfig(rows=4, cols=4, cores=1, batch=1)
     tl = timeline_single_core(stats, cfg, default_tech_params())
     energy = energy_model(stats, tl, cfg, default_tech_params())
@@ -332,3 +339,67 @@ def test_ips_nondecreasing_in_rows_and_cols(toy_layers, tech_default):
     ips = evaluate(toy_layers, base, tech_default).ips
     assert evaluate(toy_layers, base.with_(rows=16), tech_default).ips >= ips
     assert evaluate(toy_layers, base.with_(cols=16), tech_default).ips >= ips
+
+
+# --- finite results or a clean failure --------------------------------------
+
+_BIG_INT = st.integers(1, 10**400)
+_FLOAT = st.floats(0.0, sys.float_info.max)
+_POSITIVE_FLOAT = st.floats(0.0, sys.float_info.max, exclude_min=True)
+_CHIP_RANGES = {
+    **dict.fromkeys(("rows", "cols", "batch", "b_in", "b_w", "b_out", "b_acc"), _BIG_INT),
+    **dict.fromkeys(("clock_hz", "sram_input_mb", "sram_filter_mb", "sram_output_mb",
+                     "sram_acc_mb"), _POSITIVE_FLOAT),
+    "cores": st.sampled_from([1, 2]),
+}
+_TECH_RANGES = {
+    **dict.fromkeys((f.name for f in dataclasses.fields(TechParams)), _FLOAT),
+    "laser_wallplug_eff": st.floats(0.0, 1.0, exclude_min=True),
+    "rings_per_row_tx": _BIG_INT,
+}
+
+
+def _draw_some_fields(draw, base, ranges):
+    """`base` with up to four of its fields drawn over their whole accepted range."""
+    names = sorted(draw(st.sets(st.sampled_from(sorted(ranges)), max_size=4)))
+    return dataclasses.replace(base, **{name: draw(ranges[name]) for name in names})
+
+
+@st.composite
+def _configs_and_tech(draw):
+    profile = get_profile(draw(st.sampled_from(["paper-default", "paper-consistent"])))
+    return (_draw_some_fields(draw, ChipConfig(rows=128, cols=128), _CHIP_RANGES),
+            _draw_some_fields(draw, apply_profile(default_tech_params(), profile), _TECH_RANGES))
+
+
+def _floats(obj):
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _floats(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _floats(v)
+
+
+@pytest.mark.parametrize("topology", ["toy3", "resnet50_v15"])
+@settings(max_examples=150, deadline=None)
+@given(case=_configs_and_tech())
+def test_evaluate_is_finite_or_fails_cleanly(topology, case):
+    cfg, tech = case
+    try:
+        report = evaluate(load_topology(topology), cfg, tech)
+    except EvaluationError:
+        return
+    for out in (json_payload(cfg, report, {}), flat_row(cfg, report)):
+        assert all(math.isfinite(x) for x in _floats(out))
+
+
+def test_power_too_small_for_a_finite_ips_per_w_fails_naming_it(toy_layers, tech_default):
+    # one subnormal energy term: power is > 0 but IPS / power overflows
+    zero = {f.name: 0.0 for f in dataclasses.fields(TechParams)
+            if f.name.startswith(("e_", "p_"))}
+    tech = dataclasses.replace(tech_default, **{**zero, "e_dram_per_bit": 5e-324})
+    with pytest.raises(EvaluationError, match="IPS/W is inf"):
+        evaluate(toy_layers, ChipConfig(), tech)

@@ -1,12 +1,18 @@
 import csv
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oxsim import (
     ChipConfig,
+    Counts,
+    LayerRuntime,
     LayerSpec,
+    TileMap,
     TopologyError,
     bundled_topology_path,
     layer_runtime,
@@ -298,3 +304,110 @@ def test_bit_counts_divisible_by_widths():
 
 def test_input_sram_capacity_uses_binary_megabytes():
     assert ChipConfig(sram_input_mb=1.0).input_sram_bits == MB_BITS == 8 * 2**20
+
+
+# --- the columnar kernel against the scalar per-layer loop it replaced -------
+# `_oracle_tile_layer`, `_io_bits`, `_layer_counts` and `_oracle_network` are
+# the earlier scalar mapping, kept verbatim (helpers renamed) as the oracle.
+
+def _oracle_tile_layer(layer: LayerSpec, cfg: ChipConfig) -> TileMap:
+    row_tiles = -(-layer.window_size // cfg.rows)
+    col_tiles = -(-layer.num_filters // cfg.cols)
+    return TileMap(
+        row_tiles=row_tiles,
+        col_tiles=col_tiles,
+        vectors_per_tile=layer.out_h * layer.out_w * cfg.batch,
+        programming_events=row_tiles * col_tiles,
+    )
+
+
+def _io_bits(layer: LayerSpec, cfg: ChipConfig) -> tuple[int, int]:
+    """Batched ifmap and output sizes of one layer, in bits."""
+    return (layer.ifmap_h * layer.ifmap_w * layer.channels * cfg.batch * cfg.b_in,
+            layer.out_h * layer.out_w * layer.num_filters * cfg.batch * cfg.b_out)
+
+
+def _layer_counts(layer: LayerSpec, cfg: ChipConfig, *,
+                  ifmap_from_dram: bool, is_last: bool) -> LayerRuntime:
+    tiles = _oracle_tile_layer(layer, cfg)
+    compute_cycles = tiles.programming_events * tiles.vectors_per_tile
+
+    ifmap_bits, output_bits = _io_bits(layer, cfg)
+    weight_bits = layer.window_size * layer.num_filters * cfg.b_w
+
+    capacity = cfg.input_sram_bits
+    resident = ifmap_bits <= capacity
+    fetch_passes = 1 if resident else tiles.col_tiles
+    output_fits = output_bits <= capacity
+    forwarded = output_fits and not is_last
+
+    acc_half = compute_cycles * cfg.cols * cfg.b_acc if tiles.row_tiles > 1 else 0
+
+    counts = Counts(
+        compute_cycles=compute_cycles,
+        programming_events=tiles.programming_events,
+        cells_programmed=tiles.programming_events * cfg.rows * cfg.cols,
+        sram_input_read_bits=compute_cycles * cfg.rows * cfg.b_in,
+        sram_input_write_bits=ifmap_bits * fetch_passes,
+        sram_filter_read_bits=weight_bits,
+        sram_filter_write_bits=weight_bits,
+        sram_output_read_bits=output_bits,
+        sram_output_write_bits=output_bits,
+        sram_acc_read_bits=acc_half,
+        sram_acc_write_bits=acc_half,
+        dram_read_bits=weight_bits + (ifmap_bits * fetch_passes if ifmap_from_dram else 0),
+        dram_write_bits=0 if forwarded else output_bits,
+    )
+    return LayerRuntime(layer=layer, tiles=tiles, counts=counts,
+                        ifmap_resident=resident, output_forwarded=forwarded)
+
+
+def _oracle_network(layers, cfg: ChipConfig) -> tuple[list[LayerRuntime], Counts]:
+    per_layer: list[LayerRuntime] = []
+    prev_forwarded = False
+    for idx, layer in enumerate(layers):
+        lr = _layer_counts(
+            layer, cfg,
+            ifmap_from_dram=(idx == 0 or not prev_forwarded),
+            is_last=(idx == len(layers) - 1),
+        )
+        per_layer.append(lr)
+        prev_forwarded = lr.output_forwarded
+    total = Counts(**{f.name: sum(getattr(lr.counts, f.name) for lr in per_layer)
+                      for f in dataclasses.fields(Counts)})
+    return per_layer, total
+
+
+@st.composite
+def _layer_specs(draw, index):
+    fh, fw, stride = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    return LayerSpec(f"l{index}", fh + draw(st.integers(0, 30)), fw + draw(st.integers(0, 30)),
+                     draw(st.integers(1, 600)), fh, fw, draw(st.integers(1, 600)), stride)
+
+
+@st.composite
+def _networks_and_configs(draw):
+    n = draw(st.integers(1, 8))
+    layers = [draw(_layer_specs(i)) for i in range(n)]
+    cfg = ChipConfig(rows=draw(st.integers(1, 600)), cols=draw(st.integers(1, 600)),
+                     batch=draw(st.integers(1, 64)), b_in=draw(st.integers(1, 16)),
+                     b_w=draw(st.integers(1, 16)), b_out=draw(st.integers(1, 16)),
+                     b_acc=draw(st.integers(1, 48)))
+    # input SRAM half a bit below, exactly on, or half a bit above a size the
+    # residency tests compare against (MB_BITS is a power of two: exact)
+    breakpoint = draw(st.sampled_from(sorted({b for l in layers for b in _io_bits(l, cfg)})))
+    capacity = breakpoint + draw(st.sampled_from([-0.5, 0.0, 0.5]))
+    return layers, cfg.with_(sram_input_mb=capacity / MB_BITS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_networks_and_configs())
+def test_network_runtime_equals_the_scalar_per_layer_oracle(case):
+    layers, cfg = case
+    per_layer, total = _oracle_network(layers, cfg)
+    stats = network_runtime(layers, cfg)
+    assert stats.total == total
+    assert len(stats.layers) == len(per_layer)
+    assert list(stats.layers) == per_layer
+    assert stats.layers[-1] == per_layer[-1]
+    assert stats.layers[:-1] == tuple(per_layer[:-1])
