@@ -12,11 +12,12 @@ import configparser
 import dataclasses
 import hashlib
 import math
+import operator
 import os
 import sys
 import tempfile
+import time
 from dataclasses import dataclass, fields
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
@@ -75,8 +76,17 @@ class RunManifest:
 
 
 def _deterministic_timestamp() -> str:
-    epoch = int(os.environ.get("SOURCE_DATE_EPOCH", "0"))
-    return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """UTC time of SOURCE_DATE_EPOCH (default 0), which must be an integer
+    number of seconds in the years 1 to 9999."""
+    raw = os.environ.get("SOURCE_DATE_EPOCH", "0")
+    try:
+        stamp = time.gmtime(int(raw))
+        if 1 <= stamp.tm_year <= 9999:
+            return time.strftime("%Y-%m-%dT%H:%M:%SZ", stamp)
+    except (ValueError, OverflowError, OSError):
+        pass
+    raise ConfigError(f"SOURCE_DATE_EPOCH={raw!r} must be an integer number of seconds "
+                      f"since 1970 that falls in the years 1 to 9999")
 
 
 def _sha256_file(path: Path) -> str:
@@ -192,29 +202,25 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _manifest(command: str, config_hash: str, profile: str, topology: Path) -> RunManifest:
+def _manifest(command: str, config_hash: str, profile: str, topology: Path,
+              timestamp: str) -> RunManifest:
     return RunManifest(
         tool_version=__version__,
         command=command,
         config_hash=config_hash,
         profile=profile,
         topology_hash=_sha256_file(topology),
-        timestamp=_deterministic_timestamp(),
+        timestamp=timestamp,
     )
 
 
 def _csv_text(rows: list[dict], manifest: RunManifest) -> str:
     lines = [f"# {k} = {v}" for k, v in sorted(manifest.as_dict().items())]
     lines.append(",".join(CSV_COLUMNS))
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col, "")) for col in CSV_COLUMNS))
+    # every row is a flat_row, which fills every column; str(float) is repr
+    cells = operator.itemgetter(*CSV_COLUMNS)
+    lines.extend(",".join(map(str, cells(row))) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _topology(spec: str) -> tuple[list, Path]:
@@ -235,7 +241,7 @@ def cmd_evaluate(args) -> int:
     except Exception as exc:
         raise EvaluationError(str(exc)) from exc
 
-    manifest = _manifest("evaluate", config_hash, profile.name, topo_path)
+    manifest = _manifest("evaluate", config_hash, profile.name, topo_path, args.timestamp)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "report.json",
@@ -264,7 +270,8 @@ def cmd_sweep(args) -> int:
     grid = _over_chip(grid_path, "grid", SweepGrid)
     layers, topo_path = _topology(args.topology)
     results = sweep(grid, layers, tech)
-    manifest = _manifest("sweep", _sha256_file(grid_path), profile.name, topo_path)
+    manifest = _manifest("sweep", _sha256_file(grid_path), profile.name, topo_path,
+                         args.timestamp)
     rows = [flat_row(cfg, report) for cfg, report in results]
     out_path = Path(args.out or "sweep.csv")
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -285,7 +292,7 @@ def cmd_optimize(args) -> int:
     layers, topo_path = _topology(args.topology)
 
     result = optimize(layers, tech, cons)
-    manifest = _manifest("optimize", cons_hash, profile.name, topo_path)
+    manifest = _manifest("optimize", cons_hash, profile.name, topo_path, args.timestamp)
     audit = {
         "schema_version": SCHEMA_VERSION,
         "manifest": manifest.as_dict(),
@@ -352,6 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # a bad SOURCE_DATE_EPOCH fails before any evaluation or output
+        args.timestamp = _deterministic_timestamp()
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ once per distinct input; every score equals evaluating its point on its own.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -229,7 +230,12 @@ def size_sram(layers, template: ChipConfig, tech, cons: Constraints,
     step_mb = cons.sram_step_mb
     first = area_model(template.with_(sram_input_mb=step_mb), tech)
     headroom = cons.area_cap_mm2 - (sum(first.values()) - step_mb * tech.a_sram_per_mb)
-    max_units = int((headroom / tech.a_sram_per_mb + 1e-9) / step_mb)
+    units = (headroom / tech.a_sram_per_mb + 1e-9) / step_mb
+    if not math.isfinite(units):
+        raise InfeasibleError(f"sram step: {headroom:.3f} mm2 of headroom at a_sram_per_mb = "
+                              f"{tech.a_sram_per_mb} mm2/MB is not a finite number of "
+                              f"{step_mb} MB steps")
+    max_units = int(units)
     if max_units < 1:
         raise InfeasibleError(
             f"sram step: area cap {cons.area_cap_mm2} mm2 leaves {headroom:.3f} mm2 for "

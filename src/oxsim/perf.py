@@ -4,8 +4,16 @@ The worst-case optical loss budget of the array, which sizes the laser, is
 computed here too: `evaluate` and `energy_model` are its only users.
 
 Timelines are computed in integer MAC cycles (programming time is rounded
-to whole cycles once) and converted to seconds at the end, so single- vs
-dual-core comparisons and replay checks are exact.
+to whole cycles once, p) and converted to seconds at the end, so single- vs
+dual-core comparisons and replay checks are exact. They are closed forms
+over the `RuntimeStats` columns: layer i has e_i tiles (programming events)
+of v_i cycles each, and compute is sum(e_i * v_i).
+
+    single core  total = compute + p * sum(e_i)
+    dual core    total = p + sum(e_i * max(v_i, p)) - max(v_n, p) + v_n
+
+with v_n the last layer's tile; a network with no tiles takes 0 cycles.
+Exposed programming is total - compute.
 
 Rate-specified electronics (ADC, TIA, thermal tuning, laser) are charged
 only while a core is actively computing: per-inference energy is then
@@ -43,15 +51,6 @@ AREA_CATEGORIES = (
 
 
 @dataclass(frozen=True)
-class LayerSegment:
-    name: str
-    tiles: int
-    cycles_per_tile: int
-    compute_cycles: int
-    exposed_prog_cycles: int
-
-
-@dataclass(frozen=True)
 class Timeline:
     """Where the wall-clock time of one batched network pass goes."""
 
@@ -62,7 +61,6 @@ class Timeline:
     exposed_prog_cycles: int
     total_cycles: int
     prog_cycles_per_event: int
-    segments: tuple[LayerSegment, ...]
 
 
 def _as_float(count: int, what: str) -> float:
@@ -83,11 +81,6 @@ def _prog_cycles(cfg: ChipConfig, tech) -> int:
     return round(cycles)
 
 
-def _tile_stream(stats: RuntimeStats) -> list[tuple[str, int, int]]:
-    """(layer name, tile count, cycles per tile) in execution order."""
-    return list(zip(stats.network.names, stats.programming_events, stats.vectors_per_tile))
-
-
 def timeline_single_core(stats: RuntimeStats, cfg: ChipConfig, tech) -> Timeline:
     """One array: every reprogramming stalls compute."""
     if cfg.cores != 1:
@@ -101,6 +94,8 @@ def timeline_dual_core(stats: RuntimeStats, cfg: ChipConfig, tech) -> Timeline:
     t_total = t_prog(first tile) + sum_i max(t_compute(i), t_prog(i+1)),
     with no programming after the last tile. Programming is fully hidden
     exactly when every tile computes for at least one programming time.
+    In cycles, with e_i tiles of v_i cycles in layer i and p per programming:
+    p + sum_i e_i * max(v_i, p) - max(v_n, p) + v_n for last layer n.
     """
     if cfg.cores != 2:
         raise EvaluationError(f"dual-core timeline asked for a {cfg.cores}-core config")
@@ -109,36 +104,18 @@ def timeline_dual_core(stats: RuntimeStats, cfg: ChipConfig, tech) -> Timeline:
 
 def _timeline(stats: RuntimeStats, cfg: ChipConfig, tech, dual: bool) -> Timeline:
     p = _prog_cycles(cfg, tech)
-    stream = _tile_stream(stats)
-    n_tiles = sum(count for _, count, _ in stream)
-
-    compute_total = 0
-    total = 0
-    segments: list[LayerSegment] = []
+    compute_total = stats.total.compute_cycles
+    vectors = stats.vectors_per_tile
     if not dual:
-        for name, count, cycles in stream:
-            layer_compute = count * cycles
-            compute_total += layer_compute
-            total += count * (p + cycles)
-            segments.append(LayerSegment(name, count, cycles, layer_compute, count * p))
+        total = compute_total + stats.total.programming_events * p
+    elif vectors:
+        # every tile but the last overlaps the next tile's programming;
+        # `v if v > p else p` is max(v, p) without a call per layer
+        events, last = stats.programming_events, vectors[-1]
+        overlapped = sum([e * (v if v > p else p) for e, v in zip(events, vectors)])
+        total = p + overlapped - max(last, p) + last
     else:
-        # Tile i overlaps with programming of tile i+1: each non-final tile
-        # contributes max(c, p); the stream's final tile has nothing left to
-        # hide and contributes bare compute. The head programming is never
-        # hidden. Runs of identical tiles are collapsed.
-        total = p if n_tiles else 0
-        seen = 0
-        for name, count, cycles in stream:
-            layer_compute = count * cycles
-            compute_total += layer_compute
-            holds_final_tile = seen + count == n_tiles
-            paired = count - 1 if holds_final_tile else count
-            total += paired * max(cycles, p) + (cycles if holds_final_tile else 0)
-            exposed = paired * max(p - cycles, 0)
-            if seen == 0:
-                exposed += p
-            seen += count
-            segments.append(LayerSegment(name, count, cycles, layer_compute, exposed))
+        total = 0
 
     exposed_total = total - compute_total
     clk = cfg.clock_hz
@@ -150,7 +127,6 @@ def _timeline(stats: RuntimeStats, cfg: ChipConfig, tech, dual: bool) -> Timelin
         exposed_prog_cycles=exposed_total,
         total_cycles=total,
         prog_cycles_per_event=p,
-        segments=tuple(segments),
     )
 
 

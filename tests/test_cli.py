@@ -1,15 +1,21 @@
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 
 import oxsim
-from oxsim.cli import _atomic_write, main
+import oxsim.cli
+from oxsim.cli import _atomic_write, _over_chip, load_run_inputs, main
+from oxsim.dse import SweepGrid, sweep
+from oxsim.reports import CSV_COLUMNS, flat_row
+from oxsim.workload import load_topology
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -185,6 +191,37 @@ def test_sweep_reruns_byte_identical(tmp_path):
     assert _sha(a) == _sha(b)
 
 
+def test_sweep_csv_cells_round_trip_the_flat_rows(tmp_path):
+    # a -0.0 energy constant makes -0.0 cells, which must keep their sign
+    prof = tmp_path / "neg.ini"
+    prof.write_text("[overrides]\ne_sram_per_bit = -0.0\n")
+    grid = tmp_path / "grid.ini"
+    grid.write_text(GRID_SMALL)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--grid", str(grid), "--topology", "toy3", "--profile", str(prof),
+                 "--out", str(out)]) == 0
+    header, *cells = [l.split(",") for l in out.read_text().splitlines()
+                      if not l.startswith("#")]
+    assert header == CSV_COLUMNS
+
+    _, tech, _, _ = load_run_inputs(None, str(prof))
+    results = sweep(_over_chip(grid, "grid", SweepGrid), load_topology("toy3"), tech)
+    rows = [flat_row(cfg, report) for cfg, report in results]
+    assert len(cells) == len(rows) == 4
+    negative_zeros = 0
+    for line, row in zip(cells, rows):
+        for cell, col in zip(line, header, strict=True):
+            value = row[col]
+            assert cell == str(value), col
+            if type(value) is float:
+                assert float(cell) == value and math.copysign(1, float(cell)) == \
+                    math.copysign(1, value), col
+                negative_zeros += cell == "-0.0"
+            else:
+                assert type(value) is int and int(cell) == value, col
+    assert negative_zeros == 2 * len(rows)  # energy_sram_j and power_sram_w
+
+
 def test_sweep_batch_axis_shows_residency_step(tmp_path):
     grid = tmp_path / "grid.ini"
     grid.write_text(
@@ -274,6 +311,30 @@ def test_timestamp_honors_source_date_epoch(tmp_path, monkeypatch):
     assert main(["evaluate", "--topology", "toy3", "--out", str(out)]) == 0
     payload = json.loads((out / "report.json").read_text())
     assert payload["manifest"]["timestamp"] == "2023-11-14T22:13:20Z"
+
+
+@pytest.mark.parametrize("epoch", ["0", "-1", "1700000000", " 12 ", "+5", "1_000",
+                                   "-62135596800", "253402300799"])
+def test_timestamp_matches_datetime_over_its_whole_range(tmp_path, monkeypatch, epoch):
+    # years 1 to 9999, stamped as datetime formats them on this platform
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    out = tmp_path / "o"
+    assert main(["evaluate", "--topology", "toy3", "--out", str(out)]) == 0
+    want = datetime.fromtimestamp(int(epoch), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    assert json.loads((out / "report.json").read_text())["manifest"]["timestamp"] == want
+    assert f"# timestamp = {want}\n" in (out / "report.csv").read_text()
+
+
+@pytest.mark.parametrize("epoch", ["abc", "", "1.5", "99999999999999", "9" * 30,
+                                   "-62135596801", "253402300800"])
+def test_bad_source_date_epoch_exits_1_before_any_work(tmp_path, monkeypatch, capsys, epoch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    monkeypatch.setattr(oxsim.cli, "evaluate", lambda *a: pytest.fail("evaluated"))
+    out = tmp_path / "o"
+    assert main(["evaluate", "--topology", "toy3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "SOURCE_DATE_EPOCH" in err and repr(epoch) in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag, text, section, key", [
@@ -400,6 +461,19 @@ def test_free_sram_cannot_be_sized_by_the_area_cap(tmp_path, capsys):
                  "--out", str(tmp_path / "eval")]) == 0
     assert main(["sweep", "--grid", str(grid), "--topology", "toy3", "--profile", str(prof),
                  "--out", str(tmp_path / "sweep.csv")]) == 0
+
+
+@pytest.mark.filterwarnings("ignore:no candidate batch hides programming")
+def test_sram_too_cheap_to_count_exits_4_naming_it(tmp_path, capsys):
+    # the headroom over a subnormal SRAM area is an infinite number of steps
+    prof = tmp_path / "tiny.ini"
+    prof.write_text("[overrides]\na_sram_per_mb = 5e-324\n")
+    out = tmp_path / "audit.json"
+    rc = main(["optimize", "--topology", "toy3", "--profile", str(prof), "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "a_sram_per_mb = 5e-324" in err and "not a finite number" in err
+    assert not out.exists()
 
 
 def _array_step_constraints(tmp_path, rows, cols):

@@ -138,6 +138,76 @@ def test_dual_core_matches_replay_on_resnet(resnet_layers, headline_config):
     assert tl.exposed_prog_cycles == 1000
 
 
+def oracle_timeline(stream, p, dual):
+    """Oracle: the per-layer loop `perf._timeline` ran before its closed form.
+
+    `stream` is (layer name, tile count, cycles per tile) in execution order;
+    returns (compute, exposed programming, total) cycles. The loop is kept as
+    it was, without its per-layer segment records.
+    """
+    n_tiles = sum(count for _, count, _ in stream)
+
+    compute_total = 0
+    total = 0
+    if not dual:
+        for name, count, cycles in stream:
+            layer_compute = count * cycles
+            compute_total += layer_compute
+            total += count * (p + cycles)
+    else:
+        # Tile i overlaps with programming of tile i+1: each non-final tile
+        # contributes max(c, p); the stream's final tile has nothing left to
+        # hide and contributes bare compute. The head programming is never
+        # hidden. Runs of identical tiles are collapsed.
+        total = p if n_tiles else 0
+        seen = 0
+        for name, count, cycles in stream:
+            layer_compute = count * cycles
+            compute_total += layer_compute
+            holds_final_tile = seen + count == n_tiles
+            paired = count - 1 if holds_final_tile else count
+            total += paired * max(cycles, p) + (cycles if holds_final_tile else 0)
+            seen += count
+
+    exposed_total = total - compute_total
+    return compute_total, exposed_total, total
+
+
+@st.composite
+def _tile_streams(draw):
+    """1-8 layers of (tiles, cycles per tile) and a programming time p that is
+    0, below every tile, above every tile, equal to one, or in between."""
+    tiles = draw(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 5000)),
+                          min_size=1, max_size=8))
+    cycles = sorted(c for _, c in tiles)
+    p = draw(st.one_of(
+        st.just(0),
+        st.integers(0, cycles[0] - 1),
+        st.integers(cycles[-1] + 1, 2 * cycles[-1] + 1),
+        st.sampled_from(cycles),
+        st.integers(cycles[0], cycles[-1]),
+    ))
+    return tiles, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_tile_streams())
+def test_timeline_equals_the_per_layer_oracle(case):
+    tiles, p = case
+    # on a 1x1 array a 1 x w ifmap with f 1x1 filters maps to f tiles of w cycles
+    layers = [LayerSpec(f"l{i}", 1, cycles, 1, 1, 1, count, 1)
+              for i, (count, cycles) in enumerate(tiles)]
+    cfg = ChipConfig(rows=1, cols=1, batch=1, clock_hz=1.0)  # one cycle per second
+    stats = network_runtime(layers, cfg)
+    tech = dataclasses.replace(default_tech_params(), t_pcm_program=float(p))
+    stream = [(layer.name, count, cycles) for layer, (count, cycles) in zip(layers, tiles)]
+    for cores, timeline in ((1, timeline_single_core), (2, timeline_dual_core)):
+        tl = timeline(stats, cfg.with_(cores=cores), tech)
+        assert tl.prog_cycles_per_event == p
+        assert (tl.compute_cycles, tl.exposed_prog_cycles, tl.total_cycles) == \
+            oracle_timeline(stream, p, dual=cores == 2)
+
+
 def test_timeline_core_count_must_match():
     stats, cfg = _uniform_stream_stats(10, 1)
     from oxsim.errors import EvaluationError
