@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import hashlib
 import math
 import operator
@@ -17,8 +16,8 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .dse import Constraints, SweepGrid, optimize, sweep
@@ -50,9 +49,10 @@ def _finite(raw: str) -> float:
     return value
 
 
-# Field annotation (a string under `from __future__ import annotations`) ->
-# parser of one INI value; an optional field (`X | None`) parses as X. Fields of
-# any other type cannot be set from a file.
+# Field annotation (a string under `from __future__ import annotations`, which
+# NamedTuple wraps in a ForwardRef) -> parser of one INI value; an optional
+# field (`X | None`) parses as X. Fields of any other type cannot be set from a
+# file.
 _PARSERS = {
     "int": int,
     "float": _finite,
@@ -62,17 +62,13 @@ _PARSERS = {
 }
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     tool_version: str
     command: str
     config_hash: str
     profile: str
     topology_hash: str
     timestamp: str
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def _deterministic_timestamp() -> str:
@@ -118,14 +114,17 @@ def _read_ini(path: Path, allowed_sections: set[str]) -> configparser.ConfigPars
 
 
 def _section(parser: configparser.ConfigParser, section: str, cls, source) -> dict:
-    """Keyword arguments for dataclass `cls` from one INI section.
+    """Keyword arguments for NamedTuple `cls` from one INI section.
 
     Each key must name a field of `cls` whose annotation `_PARSERS` knows, and
     its value must parse as that type; otherwise the ConfigError names the
     file, the section and the key.
     """
     where = f"{source} [{section}]"
-    kinds = {f.name: f.type.removesuffix(" | None") for f in fields(cls)}
+    # a checked type's annotations live on the NamedTuple of its fields
+    fields_cls = next(c for c in cls.__mro__ if "_fields" in vars(c))
+    kinds = {name: ref.__forward_arg__.removesuffix(" | None")
+             for name, ref in fields_cls.__annotations__.items()}
     kinds = {name: kind for name, kind in kinds.items() if kind in _PARSERS}
     out = {}
     for key, raw in (parser[section].items() if parser.has_section(section) else ()):
@@ -215,7 +214,7 @@ def _manifest(command: str, config_hash: str, profile: str, topology: Path,
 
 
 def _csv_text(rows: list[dict], manifest: RunManifest) -> str:
-    lines = [f"# {k} = {v}" for k, v in sorted(manifest.as_dict().items())]
+    lines = [f"# {k} = {v}" for k, v in sorted(manifest._asdict().items())]
     lines.append(",".join(CSV_COLUMNS))
     # every row is a flat_row, which fills every column; str(float) is repr
     cells = operator.itemgetter(*CSV_COLUMNS)
@@ -245,7 +244,7 @@ def cmd_evaluate(args) -> int:
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "report.json",
-                  dump_json(json_payload(cfg, report, manifest.as_dict())))
+                  dump_json(json_payload(cfg, report, manifest._asdict())))
     _atomic_write(out_dir / "report.csv", _csv_text([flat_row(cfg, report)], manifest))
     print(
         f"ips={report.ips:.1f} ips_per_w={report.ips_per_w:.1f} "
@@ -295,8 +294,8 @@ def cmd_optimize(args) -> int:
     manifest = _manifest("optimize", cons_hash, profile.name, topo_path, args.timestamp)
     audit = {
         "schema_version": SCHEMA_VERSION,
-        "manifest": manifest.as_dict(),
-        "chosen_config": dataclasses.asdict(result.config),
+        "manifest": manifest._asdict(),
+        "chosen_config": result.config._asdict(),
         "metrics": {
             "ips": result.report.ips,
             "ips_per_w": result.report.ips_per_w,

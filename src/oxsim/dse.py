@@ -17,10 +17,10 @@ import itertools
 import math
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import perf
-from .errors import ConfigError, EvaluationError, InfeasibleError
+from .errors import Checked, ConfigError, EvaluationError, InfeasibleError
 from .perf import PerfReport, Timeline, area_model, roll_up
 # unused here; perfbench/tracing.py's BOUNDARIES wraps these dse names (--trace 1)
 from .perf import evaluate, timeline_dual_core  # noqa: F401
@@ -34,13 +34,7 @@ from .workload import (
 )
 
 
-@dataclass(frozen=True)
-class SweepGrid:
-    """Axis candidates swept against a fixed template config.
-
-    An axis left as None is not swept; one given must list at least one value.
-    """
-
+class _SweepGridFields(NamedTuple):
     template: ChipConfig
     rows: tuple[int, ...] | None = None
     cols: tuple[int, ...] | None = None
@@ -48,11 +42,20 @@ class SweepGrid:
     input_sram_mb: tuple[float, ...] | None = None
     cores: tuple[int, ...] | None = None
 
+
+class SweepGrid(Checked, _SweepGridFields):
+    """Axis candidates swept against a fixed template config.
+
+    An axis left as None is not swept; one given must list at least one value.
+    """
+
+    __slots__ = ()
+
     # (axis field, the ChipConfig field its values set)
     _AXES = (("rows", "rows"), ("cols", "cols"), ("batch", "batch"),
              ("input_sram_mb", "sram_input_mb"), ("cores", "cores"))
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         # Every ChipConfig check reads one field, so a value that passes on
         # the template passes at every grid point.
         for key, name in self._AXES:
@@ -145,10 +148,7 @@ def sweep(grid: SweepGrid, layers, tech) -> list[tuple[ChipConfig, PerfReport]]:
     return results
 
 
-@dataclass(frozen=True)
-class Constraints:
-    """Inputs to the optimizer, validated only here; defaults mirror the published axes."""
-
+class _ConstraintsFields(NamedTuple):
     area_cap_mm2: float = 100.0
     batch_candidates: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
     array_rows: tuple[int, ...] = (32, 64, 128, 256, 512)
@@ -156,9 +156,15 @@ class Constraints:
     sram_step_mb: float = 0.25
     hiding_eps: float = 0.01
     tie_tol: float = 0.02
-    template: ChipConfig = field(default_factory=ChipConfig)
+    template: ChipConfig = ChipConfig()
 
-    def __post_init__(self) -> None:
+
+class Constraints(Checked, _ConstraintsFields):
+    """Inputs to the optimizer, validated only here; defaults mirror the published axes."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         b = self.batch_candidates
         if not b or b[0] < 1 or any(x >= y for x, y in zip(b, b[1:])):
             raise ConfigError(f"batch_candidates must be non-empty, >= 1 and strictly "
@@ -179,8 +185,7 @@ class Constraints:
         return sorted({(r, c) for r in self.array_rows for c in self.array_cols})
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One optimizer step: its audit rows, its choice, and the template with it applied."""
 
     step: str
@@ -294,8 +299,7 @@ def pick_array_size(layers, template: ChipConfig, tech, cons: Constraints,
                       template.with_(rows=rows, cols=cols))
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(NamedTuple):
     config: ChipConfig
     report: PerfReport
     steps: tuple[StepRecord, ...]

@@ -1,4 +1,4 @@
-"""Exception types shared across the simulator.
+"""Exception types shared across the simulator, and the mixin of checked records.
 
 Each maps to a CLI exit code (see cli.py): ConfigError -> 1,
 TopologyError -> 2, EvaluationError -> 3, InfeasibleError -> 4.
@@ -23,3 +23,24 @@ class EvaluationError(OxsimError):
 
 class InfeasibleError(OxsimError):
     """An optimization constraint cannot be met; message names the step."""
+
+
+class Checked:
+    """Mixin that runs `_check()` on every new instance of a NamedTuple subclass.
+
+    Use as `class T(Checked, _TFields)` with `__slots__ = ()`, where
+    `_TFields` is the NamedTuple of T's fields. NamedTuple's `_make`, and so
+    `_replace`, would build the tuple without calling `__new__`; here both
+    go through it, so no instance skips the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

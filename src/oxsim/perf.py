@@ -22,7 +22,7 @@ independent of core count, and the dual core buys latency, not efficiency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EvaluationError
 from .workload import ChipConfig, RuntimeStats, network_runtime
@@ -50,8 +50,7 @@ AREA_CATEGORIES = (
 )
 
 
-@dataclass(frozen=True)
-class Timeline:
+class Timeline(NamedTuple):
     """Where the wall-clock time of one batched network pass goes."""
 
     t_compute: float
@@ -136,8 +135,7 @@ def make_timeline(stats: RuntimeStats, cfg: ChipConfig, tech) -> Timeline:
     return timeline_single_core(stats, cfg, tech)
 
 
-@dataclass(frozen=True)
-class LossBudget:
+class LossBudget(NamedTuple):
     """Worst-case optical path budget and the laser power it implies."""
 
     worst_path_db: float
@@ -232,8 +230,7 @@ def area_model(cfg: ChipConfig, tech) -> dict[str, float]:
     }
 
 
-@dataclass(frozen=True)
-class PerfReport:
+class PerfReport(NamedTuple):
     """Headline metrics plus the breakdowns they are built from."""
 
     ips: float

@@ -6,7 +6,6 @@ them must bump it.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 
 from .perf import AREA_CATEGORIES, ENERGY_CATEGORIES, PerfReport
 from .workload import ChipConfig
@@ -39,36 +38,19 @@ CSV_COLUMNS = (
 
 def flat_row(cfg: ChipConfig, report: PerfReport) -> dict:
     """One CSV row: config axes plus every scalar the report carries."""
-    c = report.stats.total
-    row = {"schema_version": SCHEMA_VERSION}
-    for name in CONFIG_COLUMNS:
-        row[name] = getattr(cfg, name)
-    row.update({
-        "ips": report.ips,
-        "ips_per_w": report.ips_per_w,
-        "power_w": report.power_w,
-        "area_mm2": report.area_mm2,
-        "energy_total_j": report.energy_total_j,
-        "t_total_s": report.timeline.t_total,
-        "t_compute_s": report.timeline.t_compute,
-        "t_program_exposed_s": report.timeline.t_program_exposed,
-        "compute_cycles": c.compute_cycles,
-        "programming_events": c.programming_events,
-        "cells_programmed": c.cells_programmed,
-        "sram_read_bits": c.sram_read_bits,
-        "sram_write_bits": c.sram_write_bits,
-        "dram_read_bits": c.dram_read_bits,
-        "dram_write_bits": c.dram_write_bits,
-        "laser_wallplug_power_w": report.budget.laser_wallplug_power_w,
-        "worst_path_db": report.budget.worst_path_db,
-    })
-    for cat in ENERGY_CATEGORIES:
-        row[f"energy_{cat}_j"] = report.energy_j[cat]
-    for cat in ENERGY_CATEGORIES:
-        row[f"power_{cat}_w"] = report.power_by_w[cat]
-    for cat in AREA_CATEGORIES:
-        row[f"area_{cat}_mm2"] = report.area_by_mm2[cat]
-    return row
+    c, tl, budget = report.stats.total, report.timeline, report.budget
+    energy, power, area = report.energy_j, report.power_by_w, report.area_by_mm2
+    # values in CSV_COLUMNS order; ChipConfig's fields are CONFIG_COLUMNS in order
+    values = [SCHEMA_VERSION, *cfg,
+              report.ips, report.ips_per_w, report.power_w, report.area_mm2,
+              report.energy_total_j, tl.t_total, tl.t_compute, tl.t_program_exposed,
+              c.compute_cycles, c.programming_events, c.cells_programmed,
+              c.sram_read_bits, c.sram_write_bits, c.dram_read_bits, c.dram_write_bits,
+              budget.laser_wallplug_power_w, budget.worst_path_db,
+              *[energy[cat] for cat in ENERGY_CATEGORIES],
+              *[power[cat] for cat in ENERGY_CATEGORIES],
+              *[area[cat] for cat in AREA_CATEGORIES]]
+    return dict(zip(CSV_COLUMNS, values))
 
 
 def json_payload(cfg: ChipConfig, report: PerfReport, manifest: dict) -> dict:
@@ -77,7 +59,7 @@ def json_payload(cfg: ChipConfig, report: PerfReport, manifest: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "manifest": manifest,
-        "config": asdict(cfg),
+        "config": cfg._asdict(),
         "metrics": {
             "ips": report.ips,
             "ips_per_w": report.ips_per_w,

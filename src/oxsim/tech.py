@@ -8,10 +8,9 @@ level; the stock constants are never edited in place.
 """
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
-from .errors import ConfigError
+from .errors import Checked, ConfigError
 
 # Unit of every TechParams field, keyed by field name. Checked by tests so
 # no constant can be added without declaring its unit.
@@ -43,16 +42,7 @@ FIELD_UNITS: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class TechParams:
-    """Device constants. Field names carry the unit (see FIELD_UNITS).
-
-    Defaults are the published 45nm measurement-backed values; the two
-    fields that no measurement pins down (p_rx_min_per_column,
-    unit_cell_pitch_um) default to documented engineering estimates and
-    are flagged calibration-sensitive.
-    """
-
+class _TechParamsFields(NamedTuple):
     # optical losses, laser facet to detector
     loss_grating_coupler_db: float = 2.0
     loss_splitter_tree_db: float = 0.8
@@ -91,13 +81,24 @@ class TechParams:
     unit_cell_pitch_um: float = 50.0
     a_digital_overhead: float = 0.0
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
+
+class TechParams(Checked, _TechParamsFields):
+    """Device constants. Field names carry the unit (see FIELD_UNITS).
+
+    Defaults are the published 45nm measurement-backed values; the two
+    fields that no measurement pins down (p_rx_min_per_column,
+    unit_cell_pitch_um) default to documented engineering estimates and
+    are flagged calibration-sensitive.
+    """
+
+    __slots__ = ()
+
+    def _check(self) -> None:
+        for name, v in zip(self._fields, self):
             if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ConfigError(f"tech parameter {f.name} must be numeric, got {v!r}")
+                raise ConfigError(f"tech parameter {name} must be numeric, got {v!r}")
             if v < 0:
-                raise ConfigError(f"tech parameter {f.name} must be >= 0, got {v}")
+                raise ConfigError(f"tech parameter {name} must be >= 0, got {v}")
         if not 0.0 < self.laser_wallplug_eff <= 1.0:
             raise ConfigError(
                 f"laser_wallplug_eff must be in (0, 1], got {self.laser_wallplug_eff}"
@@ -106,11 +107,16 @@ class TechParams:
             raise ConfigError("rings_per_row_tx must be >= 1")
 
 
-_TECH_FIELD_NAMES = frozenset(f.name for f in fields(TechParams))
+_TECH_FIELD_NAMES = frozenset(TechParams._fields)
 
 
-@dataclass(frozen=True)
-class CalibrationProfile:
+class _CalibrationProfileFields(NamedTuple):
+    name: str
+    overrides: dict[str, float]
+    notes: dict[str, str]
+
+
+class CalibrationProfile(Checked, _CalibrationProfileFields):
     """Sparse named overlay on TechParams.
 
     `overrides` maps field name -> value; `notes` documents why each
@@ -118,11 +124,15 @@ class CalibrationProfile:
     must pass the same check as the TechParams field it replaces.
     """
 
-    name: str
-    overrides: dict[str, float] = field(default_factory=dict)
-    notes: dict[str, str] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, name: str, overrides: dict[str, float] | None = None,
+                notes: dict[str, str] | None = None) -> "CalibrationProfile":
+        # each profile gets its own empty dicts, never one shared default
+        return super().__new__(cls, name, {} if overrides is None else overrides,
+                               {} if notes is None else notes)
+
+    def _check(self) -> None:
         for key in self.overrides:
             if key not in _TECH_FIELD_NAMES:
                 raise ConfigError(f"profile {self.name!r} overrides unknown tech parameter {key!r}")
@@ -136,7 +146,7 @@ def default_tech_params() -> TechParams:
 
 def apply_profile(base: TechParams, profile: CalibrationProfile) -> TechParams:
     """Return a copy of `base` with the profile's overrides applied."""
-    return dataclasses.replace(base, **profile.overrides)
+    return base._replace(**profile.overrides)
 
 
 def apply_overrides(base: TechParams, overrides: dict[str, float], source: str = "config") -> TechParams:

@@ -31,12 +31,11 @@ from __future__ import annotations
 import csv
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError, TopologyError
+from .errors import Checked, ConfigError, TopologyError
 
 MB_BITS = 8 * 2**20  # SRAM capacities are binary megabytes
 
@@ -52,10 +51,7 @@ TOPOLOGY_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    """Geometry of one convolutional layer (FC layers: 1x1 conv, 1x1 ifmap)."""
-
+class _LayerSpecFields(NamedTuple):
     name: str
     ifmap_h: int
     ifmap_w: int
@@ -65,7 +61,13 @@ class LayerSpec:
     num_filters: int
     stride: int
 
-    def __post_init__(self) -> None:
+
+class LayerSpec(Checked, _LayerSpecFields):
+    """Geometry of one convolutional layer (FC layers: 1x1 conv, 1x1 ifmap)."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         for f in ("ifmap_h", "ifmap_w", "channels", "filter_h", "filter_w",
                   "num_filters", "stride"):
             v = getattr(self, f)
@@ -91,10 +93,7 @@ class LayerSpec:
         return self.filter_h * self.filter_w * self.channels
 
 
-@dataclass(frozen=True)
-class ChipConfig:
-    """One accelerator configuration under evaluation."""
-
+class _ChipConfigFields(NamedTuple):
     rows: int = 32
     cols: int = 32
     clock_hz: float = 1e10
@@ -109,7 +108,13 @@ class ChipConfig:
     sram_output_mb: float = 0.75
     sram_acc_mb: float = 0.75
 
-    def __post_init__(self) -> None:
+
+class ChipConfig(Checked, _ChipConfigFields):
+    """One accelerator configuration under evaluation."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ConfigError(f"array must be at least 1x1, got {self.rows}x{self.cols}")
         if self.cores not in (1, 2):
@@ -135,7 +140,7 @@ class ChipConfig:
                 + self.sram_output_mb + self.sram_acc_mb)
 
     def with_(self, **kwargs) -> "ChipConfig":
-        return replace(self, **kwargs)
+        return self._replace(**kwargs)
 
 
 class Network(tuple):
@@ -171,8 +176,7 @@ class Network(tuple):
         return layers if isinstance(layers, cls) else cls(layers)
 
 
-@dataclass(frozen=True)
-class TileMap:
+class TileMap(NamedTuple):
     """How one layer splits across crossbar programmings."""
 
     row_tiles: int
@@ -181,8 +185,7 @@ class TileMap:
     programming_events: int
 
 
-@dataclass(frozen=True)
-class Counts:
+class Counts(NamedTuple):
     """Event and traffic counters; all integers, all additive."""
 
     compute_cycles: int = 0
@@ -218,8 +221,7 @@ class Counts:
         return self.dram_read_bits + self.dram_write_bits
 
 
-@dataclass(frozen=True)
-class LayerRuntime:
+class LayerRuntime(NamedTuple):
     """Per-layer counters plus the residency decisions behind them."""
 
     layer: LayerSpec

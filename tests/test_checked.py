@@ -1,0 +1,215 @@
+"""Every checked record rejects each invalid field value, however it is built.
+
+`LayerSpec`, `ChipConfig`, `TechParams`, `CalibrationProfile`, `SweepGrid`
+and `Constraints` are NamedTuples whose checks run in `__new__`. The
+expected exception types and messages below are the checks' own; the
+constructor, `_make`, `_replace`, `ChipConfig.with_`, `apply_profile`,
+`apply_overrides` and a grid or constraints built over a template must all
+raise them.
+"""
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oxsim.dse import Constraints, SweepGrid
+from oxsim.errors import ConfigError
+from oxsim.tech import (
+    CalibrationProfile,
+    TechParams,
+    apply_overrides,
+    apply_profile,
+    default_tech_params,
+    get_profile,
+)
+from oxsim.workload import ChipConfig, LayerSpec
+
+
+def _rejects(exc_type, message, build):
+    with pytest.raises(exc_type) as info:
+        build()
+    assert type(info.value) is exc_type
+    assert str(info.value) == message
+
+
+def _each_path(exc_type, message, cls, valid, field, bad):
+    """The constructor, `_make` and `_replace` all reject `field = bad`."""
+    values = {**valid._asdict(), field: bad}
+    _rejects(exc_type, message, lambda: cls(**values))
+    _rejects(exc_type, message, lambda: cls._make(values.values()))
+    _rejects(exc_type, message, lambda: valid._replace(**{field: bad}))
+
+
+# --- LayerSpec ----------------------------------------------------------------
+
+_LAYER = LayerSpec("conv", 8, 8, 3, 3, 3, 16, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(LayerSpec._fields[1:]),
+       bad=st.integers(max_value=0) | st.floats())
+def test_layer_spec_rejects_a_dimension_that_is_not_a_positive_int(field, bad):
+    message = f"layer 'conv': {field} must be a positive integer, got {bad}"
+    _each_path(ValueError, message, LayerSpec, _LAYER, field, bad)
+
+
+@settings(max_examples=20, deadline=None)
+@given(filter_h=st.integers(9, 64))
+def test_layer_spec_rejects_a_filter_larger_than_its_ifmap(filter_h):
+    message = f"layer 'conv': filter {filter_h}x3 stride 1 does not fit ifmap 8x8"
+    _each_path(ValueError, message, LayerSpec, _LAYER, "filter_h", filter_h)
+
+
+# --- ChipConfig, and SweepGrid axes over a template ---------------------------
+
+_NOT_POSITIVE = st.floats(max_value=0.0)
+_CHIP_BAD = {
+    **dict.fromkeys(("rows", "cols", "batch", "b_in", "b_w", "b_out", "b_acc"),
+                    st.integers(max_value=0)),
+    "cores": st.integers().filter(lambda c: c not in (1, 2)),
+    **dict.fromkeys(("clock_hz", "sram_input_mb", "sram_filter_mb", "sram_output_mb",
+                     "sram_acc_mb"), _NOT_POSITIVE),
+}
+_TEMPLATES = st.sampled_from([ChipConfig(), ChipConfig(rows=128, cols=64, batch=8)])
+# SweepGrid axis -> the ChipConfig field its values set
+_AXES = {"rows": "rows", "cols": "cols", "batch": "batch",
+         "input_sram_mb": "sram_input_mb", "cores": "cores"}
+
+
+def _chip_message(cfg: ChipConfig, field: str, bad) -> str:
+    if field in ("rows", "cols"):
+        values = {**cfg._asdict(), field: bad}
+        return f"array must be at least 1x1, got {values['rows']}x{values['cols']}"
+    if field in ("cores", "batch", "clock_hz"):
+        rule = {"cores": "be 1 or 2", "batch": "be >= 1", "clock_hz": "be > 0"}[field]
+        return f"{field} must {rule}, got {bad}"
+    return f"{field} must be >= 1" if field.startswith("b_") else f"{field} must be > 0"
+
+
+@st.composite
+def _bad_chip_field(draw):
+    field = draw(st.sampled_from(sorted(_CHIP_BAD)))
+    return field, draw(_CHIP_BAD[field])
+
+
+@settings(max_examples=100, deadline=None)
+@given(template=_TEMPLATES, case=_bad_chip_field())
+def test_chip_config_rejects_each_invalid_field_on_every_path(template, case):
+    field, bad = case
+    message = _chip_message(template, field, bad)
+    _each_path(ConfigError, message, ChipConfig, template, field, bad)
+    _rejects(ConfigError, message, lambda: template.with_(**{field: bad}))
+
+    for key, name in _AXES.items():
+        if name == field:
+            grid_message = f"{key} = {bad}: {message}"
+            ok = getattr(template, field)
+            _rejects(ConfigError, grid_message,
+                     lambda: SweepGrid(template=template, **{key: (ok, bad)}))
+            _rejects(ConfigError, grid_message,
+                     lambda: SweepGrid(template=template)._replace(**{key: (ok, bad)}))
+
+
+@settings(max_examples=20, deadline=None)
+@given(template=_TEMPLATES, key=st.sampled_from(sorted(_AXES)))
+def test_sweep_grid_rejects_an_axis_without_values(template, key):
+    message = f"{key} is given but lists no values"
+    _each_path(ConfigError, message, SweepGrid, SweepGrid(template=template), key, ())
+
+
+# --- TechParams and CalibrationProfile ----------------------------------------
+
+_NOT_NUMERIC = st.sampled_from([None, "1.0", True, False, [1.0], 1j])
+_NEGATIVE = st.integers(max_value=-1) | st.floats(max_value=-5e-324)
+
+
+@st.composite
+def _bad_tech_field(draw):
+    """(field, bad value, expected message) for one TechParams field."""
+    field = draw(st.sampled_from(TechParams._fields))
+    kind = draw(st.sampled_from(["not numeric", "negative", "own rule"]))
+    if kind == "not numeric":
+        bad = draw(_NOT_NUMERIC)
+        return field, bad, f"tech parameter {field} must be numeric, got {bad!r}"
+    if kind == "negative" or field not in ("laser_wallplug_eff", "rings_per_row_tx"):
+        bad = draw(_NEGATIVE)
+        return field, bad, f"tech parameter {field} must be >= 0, got {bad}"
+    if field == "laser_wallplug_eff":
+        bad = draw(st.floats(min_value=1.0, exclude_min=True) | st.sampled_from(
+            [0, 0.0, float("nan")]))
+        return field, bad, f"laser_wallplug_eff must be in (0, 1], got {bad}"
+    bad = draw(st.just(0) | st.floats(0.0, 1.0, exclude_max=True))
+    return field, bad, "rings_per_row_tx must be >= 1"
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile_name=st.sampled_from(["paper-default", "paper-consistent"]),
+       case=_bad_tech_field())
+def test_tech_params_rejects_each_invalid_field_on_every_path(profile_name, case):
+    field, bad, message = case
+    base = apply_profile(default_tech_params(), get_profile(profile_name))
+    _each_path(ConfigError, message, TechParams, base, field, bad)
+    _rejects(ConfigError, message, lambda: apply_overrides(base, {field: bad}))
+    _rejects(ConfigError, message,
+             lambda: apply_profile(base, CalibrationProfile("p", overrides={field: bad})))
+    _rejects(ConfigError, message,
+             lambda: CalibrationProfile("p")._replace(overrides={field: bad}))
+    # apply_profile checks on its own too: a profile built without its check
+    unchecked = tuple.__new__(CalibrationProfile, ("p", {field: bad}, {}))
+    _rejects(ConfigError, message, lambda: apply_profile(base, unchecked))
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=st.text(max_size=12).filter(lambda k: k not in TechParams._fields))
+def test_calibration_profile_rejects_an_unknown_parameter(key):
+    message = f"profile 'p' overrides unknown tech parameter {key!r}"
+    _each_path(ConfigError, message, CalibrationProfile, CalibrationProfile("p"),
+               "overrides", {key: 1.0})
+    _rejects(ConfigError, f"profile 'cfg' overrides unknown tech parameter {key!r}",
+             lambda: apply_overrides(default_tech_params(), {key: 1.0}, source="cfg"))
+
+
+def test_profiles_with_default_overrides_and_notes_do_not_share_a_dict():
+    a, b = CalibrationProfile(name="a"), CalibrationProfile(name="b")
+    assert a.overrides == {} and a.notes == {}
+    assert a.overrides is not b.overrides
+    assert a.notes is not b.notes
+    assert a.overrides is not a.notes
+
+
+# --- Constraints over a template ----------------------------------------------
+
+def _ascending_from_one(b) -> bool:
+    return bool(b) and b[0] >= 1 and all(x < y for x, y in zip(b, b[1:]))
+
+
+_SIZES = st.lists(st.integers(-3, 600), max_size=5).map(tuple)
+_CONSTRAINTS_BAD = {
+    "batch_candidates": (st.lists(st.integers(-3, 300), max_size=6).map(tuple)
+                         .filter(lambda b: not _ascending_from_one(b)),
+                         "batch_candidates must be non-empty, >= 1 and strictly ascending, "
+                         "got {list}"),
+    **dict.fromkeys(("array_rows", "array_cols"), (
+        _SIZES.filter(lambda s: not s or min(s) < 1),
+        "{field} must list at least one size, all >= 1, got {list}")),
+    **dict.fromkeys(("area_cap_mm2", "sram_step_mb"), (
+        _NOT_POSITIVE, "{field} must be > 0, got {bad}")),
+    **dict.fromkeys(("hiding_eps", "tie_tol"), (
+        st.floats().filter(lambda v: not 0.0 <= v < 1.0),
+        "{field} must be in [0, 1), got {bad}")),
+}
+
+
+@st.composite
+def _bad_constraint(draw):
+    field = draw(st.sampled_from(sorted(_CONSTRAINTS_BAD)))
+    values, message = _CONSTRAINTS_BAD[field]
+    bad = draw(values)
+    listed = list(bad) if isinstance(bad, tuple) else None
+    return field, bad, message.format(field=field, bad=bad, list=listed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(template=_TEMPLATES, case=_bad_constraint())
+def test_constraints_over_a_template_reject_each_invalid_field(template, case):
+    field, bad, message = case
+    _each_path(ConfigError, message, Constraints, Constraints(template=template), field, bad)

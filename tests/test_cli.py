@@ -13,9 +13,9 @@ import pytest
 import oxsim
 import oxsim.cli
 from oxsim.cli import _atomic_write, _over_chip, load_run_inputs, main
-from oxsim.dse import SweepGrid, sweep
+from oxsim.dse import Constraints, SweepGrid, sweep
 from oxsim.reports import CSV_COLUMNS, flat_row
-from oxsim.workload import load_topology
+from oxsim.workload import ChipConfig, load_topology
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -594,6 +594,46 @@ assert main(["sweep", "--grid", {str(CONFIGS / "array_sweep.ini")!r},
              "--topology", "toy3", "--out", out + "/sweep.csv"]) == 0
 assert main(["optimize", "--topology", "toy3", "--out", out + "/audit.json"]) == 0
 assert "numpy" not in sys.modules, sorted(m for m in sys.modules if "numpy" in m)[:5]
+"""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "audit.json").exists()
+
+
+_DEFAULT_CHIP_REPR = (
+    "ChipConfig(rows=32, cols=32, clock_hz=10000000000.0, cores=2, batch=32, b_in=6, "
+    "b_w=6, b_out=6, b_acc=24, sram_input_mb=26.3, sram_filter_mb=0.75, "
+    "sram_output_mb=0.75, sram_acc_mb=0.75)")
+
+
+def test_default_config_and_constraints_hash_pinned_strings():
+    # runs without --config or --constraints hash these reprs into config_hash
+    assert repr(ChipConfig()) == _DEFAULT_CHIP_REPR
+    assert repr(Constraints()) == (
+        "Constraints(area_cap_mm2=100.0, batch_candidates=(1, 2, 4, 8, 16, 32, 64, 128, "
+        "256), array_rows=(32, 64, 128, 256, 512), array_cols=(32, 64, 128, 256, 512), "
+        f"sram_step_mb=0.25, hiding_eps=0.01, tie_tol=0.02, template={_DEFAULT_CHIP_REPR})")
+    config_hash = load_run_inputs(None, None)[3]
+    assert config_hash == hashlib.sha256(_DEFAULT_CHIP_REPR.encode()).hexdigest()
+
+
+def test_cli_commands_do_not_import_dataclasses_or_inspect(tmp_path):
+    # each takes ~10 ms of start-up; the snapshot lets a site hook preload them
+    src = Path(oxsim.__file__).resolve().parents[1]
+    script = f"""
+import sys
+before = set(sys.modules)
+from oxsim.cli import main
+out = {str(tmp_path)!r}
+assert main(["evaluate", "--config", {str(CONFIGS / "headline.ini")!r},
+             "--topology", "resnet50_v15", "--out", out + "/eval"]) == 0
+assert main(["sweep", "--grid", {str(CONFIGS / "array_sweep.ini")!r},
+             "--topology", "toy3", "--out", out + "/sweep.csv"]) == 0
+assert main(["optimize", "--topology", "toy3", "--out", out + "/audit.json"]) == 0
+loaded = {{"dataclasses", "inspect"}} & (set(sys.modules) - before)
+assert not loaded, sorted(loaded)
 """
     env = {**os.environ, "PYTHONPATH": str(src)}
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import sys
@@ -79,7 +78,7 @@ def test_single_core_stalls_per_tile():
 
 def test_zero_programming_time_leaves_pure_compute():
     stats, cfg = _uniform_stream_stats(500, 4)
-    tech = dataclasses.replace(default_tech_params(), t_pcm_program=0.0)
+    tech = default_tech_params()._replace(t_pcm_program=0.0)
     tl = timeline_single_core(stats, cfg.with_(cores=1), tech)
     assert tl.t_total == tl.t_compute
     assert tl.t_program_exposed == 0.0
@@ -199,7 +198,7 @@ def test_timeline_equals_the_per_layer_oracle(case):
               for i, (count, cycles) in enumerate(tiles)]
     cfg = ChipConfig(rows=1, cols=1, batch=1, clock_hz=1.0)  # one cycle per second
     stats = network_runtime(layers, cfg)
-    tech = dataclasses.replace(default_tech_params(), t_pcm_program=float(p))
+    tech = default_tech_params()._replace(t_pcm_program=float(p))
     stream = [(layer.name, count, cycles) for layer, (count, cycles) in zip(layers, tiles)]
     for cores, timeline in ((1, timeline_single_core), (2, timeline_dual_core)):
         tl = timeline(stats, cfg.with_(cores=cores), tech)
@@ -261,8 +260,7 @@ def test_headline_regression_pins(resnet_layers, headline_config, tech_calibrate
 
 
 def test_only_dram_energized_sanity(resnet_layers, headline_config):
-    tech = dataclasses.replace(
-        default_tech_params(),
+    tech = default_tech_params()._replace(
         e_odac_driver=0.0, p_thermal_per_ring=0.0, p_tia=0.0, p_adc=0.0,
         e_serdes_per_bit=0.0, e_clock_per_lane_cycle=0.0, e_sram_per_bit=0.0,
         e_pcm_program_per_cell=0.0, p_rx_min_per_column=0.0)
@@ -423,7 +421,7 @@ _CHIP_RANGES = {
     "cores": st.sampled_from([1, 2]),
 }
 _TECH_RANGES = {
-    **dict.fromkeys((f.name for f in dataclasses.fields(TechParams)), _FLOAT),
+    **dict.fromkeys(TechParams._fields, _FLOAT),
     "laser_wallplug_eff": st.floats(0.0, 1.0, exclude_min=True),
     "rings_per_row_tx": _BIG_INT,
 }
@@ -432,7 +430,7 @@ _TECH_RANGES = {
 def _draw_some_fields(draw, base, ranges):
     """`base` with up to four of its fields drawn over their whole accepted range."""
     names = sorted(draw(st.sets(st.sampled_from(sorted(ranges)), max_size=4)))
-    return dataclasses.replace(base, **{name: draw(ranges[name]) for name in names})
+    return base._replace(**{name: draw(ranges[name]) for name in names})
 
 
 @st.composite
@@ -468,8 +466,8 @@ def test_evaluate_is_finite_or_fails_cleanly(topology, case):
 
 def test_power_too_small_for_a_finite_ips_per_w_fails_naming_it(toy_layers, tech_default):
     # one subnormal energy term: power is > 0 but IPS / power overflows
-    zero = {f.name: 0.0 for f in dataclasses.fields(TechParams)
-            if f.name.startswith(("e_", "p_"))}
-    tech = dataclasses.replace(tech_default, **{**zero, "e_dram_per_bit": 5e-324})
+    zero = {name: 0.0 for name in TechParams._fields
+            if name.startswith(("e_", "p_"))}
+    tech = tech_default._replace(**{**zero, "e_dram_per_bit": 5e-324})
     with pytest.raises(EvaluationError, match="IPS/W is inf"):
         evaluate(toy_layers, ChipConfig(), tech)

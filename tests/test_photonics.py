@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -225,8 +224,7 @@ def test_detect_requires_positive_lo():
 # --- loss budget --------------------------------------------------------------
 
 def _lossless_tech(p_rx=1e-3):
-    return dataclasses.replace(
-        default_tech_params(),
+    return default_tech_params()._replace(
         loss_grating_coupler_db=0.0, loss_splitter_tree_db=0.0,
         loss_mmi_crossing_db=0.0, loss_waveguide_db_per_cm=0.0,
         loss_odac_oma_db=0.0, laser_wallplug_eff=1.0,
@@ -263,7 +261,7 @@ def test_budget_monotone_in_array_size():
 def test_budget_crossing_term_is_additive():
     # worst path minus the array-distribution term must be affine in the
     # crossing count with slope = per-junction loss
-    tech = dataclasses.replace(default_tech_params(), unit_cell_pitch_um=0.0)
+    tech = default_tech_params()._replace(unit_cell_pitch_um=0.0)
 
     def f(m):
         cfg = ChipConfig(rows=1, cols=m, cores=1, batch=1)

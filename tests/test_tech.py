@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 
@@ -51,7 +50,7 @@ def test_defaults_are_pure():
 
 
 def test_every_field_has_a_unit():
-    names = {f.name for f in dataclasses.fields(TechParams)}
+    names = set(TechParams._fields)
     assert names == set(FIELD_UNITS)
 
 
@@ -64,11 +63,11 @@ def test_apply_profile_overrides_only_named_field():
     base = default_tech_params()
     out = apply_profile(base, CalibrationProfile(
         name="t", overrides={"loss_mmi_crossing_db": 0.018}))
-    for f in dataclasses.fields(TechParams):
-        if f.name == "loss_mmi_crossing_db":
-            assert getattr(out, f.name) == 0.018
+    for name in TechParams._fields:
+        if name == "loss_mmi_crossing_db":
+            assert getattr(out, name) == 0.018
         else:
-            assert getattr(out, f.name) == getattr(base, f.name), f.name
+            assert getattr(out, name) == getattr(base, name), name
     assert base.loss_mmi_crossing_db == 1.8  # input untouched
 
 
@@ -153,27 +152,27 @@ def test_each_constant_feeds_exactly_one_category(toy_layers):
     e0, a0, tl0 = _breakdowns(base, toy_layers)
     assert all(v > 0 for v in e0.values())
 
-    for f in dataclasses.fields(TechParams):
-        value = getattr(base, f.name)
-        if f.name == "rings_per_row_tx":
+    for name in TechParams._fields:
+        value = getattr(base, name)
+        if name == "rings_per_row_tx":
             bumped = value + 1
-        elif f.name == "laser_wallplug_eff":
+        elif name == "laser_wallplug_eff":
             bumped = value * 0.5
         elif value == 0.0:
             bumped = 0.5
         else:
             bumped = value * 1.25
-        tech = dataclasses.replace(base, **{f.name: bumped})
+        tech = base._replace(**{name: bumped})
         e1, a1, tl1 = _breakdowns(tech, toy_layers)
         e_changed = {k for k in e0 if e0[k] != e1[k]}
         a_changed = {k for k in a0 if a0[k] != a1[k]}
 
-        if f.name == "t_pcm_program":
+        if name == "t_pcm_program":
             # programming time is a timeline cost, not an energy or area one
             assert tl1.t_total != tl0.t_total
             assert not e_changed and not a_changed
             continue
-        want_e = ENERGY_CATEGORY_OF.get(f.name)
-        want_a = AREA_CATEGORY_OF.get(f.name)
-        assert e_changed == ({want_e} if want_e else set()), f.name
-        assert a_changed == ({want_a} if want_a else set()), f.name
+        want_e = ENERGY_CATEGORY_OF.get(name)
+        want_a = AREA_CATEGORY_OF.get(name)
+        assert e_changed == ({want_e} if want_e else set()), name
+        assert a_changed == ({want_a} if want_a else set()), name

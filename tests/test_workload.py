@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import math
 import random
 
@@ -373,8 +372,8 @@ def _oracle_network(layers, cfg: ChipConfig) -> tuple[list[LayerRuntime], Counts
         )
         per_layer.append(lr)
         prev_forwarded = lr.output_forwarded
-    total = Counts(**{f.name: sum(getattr(lr.counts, f.name) for lr in per_layer)
-                      for f in dataclasses.fields(Counts)})
+    total = Counts(**{name: sum(getattr(lr.counts, name) for lr in per_layer)
+                      for name in Counts._fields})
     return per_layer, total
 
 
