@@ -216,9 +216,13 @@ def _manifest(command: str, config_hash: str, profile: str, topology: Path,
 def _csv_text(rows: list[dict], manifest: RunManifest) -> str:
     lines = [f"# {k} = {v}" for k, v in sorted(manifest._asdict().items())]
     lines.append(",".join(CSV_COLUMNS))
-    # every row is a flat_row, which fills every column; str(float) is repr
-    cells = operator.itemgetter(*CSV_COLUMNS)
-    lines.extend(",".join(map(str, cells(row))) for row in rows)
+    # every row is a flat_row, which fills every column. Each distinct
+    # non-zero float is formatted once; zeros and ints are not memoised, as
+    # 0.0 == -0.0 and 1 == 1.0 compare equal but print differently.
+    cells, texts = operator.itemgetter(*CSV_COLUMNS), {}
+    lines.extend(",".join([texts.get(v) or texts.setdefault(v, str(v))
+                           if type(v) is float and v else str(v) for v in cells(row)])
+                 for row in rows)
     return "\n".join(lines) + "\n"
 
 

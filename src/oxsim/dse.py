@@ -8,8 +8,9 @@ share one signature and return one `StepRecord`; `optimize` re-runs a step
 while the chosen array breaks its premise, for at most `MAX_PASSES` passes.
 
 `sweep` and `optimize` score many configs that differ in a few fields. Each
-call keeps one `_Stages` memo that maps the network and builds a timeline
-once per distinct input; every score equals evaluating its point on its own.
+call keeps one `_Stages` memo that computes the mapping, timeline, loss
+budget and energy breakdown once per distinct value of the fields each one
+reads; every score equals evaluating its point on its own.
 """
 from __future__ import annotations
 
@@ -96,6 +97,9 @@ class _Stages:
     `bisect_right(breakpoints, capacity)` of the SRAM: one mapping per such key.
     `timeline(cfg)` reads the tile streams, cores and clock: one per (array,
     batch, cores, clock). `report(cfg)` rolls both up and equals `evaluate`.
+    It builds the loss budget once per array and the energy breakdown (which
+    does not read the cores) once per mapping key and clock, so only area,
+    power, IPS and their checks run per point.
     """
 
     def __init__(self, layers, tech) -> None:
@@ -103,8 +107,11 @@ class _Stages:
         self._breakpoints: dict[tuple[int, int, int], list[int]] = {}
         self._runtimes: dict[tuple, RuntimeStats] = {}
         self._timelines: dict[tuple, Timeline] = {}
+        self._budgets: dict[tuple[int, int], perf.LossBudget] = {}
+        self._energies: dict[tuple, tuple] = {}
 
-    def runtime(self, cfg: ChipConfig, input_sram_mb: float | None = None) -> RuntimeStats:
+    def _mapping(self, cfg: ChipConfig, input_sram_mb: float | None = None
+                 ) -> tuple[tuple, RuntimeStats]:
         mb = cfg.sram_input_mb if input_sram_mb is None else input_sram_mb
         io = (cfg.batch, cfg.b_in, cfg.b_out)
         if io not in self._breakpoints:
@@ -113,7 +120,10 @@ class _Stages:
                bisect_right(self._breakpoints[io], mb * MB_BITS))
         if key not in self._runtimes:
             self._runtimes[key] = network_runtime(self.layers, cfg.with_(sram_input_mb=mb))
-        return self._runtimes[key]
+        return key, self._runtimes[key]
+
+    def runtime(self, cfg: ChipConfig, input_sram_mb: float | None = None) -> RuntimeStats:
+        return self._mapping(cfg, input_sram_mb)[1]
 
     def timeline(self, cfg: ChipConfig) -> Timeline:
         key = (cfg.rows, cfg.cols, cfg.batch, cfg.cores, cfg.clock_hz)
@@ -123,7 +133,17 @@ class _Stages:
         return self._timelines[key]
 
     def report(self, cfg: ChipConfig) -> PerfReport:
-        return roll_up(self.runtime(cfg), self.timeline(cfg), cfg, self.tech)
+        key, stats = self._mapping(cfg)
+        timeline, tech = self.timeline(cfg), self.tech
+        # perf's functions are looked up on the module, as in `timeline`
+        array = (cfg.rows, cfg.cols)
+        if array not in self._budgets:
+            self._budgets[array] = perf.loss_budget(cfg, tech)
+        budget = self._budgets[array]
+        key += (cfg.clock_hz,)
+        if key not in self._energies:
+            self._energies[key] = perf.energy_terms(stats, timeline, cfg, tech, budget)
+        return roll_up(stats, timeline, cfg, tech, budget, self._energies[key])
 
 
 def sweep(grid: SweepGrid, layers, tech) -> list[tuple[ChipConfig, PerfReport]]:
@@ -131,8 +151,9 @@ def sweep(grid: SweepGrid, layers, tech) -> list[tuple[ChipConfig, PerfReport]]:
 
     Every report equals `evaluate(layers, cfg, tech)` at its point, but one
     `_Stages` memo maps the network once per (array, batch, residency
-    pattern) and builds the timeline once per (array, batch, cores). Points
-    share those objects; only `roll_up` runs per point.
+    pattern), builds the timeline once per (array, batch, cores), the loss
+    budget once per array and the energy breakdown once per mapping. Points
+    share those objects; only area, power, IPS and their checks run per point.
     """
     stages = _Stages(layers, tech)
     results = []

@@ -252,10 +252,23 @@ class PerfReport(NamedTuple):
         return max(self.area_by_mm2, key=lambda k: self.area_by_mm2[k])
 
 
-def _check_breakdown(parts: dict[str, float], total: float, what: str) -> None:
+def _breakdown_error(parts: dict[str, float], total: float, what: str) -> str | None:
     s = sum(parts.values())
     if not math.isclose(s, total, rel_tol=1e-9, abs_tol=1e-30):
-        raise EvaluationError(f"{what} breakdown ({s}) does not sum to total ({total})")
+        return f"{what} breakdown ({s}) does not sum to total ({total})"
+    return None
+
+
+def energy_terms(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, tech,
+                 budget: LossBudget) -> tuple[dict[str, float], float, str | None]:
+    """`energy_model`'s breakdown, its total, and the error of its sum check (or None).
+
+    They read the mapping, the clock and the budget, not the cores: `roll_up`
+    takes them precomputed so that points sharing those can share them.
+    """
+    energy = energy_model(stats, timeline, cfg, tech, budget)
+    total = sum(energy.values())
+    return energy, total, _breakdown_error(energy, total, "energy")
 
 
 def evaluate(layers, cfg: ChipConfig, tech) -> PerfReport:
@@ -264,17 +277,22 @@ def evaluate(layers, cfg: ChipConfig, tech) -> PerfReport:
     return roll_up(stats, make_timeline(stats, cfg, tech), cfg, tech)
 
 
-def roll_up(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, tech) -> PerfReport:
+def roll_up(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, tech,
+            budget: LossBudget | None = None,
+            energy: tuple[dict[str, float], float, str | None] | None = None) -> PerfReport:
     """Loss budget, energy, power, area and IPS of a mapped and timed config.
 
-    `stats` and `timeline` must be those `evaluate` would compute for `cfg`;
-    the report keeps references to both, so reports may share them.
+    `stats` and `timeline` must be those `evaluate` would compute for `cfg`,
+    and `budget` and `energy` (an `energy_terms` result), when given, those
+    `roll_up` would; the report keeps references to all of them, so reports
+    may share them.
     """
-    budget = loss_budget(cfg, tech)
-    energy = energy_model(stats, timeline, cfg, tech, budget)
+    if budget is None:
+        budget = loss_budget(cfg, tech)
+    energy, energy_total, energy_error = energy or energy_terms(stats, timeline, cfg, tech,
+                                                                budget)
     area = area_model(cfg, tech)
 
-    energy_total = sum(energy.values())
     t_total = timeline.t_total
     if t_total <= 0:
         raise EvaluationError("network produced a zero-length timeline")
@@ -283,7 +301,7 @@ def roll_up(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, tech) -> P
     area_total = sum(area.values())
     power_by = {k: v / t_total for k, v in energy.items()}
 
-    # an overflowed total would pass _check_breakdown (isclose(inf, inf))
+    # an overflowed total would pass the breakdown checks (isclose(inf, inf))
     for what, value in (("IPS", ips), ("power", power), ("area", area_total),
                         ("total energy", energy_total)):
         if not math.isfinite(value):
@@ -296,9 +314,10 @@ def roll_up(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, tech) -> P
     if not math.isfinite(ips_per_w):
         raise EvaluationError(f"IPS/W is {ips_per_w}, not a finite number: power "
                               f"({power} W) is too small for the model")
-    _check_breakdown(energy, energy_total, "energy")
-    _check_breakdown(power_by, power, "power")
-    _check_breakdown(area, area_total, "area")
+    for error in (energy_error, _breakdown_error(power_by, power, "power"),
+                  _breakdown_error(area, area_total, "area")):
+        if error:
+            raise EvaluationError(error)
 
     return PerfReport(
         ips=ips,

@@ -5,8 +5,6 @@ them must bump it.
 """
 from __future__ import annotations
 
-import json
-
 from .perf import AREA_CATEGORIES, ENERGY_CATEGORIES, PerfReport
 from .workload import ChipConfig
 
@@ -112,4 +110,6 @@ def json_payload(cfg: ChipConfig, report: PerfReport, manifest: dict) -> dict:
 
 
 def dump_json(payload: dict) -> str:
+    import json  # here, so that a process that writes no JSON (a sweep) never loads it
+
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"

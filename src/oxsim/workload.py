@@ -24,7 +24,9 @@ quantity with entry i for layer i:
     residency   ifmap_resident, output_forwarded (bools)
 
 Its `total` sums the columns into one `Counts`. `LayerRuntime` rows are
-built only when `stats.layers` is indexed.
+built only when `stats.layers` is indexed. Only the residency and DRAM
+columns read input SRAM; the rest, with their sums, are computed once per
+(array, batch, bit widths) and kept on the `Network`.
 """
 from __future__ import annotations
 
@@ -148,7 +150,8 @@ class Network(tuple):
 
     Entry i of each column belongs to layer i. The columns are lifted once
     per topology; `network_runtime` then maps any config with list
-    arithmetic over them.
+    arithmetic over them, and keeps the columns that do not read input SRAM
+    in `_tilings`. `RuntimeStats` of one Network share those lists.
     """
 
     names: list[str]
@@ -168,6 +171,7 @@ class Network(tuple):
         net.ifmaps = [l.ifmap_h * l.ifmap_w * l.channels for l in net]
         net.weights = [w * f for w, f in zip(net.windows, net.filters)]
         net.outputs = [p * f for p, f in zip(net.pixels, net.filters)]
+        net._tilings = {}
         return net
 
     @classmethod
@@ -324,44 +328,52 @@ def network_runtime(layers, cfg: ChipConfig) -> RuntimeStats:
     net = Network.of(layers)
     if not net:
         raise ValueError("network must contain at least one layer")
-    rows, cols, batch = cfg.rows, cfg.cols, cfg.batch
-    cells_per_event, input_bits_per_cycle = rows * cols, rows * cfg.b_in
-    row_tiles = [-(-w // rows) for w in net.windows]
-    col_tiles = [-(-f // cols) for f in net.filters]
-    events = [r * c for r, c in zip(row_tiles, col_tiles)]
-    vectors = [p * batch for p in net.pixels]
-    cycles = [e * v for e, v in zip(events, vectors)]
-    # partial sums go through the accumulator only when the window is row-tiled
-    acc_bits_per_cycle = cols * cfg.b_acc
-    acc = [c * acc_bits_per_cycle if r > 1 else 0 for c, r in zip(cycles, row_tiles)]
+    # the columns that do not read input SRAM, and their sums, once per key
+    key = (cfg.rows, cfg.cols, cfg.batch, cfg.b_in, cfg.b_w, cfg.b_out, cfg.b_acc)
+    if key not in net._tilings:
+        rows, cols, batch = cfg.rows, cfg.cols, cfg.batch
+        cells_per_event, input_bits_per_cycle = rows * cols, rows * cfg.b_in
+        row_tiles = [-(-w // rows) for w in net.windows]
+        col_tiles = [-(-f // cols) for f in net.filters]
+        events = [r * c for r, c in zip(row_tiles, col_tiles)]
+        vectors = [p * batch for p in net.pixels]
+        cycles = [e * v for e, v in zip(events, vectors)]
+        # partial sums go through the accumulator only when the window is row-tiled
+        acc_bits_per_cycle = cols * cfg.b_acc
+        ifmap_bits, output_bits = _io_columns(net, cfg)
+        fixed = dict(
+            row_tiles=row_tiles,
+            col_tiles=col_tiles,
+            vectors_per_tile=vectors,
+            programming_events=events,
+            compute_cycles=cycles,
+            cells_programmed=[e * cells_per_event for e in events],
+            input_read_bits=[c * input_bits_per_cycle for c in cycles],
+            weight_bits=[w * cfg.b_w for w in net.weights],
+            output_bits=output_bits,
+            acc_bits=[c * acc_bits_per_cycle if r > 1 else 0
+                      for c, r in zip(cycles, row_tiles)],
+        )
+        net._tilings[key] = fixed, {n: sum(c) for n, c in fixed.items()}, ifmap_bits
+    fixed, sums, ifmap_bits = net._tilings[key]
 
-    ifmap_bits, output_bits = _io_columns(net, cfg)
-    weight_bits = [w * cfg.b_w for w in net.weights]
+    output_bits = fixed["output_bits"]
     capacity = cfg.input_sram_bits
     resident = [b <= capacity for b in ifmap_bits]
     forwarded = [b <= capacity for b in output_bits[:-1]] + [False]
-    input_write = [b if r else b * t for b, r, t in zip(ifmap_bits, resident, col_tiles)]
+    input_write = [b if r else b * t
+                   for b, r, t in zip(ifmap_bits, resident, fixed["col_tiles"])]
     fed_on_chip = [False, *forwarded[:-1]]
     columns = dict(
-        row_tiles=row_tiles,
-        col_tiles=col_tiles,
-        vectors_per_tile=vectors,
-        programming_events=events,
-        compute_cycles=cycles,
-        cells_programmed=[e * cells_per_event for e in events],
-        input_read_bits=[c * input_bits_per_cycle for c in cycles],
         input_write_bits=input_write,
-        weight_bits=weight_bits,
-        output_bits=output_bits,
-        acc_bits=acc,
         dram_read_bits=[w if fed else w + b
-                        for w, b, fed in zip(weight_bits, input_write, fed_on_chip)],
+                        for w, b, fed in zip(fixed["weight_bits"], input_write, fed_on_chip)],
         dram_write_bits=[0 if f else b for f, b in zip(forwarded, output_bits)],
-        ifmap_resident=resident,
-        output_forwarded=forwarded,
     )
-    total = Counts(*(sum(columns[name]) for name in _COUNT_COLUMNS))
-    return RuntimeStats(network=net, **columns, total=total)
+    sums = {**sums, **{n: sum(c) for n, c in columns.items()}}
+    total = Counts(*(sums[name] for name in _COUNT_COLUMNS))
+    return RuntimeStats(network=net, **fixed, **columns, ifmap_resident=resident,
+                        output_forwarded=forwarded, total=total)
 
 
 def layer_runtime(layer: LayerSpec, cfg: ChipConfig) -> LayerRuntime:

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -9,10 +10,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oxsim
 import oxsim.cli
-from oxsim.cli import _atomic_write, _over_chip, load_run_inputs, main
+from oxsim.cli import RunManifest, _atomic_write, _csv_text, _over_chip, load_run_inputs, main
 from oxsim.dse import Constraints, SweepGrid, sweep
 from oxsim.reports import CSV_COLUMNS, flat_row
 from oxsim.workload import ChipConfig, load_topology
@@ -220,6 +223,44 @@ def test_sweep_csv_cells_round_trip_the_flat_rows(tmp_path):
             else:
                 assert type(value) is int and int(cell) == value, col
     assert negative_zeros == 2 * len(rows)  # energy_sram_j and power_sram_w
+
+
+def _oracle_csv_text(rows, manifest):
+    # `_csv_text` before it formatted each distinct float once, kept as the oracle
+    lines = [f"# {k} = {v}" for k, v in sorted(manifest._asdict().items())]
+    lines.append(",".join(CSV_COLUMNS))
+    cells = operator.itemgetter(*CSV_COLUMNS)
+    lines.extend(",".join(map(str, cells(row))) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+# values that compare equal but print differently: 0.0 and -0.0, an int and
+# the integral float it equals (also beyond 2**53, where floats skip ints)
+_EQUAL_NOT_ALIKE = ((0.0, -0.0), (1, 1.0), (2**60, float(2**60)), (2**53 + 2, 2.0**53 + 2))
+
+
+@st.composite
+def _csv_rows(draw):
+    pool = [*(v for pair in _EQUAL_NOT_ALIKE for v in pair), 2**53 + 1,
+            *draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=6)),
+            *draw(st.lists(st.integers(-2**70, 2**70), max_size=3))]
+    n = draw(st.integers(2, 6))
+    rows = [draw(st.lists(st.sampled_from(pool), min_size=len(CSV_COLUMNS),
+                          max_size=len(CSV_COLUMNS))) for _ in range(n)]
+    # each pair lands in one column, in drawn rows and order, so a memo keyed
+    # by the value alone hands one of them the other's text
+    columns = draw(st.permutations(range(len(CSV_COLUMNS))))
+    for column, pair in zip(columns, _EQUAL_NOT_ALIKE):
+        first, second = draw(st.permutations(range(n)))[:2]
+        rows[first][column], rows[second][column] = draw(st.permutations(pair))
+    return [dict(zip(CSV_COLUMNS, row)) for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csv_rows())
+def test_csv_text_equals_str_of_every_cell(rows):
+    manifest = RunManifest("0", "sweep", "c", "p", "t", "1970-01-01T00:00:00Z")
+    assert _csv_text(rows, manifest) == _oracle_csv_text(rows, manifest)
 
 
 def test_sweep_batch_axis_shows_residency_step(tmp_path):
@@ -660,3 +701,21 @@ def test_every_perfbench_trace_boundary_resolves():
     spec.loader.exec_module(tracing)
     for module_name, attr, _, _ in tracing.BOUNDARIES:
         assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
+
+
+def test_sweep_does_not_import_json(tmp_path):
+    # json takes ~2 ms to import; only the commands that write JSON load it
+    src = Path(oxsim.__file__).resolve().parents[1]
+    script = f"""
+import sys
+before = set(sys.modules)
+from oxsim.cli import main
+assert main(["sweep", "--grid", {str(CONFIGS / "array_sweep.ini")!r},
+             "--topology", "toy3", "--out", {str(tmp_path / "sweep.csv")!r}]) == 0
+assert "json" not in set(sys.modules) - before
+"""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "sweep.csv").exists()

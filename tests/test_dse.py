@@ -111,6 +111,46 @@ def test_sweep_memo_equals_evaluate_at_every_point(topology, rows, cols, batch, 
     assert len(timed) == len({(c.rows, c.cols, c.batch, c.cores) for c in configs})
 
 
+def test_sweep_builds_each_loss_budget_and_energy_breakdown_once(resnet_layers,
+                                                                 tech_calibrated):
+    grid = SweepGrid(template=ChipConfig(), rows=(32, 128), cols=(64, 128),
+                     batch=(8, 64), input_sram_mb=(0.5, 64.0), cores=(1, 2))
+    budgets, energies = [], []
+
+    def counting_budget(cfg, tech):
+        budgets.append((cfg.rows, cfg.cols))
+        return loss_budget(cfg, tech)
+
+    def counting_energy(stats, timeline, cfg, tech, budget=None):
+        energies.append((cfg.rows, cfg.cols, cfg.batch, cfg.b_in, cfg.b_w, cfg.b_out,
+                         cfg.b_acc, bisect_right(residency_breakpoints(resnet_layers, cfg),
+                                                 cfg.input_sram_bits), cfg.clock_hz))
+        return energy_model(stats, timeline, cfg, tech, budget)
+
+    loss_budget, energy_model = perf.loss_budget, perf.energy_model
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perf, "loss_budget", counting_budget)
+        mp.setattr(perf, "energy_model", counting_energy)
+        results = sweep(grid, resnet_layers, tech_calibrated)
+
+    assert len(budgets) == len(set(budgets)) == 4
+    # one batch (64) refetches at 0.5 MB, so the SRAM axis splits some mappings
+    assert len(energies) == len(set(energies)) > 8
+    assert len(results) == 32
+    for cfg, report in results:
+        assert flat_row(cfg, report) == flat_row(cfg, evaluate(resnet_layers, cfg,
+                                                               tech_calibrated))
+
+
+def test_stages_key_each_energy_breakdown_by_the_clock(toy_layers, tech_default):
+    # no grid axis sets the clock, so one memo is given both clocks directly
+    stages = dse._Stages(toy_layers, tech_default)
+    for clock_hz in (1e10, 5e9, 1e10):
+        cfg = ChipConfig(rows=8, cols=8, batch=2, clock_hz=clock_hz)
+        assert flat_row(cfg, stages.report(cfg)) == flat_row(
+            cfg, evaluate(toy_layers, cfg, tech_default))
+
+
 # --- batch hiding -------------------------------------------------------------
 
 def _stream_layer(cycles_per_tile_at_b1, tiles):

@@ -19,7 +19,7 @@ from oxsim import (
     parse_topology,
     tile_layer,
 )
-from oxsim.workload import MB_BITS
+from oxsim.workload import MB_BITS, Network
 
 HEADER = "name,ifmap_h,ifmap_w,channels,filter_h,filter_w,num_filters,stride\n"
 
@@ -410,3 +410,37 @@ def test_network_runtime_equals_the_scalar_per_layer_oracle(case):
     assert list(stats.layers) == per_layer
     assert stats.layers[-1] == per_layer[-1]
     assert stats.layers[:-1] == tuple(per_layer[:-1])
+
+
+# --- the tiling memo of a shared Network ---------------------------------------
+
+@st.composite
+def _config_sequences(draw):
+    layers = [draw(_layer_specs(i)) for i in range(draw(st.integers(1, 5)))]
+    # a few tilings, each but the first one field away from an earlier one;
+    # rows below most windows, so that the accumulator carries partial sums
+    sizes = dict(rows=40, cols=40, batch=3, b_in=3, b_w=3, b_out=3, b_acc=3)
+    bases = [ChipConfig(**{f: draw(st.integers(1, top)) for f, top in sizes.items()})]
+    for _ in range(draw(st.integers(0, 3))):
+        field = draw(st.sampled_from(sorted(sizes)))
+        bases.append(draw(st.sampled_from(bases)).with_(
+            **{field: draw(st.integers(1, sizes[field]))}))
+    # input SRAM half a bit on either side of each size the residency tests
+    # compare against, then repeats of whole configs
+    configs = [cfg.with_(sram_input_mb=(b + side) / MB_BITS) for cfg in bases
+               for b in sorted({b for l in layers for b in _io_bits(l, cfg)})
+               for side in (-0.5, 0.5)]
+    configs += draw(st.lists(st.sampled_from(configs), max_size=4))
+    return layers, draw(st.permutations(configs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config_sequences())
+def test_one_network_maps_a_sequence_of_configs_as_fresh_layers_do(case):
+    layers, configs = case
+    net = Network(layers)
+    shared = [network_runtime(net, cfg) for cfg in configs]
+    # compared after the whole sequence, so a later call that changed an
+    # earlier result's columns fails too
+    for cfg, stats in zip(configs, shared):
+        assert stats == network_runtime(list(layers), cfg)
