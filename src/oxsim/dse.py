@@ -96,10 +96,10 @@ class _Stages:
     and, through the residency tests (`residency_breakpoints`), only
     `bisect_right(breakpoints, capacity)` of the SRAM: one mapping per such key.
     `timeline(cfg)` reads the tile streams, cores and clock: one per (array,
-    batch, cores, clock). `report(cfg)` rolls both up and equals `evaluate`.
-    It builds the loss budget once per array and the energy breakdown (which
-    does not read the cores) once per mapping key and clock, so only area,
-    power, IPS and their checks run per point.
+    batch, cores, clock). `report(cfg)` equals `evaluate`: it builds the loss
+    budget once per array and the energy breakdown (which does not read the
+    cores) once per mapping key and clock and passes them to `roll_up`, so
+    only the energy total, area, power, IPS and their checks run per point.
     """
 
     def __init__(self, layers, tech) -> None:
@@ -108,7 +108,7 @@ class _Stages:
         self._runtimes: dict[tuple, RuntimeStats] = {}
         self._timelines: dict[tuple, Timeline] = {}
         self._budgets: dict[tuple[int, int], perf.LossBudget] = {}
-        self._energies: dict[tuple, tuple] = {}
+        self._energies: dict[tuple, dict[str, float]] = {}
 
     def _mapping(self, cfg: ChipConfig, input_sram_mb: float | None = None
                  ) -> tuple[tuple, RuntimeStats]:
@@ -142,7 +142,7 @@ class _Stages:
         budget = self._budgets[array]
         key += (cfg.clock_hz,)
         if key not in self._energies:
-            self._energies[key] = perf.energy_terms(stats, timeline, cfg, tech, budget)
+            self._energies[key] = perf.energy_model(stats, timeline, cfg, tech, budget)
         return roll_up(stats, timeline, cfg, tech, budget, self._energies[key])
 
 
@@ -153,7 +153,8 @@ def sweep(grid: SweepGrid, layers, tech) -> list[tuple[ChipConfig, PerfReport]]:
     `_Stages` memo maps the network once per (array, batch, residency
     pattern), builds the timeline once per (array, batch, cores), the loss
     budget once per array and the energy breakdown once per mapping. Points
-    share those objects; only area, power, IPS and their checks run per point.
+    share those objects; only `roll_up` (energy total, area, power, IPS and
+    their checks) runs per point.
     """
     stages = _Stages(layers, tech)
     results = []
@@ -186,6 +187,9 @@ class Constraints(Checked, _ConstraintsFields):
     __slots__ = ()
 
     def _check(self) -> None:
+        if self.template.cores != 2:
+            raise ConfigError(f"template cores must be 2: the optimizer designs a "
+                              f"dual-core chip, got cores = {self.template.cores}")
         b = self.batch_candidates
         if not b or b[0] < 1 or any(x >= y for x, y in zip(b, b[1:])):
             raise ConfigError(f"batch_candidates must be non-empty, >= 1 and strictly "
@@ -349,7 +353,7 @@ def optimize(layers, tech, constraints: Constraints) -> OptimizationResult:
     cons = constraints
     stages = _Stages(layers, tech)
     steps: list[StepRecord] = []
-    cfg = cons.template.with_(cores=2)
+    cfg = cons.template
     # looked up on the module at call time, so a tracer's wrappers see every step
     queue = [find_min_hiding_batch, size_sram, pick_array_size]
     for _ in range(MAX_PASSES):

@@ -1,7 +1,8 @@
 """Runtime counters -> time, energy, power, area, IPS, IPS/W.
 
 The worst-case optical loss budget of the array, which sizes the laser, is
-computed here too: `evaluate` and `energy_model` are its only users.
+computed here too: `energy_model` takes it as an input, and `evaluate` (like
+`dse`'s memo) builds it and passes it in.
 
 Timelines are computed in integer MAC cycles (programming time is rounded
 to whole cycles once, p) and converted to seconds at the end, so single- vs
@@ -187,13 +188,11 @@ def loss_budget(cfg, tech) -> LossBudget:
 
 
 def energy_model(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, tech,
-                 budget: LossBudget | None = None) -> dict[str, float]:
-    """Per-category energy (J) for one batched network pass."""
+                 budget: LossBudget) -> dict[str, float]:
+    """Per-category energy (J) for one batched network pass; `budget` sizes the laser."""
     c = stats.total
     cycles = c.compute_cycles
     clk = cfg.clock_hz
-    if budget is None:
-        budget = loss_budget(cfg, tech)
     column_cycles = _as_float(cycles * cfg.cols, "ADC and TIA samples")
     serdes_bits = cycles * (cfg.rows * cfg.b_in + cfg.cols * cfg.b_out)
     ring_cycles = cycles * cfg.rows * tech.rings_per_row_tx
@@ -252,45 +251,30 @@ class PerfReport(NamedTuple):
         return max(self.area_by_mm2, key=lambda k: self.area_by_mm2[k])
 
 
-def _breakdown_error(parts: dict[str, float], total: float, what: str) -> str | None:
+def _check_breakdown(parts: dict[str, float], total: float, what: str) -> None:
     s = sum(parts.values())
     if not math.isclose(s, total, rel_tol=1e-9, abs_tol=1e-30):
-        return f"{what} breakdown ({s}) does not sum to total ({total})"
-    return None
-
-
-def energy_terms(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, tech,
-                 budget: LossBudget) -> tuple[dict[str, float], float, str | None]:
-    """`energy_model`'s breakdown, its total, and the error of its sum check (or None).
-
-    They read the mapping, the clock and the budget, not the cores: `roll_up`
-    takes them precomputed so that points sharing those can share them.
-    """
-    energy = energy_model(stats, timeline, cfg, tech, budget)
-    total = sum(energy.values())
-    return energy, total, _breakdown_error(energy, total, "energy")
+        raise EvaluationError(f"{what} breakdown ({s}) does not sum to total ({total})")
 
 
 def evaluate(layers, cfg: ChipConfig, tech) -> PerfReport:
-    """Full pipeline: map the network, build the timeline, roll up metrics."""
+    """Full pipeline: map, time, budget the laser, price the energy, roll up."""
     stats = network_runtime(layers, cfg)
-    return roll_up(stats, make_timeline(stats, cfg, tech), cfg, tech)
+    timeline = make_timeline(stats, cfg, tech)
+    budget = loss_budget(cfg, tech)
+    energy = energy_model(stats, timeline, cfg, tech, budget)
+    return roll_up(stats, timeline, cfg, tech, budget, energy)
 
 
 def roll_up(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, tech,
-            budget: LossBudget | None = None,
-            energy: tuple[dict[str, float], float, str | None] | None = None) -> PerfReport:
-    """Loss budget, energy, power, area and IPS of a mapped and timed config.
+            budget: LossBudget, energy: dict[str, float]) -> PerfReport:
+    """Energy total, power, area and IPS of a mapped, timed and budgeted config.
 
-    `stats` and `timeline` must be those `evaluate` would compute for `cfg`,
-    and `budget` and `energy` (an `energy_terms` result), when given, those
-    `roll_up` would; the report keeps references to all of them, so reports
-    may share them.
+    `stats`, `timeline`, `budget` and `energy` (an `energy_model` breakdown)
+    must be those `evaluate` computes for `cfg`; the report keeps references
+    to all of them, so reports may share them.
     """
-    if budget is None:
-        budget = loss_budget(cfg, tech)
-    energy, energy_total, energy_error = energy or energy_terms(stats, timeline, cfg, tech,
-                                                                budget)
+    energy_total = sum(energy.values())
     area = area_model(cfg, tech)
 
     t_total = timeline.t_total
@@ -314,10 +298,9 @@ def roll_up(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, tech,
     if not math.isfinite(ips_per_w):
         raise EvaluationError(f"IPS/W is {ips_per_w}, not a finite number: power "
                               f"({power} W) is too small for the model")
-    for error in (energy_error, _breakdown_error(power_by, power, "power"),
-                  _breakdown_error(area, area_total, "area")):
-        if error:
-            raise EvaluationError(error)
+    _check_breakdown(energy, energy_total, "energy")
+    _check_breakdown(power_by, power, "power")
+    _check_breakdown(area, area_total, "area")
 
     return PerfReport(
         ips=ips,

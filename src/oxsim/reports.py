@@ -10,11 +10,7 @@ from .workload import ChipConfig
 
 SCHEMA_VERSION = 2
 
-CONFIG_COLUMNS = [
-    "rows", "cols", "clock_hz", "cores", "batch",
-    "b_in", "b_w", "b_out", "b_acc",
-    "sram_input_mb", "sram_filter_mb", "sram_output_mb", "sram_acc_mb",
-]
+CONFIG_COLUMNS = list(ChipConfig._fields)
 
 METRIC_COLUMNS = [
     "ips", "ips_per_w", "power_w", "area_mm2", "energy_total_j",
@@ -38,7 +34,7 @@ def flat_row(cfg: ChipConfig, report: PerfReport) -> dict:
     """One CSV row: config axes plus every scalar the report carries."""
     c, tl, budget = report.stats.total, report.timeline, report.budget
     energy, power, area = report.energy_j, report.power_by_w, report.area_by_mm2
-    # values in CSV_COLUMNS order; ChipConfig's fields are CONFIG_COLUMNS in order
+    # values in CSV_COLUMNS order
     values = [SCHEMA_VERSION, *cfg,
               report.ips, report.ips_per_w, report.power_w, report.area_mm2,
               report.energy_total_j, tl.t_total, tl.t_compute, tl.t_program_exposed,

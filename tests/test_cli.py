@@ -409,12 +409,14 @@ def test_bad_source_date_epoch_exits_1_before_any_work(tmp_path, monkeypatch, ca
     ("sweep", "--grid", "[grid]\ninput_sram_mb = 0 1\n", "grid", "input_sram_mb"),
     ("sweep", "--grid", "[grid]\nrows =\ncols = 32 64\n", "grid", "rows"),
     ("evaluate", "--config", "[chip]\nserdes_ratio = 10\n", "chip", "serdes_ratio"),
+    ("optimize", "--constraints", "[chip]\ncores = 1\n", "constraints", "cores"),
 ], ids=["fractional-int", "inf-chip", "nan-tech", "nan-profile-override",
         "unknown-profile-key", "inf-grid-axis", "nan-constraint", "template-key",
         "batch-descending", "batch-zero", "batch-empty", "rows-empty", "cols-empty",
         "sram-step-zero", "area-cap-negative", "hiding-eps-one", "tie-tol-negative",
         "profile-override-negative", "grid-rows-zero", "grid-cores-three",
-        "grid-sram-zero", "grid-rows-empty", "serdes-ratio-removed"])
+        "grid-sram-zero", "grid-rows-empty", "serdes-ratio-removed",
+        "template-single-core"])
 def test_loader_rejects_bad_key_or_value(tmp_path, capsys, command, flag, text, section, key):
     p = tmp_path / "input.ini"
     p.write_text(text)
@@ -592,6 +594,32 @@ def test_shipped_optimize_audit_is_pinned(tmp_path, monkeypatch, profile, digest
                "--topology", "resnet50_v15", "--profile", profile, "--out", str(out)])
     assert rc == 0
     assert _sha(out) == digest
+
+
+@pytest.mark.parametrize("profile, digests", [
+    ("paper-consistent", {
+        "report.json": "f27607cb69f4f606d2a4edb932e7caf77c285d612dd6ecf228622cd1274eb5f0",
+        "report.csv": "88e8123b900759f2aef631f35ee3206e63bb79d43200f1d3c3ad483232f82a0d",
+        "array_sweep.csv": "130bd1fbcdeaed300e26864ca098c578e4379c45140fd4aca633a1c8367af92c",
+        "batch_sweep.csv": "fbe5968e286896bfc56562512ce6f9f3cfe4634dcd3d88b4dd3f0f564fd5e521",
+    }),
+    ("paper-default", {
+        "report.json": "26c9bbc8dad5dae7af33d5843b3b8f40b77cc60772750dfcb1f372a09ce895b4",
+        "report.csv": "aae3fd12d3814022f878f73eb062b7b8f53473ca3592ebfdd95be0ce82c4ddcb",
+        "array_sweep.csv": "30fdb5e9c5603ad2962230798f77bc0767832c49336fc65b76992decb60a3630",
+        "batch_sweep.csv": "fa9ad54ee68458734a537d79a8d8cfbc22befbfe4aa899abfd3ac806fa060f1b",
+    }),
+])
+def test_shipped_evaluate_and_sweep_outputs_are_pinned(tmp_path, monkeypatch, profile,
+                                                       digests):
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    common = ["--topology", "resnet50_v15", "--profile", profile]
+    assert main(["evaluate", "--config", str(CONFIGS / "headline.ini"), *common,
+                 "--out", str(tmp_path)]) == 0
+    for grid in ("array_sweep", "batch_sweep"):
+        assert main(["sweep", "--grid", str(CONFIGS / f"{grid}.ini"), *common,
+                     "--out", str(tmp_path / f"{grid}.csv")]) == 0
+    assert {name: _sha(tmp_path / name) for name in digests} == digests
 
 
 ZERO_POWER_PROFILE = "[profile]\nname = zero-power\n\n[overrides]\n" + "".join(

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from oxsim import (
     ChipConfig,
+    ConfigError,
     Constraints,
     EvaluationError,
     InfeasibleError,
     LayerSpec,
     SweepGrid,
+    TechParams,
     apply_profile,
     default_tech_params,
     evaluate,
@@ -149,6 +151,58 @@ def test_stages_key_each_energy_breakdown_by_the_clock(toy_layers, tech_default)
         cfg = ChipConfig(rows=8, cols=8, batch=2, clock_hz=clock_hz)
         assert flat_row(cfg, stages.report(cfg)) == flat_row(
             cfg, evaluate(toy_layers, cfg, tech_default))
+
+
+def _boundary_values(field, default):
+    """The values of a boundary pool that a tech field of `default`'s type accepts."""
+    pool = (0, 5e-324, 1e-300, 1, 1e300, 1.7e308)
+    values = [v if isinstance(default, float) else int(v) for v in pool
+              if isinstance(default, float) or float(v).is_integer()]
+    accepted = []
+    for v in values:
+        try:
+            TechParams(**{field: v})
+        except ConfigError:
+            continue
+        accepted.append(v)
+    return accepted
+
+
+_TECH_BOUNDARY = {field: _boundary_values(field, default)
+                  for field, default in TechParams()._asdict().items()}
+
+
+@st.composite
+def _tech_overrides(draw):
+    fields = draw(st.lists(st.sampled_from(sorted(_TECH_BOUNDARY)), max_size=6, unique=True))
+    return {field: draw(st.sampled_from(_TECH_BOUNDARY[field])) for field in fields}
+
+
+def _report_or_error(run, cfg):
+    try:
+        return flat_row(cfg, run())
+    except Exception as exc:  # both paths must fail alike, whatever the type
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("topology", ["toy3", "resnet50_v15"])
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 1024), cols=st.integers(1, 1024), cores=st.sampled_from([1, 2]),
+       batch=st.integers(1, 10**300), clock_hz=st.floats(1e-300, 1e300),
+       sram_mb=st.floats(1e-300, 1e308),
+       profile=st.sampled_from(["paper-default", "paper-consistent"]),
+       overrides=_tech_overrides())
+def test_stages_report_and_evaluate_agree_or_fail_alike(topology, rows, cols, cores, batch,
+                                                        clock_hz, sram_mb, profile, overrides):
+    # the memo builds the loss budget and energy breakdown apart from roll_up,
+    # so its checks must still fail in evaluate's order, with its message
+    layers = load_topology(topology)
+    tech = apply_profile(default_tech_params(), get_profile(profile))._replace(**overrides)
+    cfg = ChipConfig(rows=rows, cols=cols, cores=cores, batch=batch, clock_hz=clock_hz,
+                     sram_input_mb=sram_mb)
+    direct = _report_or_error(lambda: evaluate(layers, cfg, tech), cfg)
+    memo = _report_or_error(lambda: dse._Stages(layers, tech).report(cfg), cfg)
+    assert memo == direct
 
 
 # --- batch hiding -------------------------------------------------------------

@@ -20,7 +20,7 @@ from oxsim import (
     timeline_dual_core,
     timeline_single_core,
 )
-from oxsim.perf import area_model, energy_model
+from oxsim.perf import area_model, energy_model, loss_budget
 from oxsim.reports import flat_row, json_payload
 from oxsim.workload import Counts, Network, RuntimeStats
 
@@ -224,7 +224,8 @@ def test_energy_zero_activity_is_all_zero():
     stats = RuntimeStats(**{**columns, "network": Network(), "total": Counts()})
     cfg = ChipConfig(rows=4, cols=4, cores=1, batch=1)
     tl = timeline_single_core(stats, cfg, default_tech_params())
-    energy = energy_model(stats, tl, cfg, default_tech_params())
+    energy = energy_model(stats, tl, cfg, default_tech_params(),
+                          loss_budget(cfg, default_tech_params()))
     assert all(v == 0.0 for v in energy.values())
 
 
@@ -235,7 +236,7 @@ def test_energy_single_cycle_unit_cell():
     stats = network_runtime([layer], cfg)
     assert stats.total.compute_cycles == 1
     tl = timeline_single_core(stats, cfg, tech)
-    energy = energy_model(stats, tl, cfg, tech)
+    energy = energy_model(stats, tl, cfg, tech, loss_budget(cfg, tech))
     assert energy["adc"] == pytest.approx(25e-3 / 1e10, rel=1e-12)   # 2.5 pJ
     assert energy["tia"] == pytest.approx(2.25e-3 / 1e10, rel=1e-12)  # 0.225 pJ
     assert energy["odac"] == pytest.approx(168e-15, rel=1e-12)

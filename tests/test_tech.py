@@ -9,7 +9,7 @@ from oxsim import (
     default_tech_params,
     get_profile,
 )
-from oxsim.perf import area_model, energy_model, make_timeline
+from oxsim.perf import area_model, energy_model, loss_budget, make_timeline
 from oxsim.tech import FIELD_UNITS, TechParams
 from oxsim.workload import network_runtime
 
@@ -144,7 +144,7 @@ def _breakdowns(tech, layers):
     cfg = ChipConfig(rows=8, cols=8, cores=2, batch=2)
     stats = network_runtime(layers, cfg)
     tl = make_timeline(stats, cfg, tech)
-    return energy_model(stats, tl, cfg, tech), area_model(cfg, tech), tl
+    return energy_model(stats, tl, cfg, tech, loss_budget(cfg, tech)), area_model(cfg, tech), tl
 
 
 def test_each_constant_feeds_exactly_one_category(toy_layers):
