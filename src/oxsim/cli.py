@@ -11,7 +11,6 @@ import argparse
 import configparser
 import hashlib
 import math
-import operator
 import os
 import sys
 import tempfile
@@ -201,6 +200,16 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _write_out(path: Path, text: str) -> None:
+    """`_atomic_write`, making `path`'s directory first; an OSError from either
+    is a ConfigError that names `path`."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        _atomic_write(path, text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _manifest(command: str, config_hash: str, profile: str, topology: Path,
               timestamp: str) -> RunManifest:
     return RunManifest(
@@ -213,15 +222,15 @@ def _manifest(command: str, config_hash: str, profile: str, topology: Path,
     )
 
 
-def _csv_text(rows: list[dict], manifest: RunManifest) -> str:
+def _csv_text(rows: list[list], manifest: RunManifest) -> str:
     lines = [f"# {k} = {v}" for k, v in sorted(manifest._asdict().items())]
     lines.append(",".join(CSV_COLUMNS))
-    # every row is a flat_row, which fills every column. Each distinct
+    # every row is a flat_row, its values in CSV_COLUMNS order. Each distinct
     # non-zero float is formatted once; zeros and ints are not memoised, as
     # 0.0 == -0.0 and 1 == 1.0 compare equal but print differently.
-    cells, texts = operator.itemgetter(*CSV_COLUMNS), {}
+    texts = {}
     lines.extend(",".join([texts.get(v) or texts.setdefault(v, str(v))
-                           if type(v) is float and v else str(v) for v in cells(row)])
+                           if type(v) is float and v else str(v) for v in row])
                  for row in rows)
     return "\n".join(lines) + "\n"
 
@@ -246,10 +255,8 @@ def cmd_evaluate(args) -> int:
 
     manifest = _manifest("evaluate", config_hash, profile.name, topo_path, args.timestamp)
     out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out_dir / "report.json",
-                  dump_json(json_payload(cfg, report, manifest._asdict())))
-    _atomic_write(out_dir / "report.csv", _csv_text([flat_row(cfg, report)], manifest))
+    _write_out(out_dir / "report.json", dump_json(json_payload(cfg, report, manifest._asdict())))
+    _write_out(out_dir / "report.csv", _csv_text([flat_row(cfg, report)], manifest))
     print(
         f"ips={report.ips:.1f} ips_per_w={report.ips_per_w:.1f} "
         f"power_w={report.power_w:.3f} area_mm2={report.area_mm2:.2f} "
@@ -261,10 +268,15 @@ def cmd_evaluate(args) -> int:
 
 
 def _over_chip(path: Path, section: str, cls):
-    """A SweepGrid or Constraints: one section over a [chip] template."""
+    """A SweepGrid or Constraints: one section over a [chip] template.
+
+    The template is first checked by `cls` alone (every other field at its
+    default), so an error about the template names [chip].
+    """
     parser = _read_ini(path, {section, "chip"})
-    return _build(f"{path} [{section}]", cls, template=_chip(parser, path),
-                  **_section(parser, section, cls, path))
+    template, fields = _chip(parser, path), _section(parser, section, cls, path)
+    _build(f"{path} [chip]", cls, template=template)
+    return _build(f"{path} [{section}]", cls, template=template, **fields)
 
 
 def cmd_sweep(args) -> int:
@@ -277,8 +289,7 @@ def cmd_sweep(args) -> int:
                          args.timestamp)
     rows = [flat_row(cfg, report) for cfg, report in results]
     out_path = Path(args.out or "sweep.csv")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out_path, _csv_text(rows, manifest))
+    _write_out(out_path, _csv_text(rows, manifest))
     print(f"evaluated {len(rows)} configs; wrote {out_path}")
     return EXIT_OK
 
@@ -312,8 +323,7 @@ def cmd_optimize(args) -> int:
         ],
     }
     out_path = Path(args.out or "optimize_audit.json")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out_path, dump_json(audit))
+    _write_out(out_path, dump_json(audit))
     cfg = result.config
     print(
         f"chosen: rows={cfg.rows} cols={cfg.cols} batch={cfg.batch} "

@@ -9,8 +9,8 @@ while the chosen array breaks its premise, for at most `MAX_PASSES` passes.
 
 `sweep` and `optimize` score many configs that differ in a few fields. Each
 call keeps one `_Stages` memo that computes the mapping, timeline, loss
-budget and energy breakdown once per distinct value of the fields each one
-reads; every score equals evaluating its point on its own.
+budget, energy breakdown and area breakdown once per distinct value of the
+fields each one reads; every score equals evaluating its point on its own.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ from .workload import (
     Network,
     RuntimeStats,
     network_runtime,
-    residency_breakpoints,
 )
 
 
@@ -93,33 +92,33 @@ class _Stages:
 
     `runtime(cfg, input_sram_mb)` maps `cfg` with `input_sram_mb` of input SRAM
     (default: its own). The mapping reads the array, the batch, the bit widths
-    and, through the residency tests (`residency_breakpoints`), only
+    and, through the residency tests (`Network.breakpoints`), only
     `bisect_right(breakpoints, capacity)` of the SRAM: one mapping per such key.
     `timeline(cfg)` reads the tile streams, cores and clock: one per (array,
     batch, cores, clock). `report(cfg)` equals `evaluate`: it builds the loss
-    budget once per array and the energy breakdown (which does not read the
-    cores) once per mapping key and clock and passes them to `roll_up`, so
-    only the energy total, area, power, IPS and their checks run per point.
+    budget once per array, the energy breakdown (which does not read the
+    cores) once per mapping key and clock, and the area breakdown once per
+    (array, cores, total SRAM), and passes them to `roll_up`, so only the
+    energy and area totals, power, IPS and their checks run per point.
     """
 
     def __init__(self, layers, tech) -> None:
         self.layers, self.tech = Network.of(layers), tech
-        self._breakpoints: dict[tuple[int, int, int], list[int]] = {}
         self._runtimes: dict[tuple, RuntimeStats] = {}
         self._timelines: dict[tuple, Timeline] = {}
         self._budgets: dict[tuple[int, int], perf.LossBudget] = {}
         self._energies: dict[tuple, dict[str, float]] = {}
+        self._areas: dict[tuple, dict[str, float]] = {}
 
     def _mapping(self, cfg: ChipConfig, input_sram_mb: float | None = None
                  ) -> tuple[tuple, RuntimeStats]:
         mb = cfg.sram_input_mb if input_sram_mb is None else input_sram_mb
-        io = (cfg.batch, cfg.b_in, cfg.b_out)
-        if io not in self._breakpoints:
-            self._breakpoints[io] = residency_breakpoints(self.layers, cfg)
-        key = (cfg.rows, cfg.cols, cfg.b_w, cfg.b_acc, *io,
-               bisect_right(self._breakpoints[io], mb * MB_BITS))
+        key = (cfg.rows, cfg.cols, cfg.b_w, cfg.b_acc, cfg.batch, cfg.b_in, cfg.b_out,
+               bisect_right(self.layers.breakpoints(cfg), mb * MB_BITS))
         if key not in self._runtimes:
-            self._runtimes[key] = network_runtime(self.layers, cfg.with_(sram_input_mb=mb))
+            if input_sram_mb is not None:
+                cfg = cfg.with_(sram_input_mb=mb)
+            self._runtimes[key] = network_runtime(self.layers, cfg)
         return key, self._runtimes[key]
 
     def runtime(self, cfg: ChipConfig, input_sram_mb: float | None = None) -> RuntimeStats:
@@ -143,7 +142,11 @@ class _Stages:
         key += (cfg.clock_hz,)
         if key not in self._energies:
             self._energies[key] = perf.energy_model(stats, timeline, cfg, tech, budget)
-        return roll_up(stats, timeline, cfg, tech, budget, self._energies[key])
+        # area reads the SRAM banks only through their total
+        area_key = (cfg.rows, cfg.cols, cfg.cores, cfg.total_sram_mb)
+        if area_key not in self._areas:
+            self._areas[area_key] = perf.area_model(cfg, tech)
+        return roll_up(stats, timeline, cfg, budget, self._energies[key], self._areas[area_key])
 
 
 def sweep(grid: SweepGrid, layers, tech) -> list[tuple[ChipConfig, PerfReport]]:
@@ -152,9 +155,11 @@ def sweep(grid: SweepGrid, layers, tech) -> list[tuple[ChipConfig, PerfReport]]:
     Every report equals `evaluate(layers, cfg, tech)` at its point, but one
     `_Stages` memo maps the network once per (array, batch, residency
     pattern), builds the timeline once per (array, batch, cores), the loss
-    budget once per array and the energy breakdown once per mapping. Points
-    share those objects; only `roll_up` (energy total, area, power, IPS and
-    their checks) runs per point.
+    budget once per array, the energy breakdown once per mapping and the area
+    breakdown once per (array, cores, SRAM). Points share those objects; only
+    `roll_up` (energy and area totals, power, IPS and their checks) runs per
+    point. The mapping itself keeps its residency columns per (cols, b_w,
+    batch, b_in, b_out, residency pattern) on the `Network`.
     """
     stages = _Stages(layers, tech)
     results = []

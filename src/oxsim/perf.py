@@ -258,24 +258,25 @@ def _check_breakdown(parts: dict[str, float], total: float, what: str) -> None:
 
 
 def evaluate(layers, cfg: ChipConfig, tech) -> PerfReport:
-    """Full pipeline: map, time, budget the laser, price the energy, roll up."""
+    """Full pipeline: map, time, budget the laser, price energy and area, roll up."""
     stats = network_runtime(layers, cfg)
     timeline = make_timeline(stats, cfg, tech)
     budget = loss_budget(cfg, tech)
     energy = energy_model(stats, timeline, cfg, tech, budget)
-    return roll_up(stats, timeline, cfg, tech, budget, energy)
+    area = area_model(cfg, tech)
+    return roll_up(stats, timeline, cfg, budget, energy, area)
 
 
-def roll_up(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, tech,
-            budget: LossBudget, energy: dict[str, float]) -> PerfReport:
-    """Energy total, power, area and IPS of a mapped, timed and budgeted config.
+def roll_up(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, budget: LossBudget,
+            energy: dict[str, float], area: dict[str, float]) -> PerfReport:
+    """Energy and area totals, power and IPS of a mapped, timed and priced config.
 
-    `stats`, `timeline`, `budget` and `energy` (an `energy_model` breakdown)
-    must be those `evaluate` computes for `cfg`; the report keeps references
-    to all of them, so reports may share them.
+    `stats`, `timeline`, `budget`, `energy` (an `energy_model` breakdown) and
+    `area` (an `area_model` breakdown) must be those `evaluate` computes for
+    `cfg`; the report keeps references to all of them, so reports may share
+    them.
     """
     energy_total = sum(energy.values())
-    area = area_model(cfg, tech)
 
     t_total = timeline.t_total
     if t_total <= 0:

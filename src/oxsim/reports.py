@@ -30,21 +30,20 @@ CSV_COLUMNS = (
 )
 
 
-def flat_row(cfg: ChipConfig, report: PerfReport) -> dict:
-    """One CSV row: config axes plus every scalar the report carries."""
+def flat_row(cfg: ChipConfig, report: PerfReport) -> list:
+    """One CSV row, its values in `CSV_COLUMNS` order: config axes plus every
+    scalar the report carries."""
     c, tl, budget = report.stats.total, report.timeline, report.budget
     energy, power, area = report.energy_j, report.power_by_w, report.area_by_mm2
-    # values in CSV_COLUMNS order
-    values = [SCHEMA_VERSION, *cfg,
-              report.ips, report.ips_per_w, report.power_w, report.area_mm2,
-              report.energy_total_j, tl.t_total, tl.t_compute, tl.t_program_exposed,
-              c.compute_cycles, c.programming_events, c.cells_programmed,
-              c.sram_read_bits, c.sram_write_bits, c.dram_read_bits, c.dram_write_bits,
-              budget.laser_wallplug_power_w, budget.worst_path_db,
-              *[energy[cat] for cat in ENERGY_CATEGORIES],
-              *[power[cat] for cat in ENERGY_CATEGORIES],
-              *[area[cat] for cat in AREA_CATEGORIES]]
-    return dict(zip(CSV_COLUMNS, values))
+    return [SCHEMA_VERSION, *cfg,
+            report.ips, report.ips_per_w, report.power_w, report.area_mm2,
+            report.energy_total_j, tl.t_total, tl.t_compute, tl.t_program_exposed,
+            c.compute_cycles, c.programming_events, c.cells_programmed,
+            c.sram_read_bits, c.sram_write_bits, c.dram_read_bits, c.dram_write_bits,
+            budget.laser_wallplug_power_w, budget.worst_path_db,
+            *[energy[cat] for cat in ENERGY_CATEGORIES],
+            *[power[cat] for cat in ENERGY_CATEGORIES],
+            *[area[cat] for cat in AREA_CATEGORIES]]
 
 
 def json_payload(cfg: ChipConfig, report: PerfReport, manifest: dict) -> dict:

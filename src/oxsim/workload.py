@@ -24,14 +24,22 @@ quantity with entry i for layer i:
     residency   ifmap_resident, output_forwarded (bools)
 
 Its `total` sums the columns into one `Counts`. `LayerRuntime` rows are
-built only when `stats.layers` is indexed. Only the residency and DRAM
-columns read input SRAM; the rest, with their sums, are computed once per
-(array, batch, bit widths) and kept on the `Network`.
+built only when `stats.layers` is indexed. The columns are computed once
+per key and kept, with their sums, on the `Network`:
+
+    per tiling key (array, batch, bit widths): every column but those below
+    per residency key (cols, b_w, batch, b_in, b_out, residency pattern):
+                input_write_bits, dram_read_bits, dram_write_bits,
+                ifmap_resident, output_forwarded
+
+Input SRAM enters only through the residency pattern, `bisect_right` of its
+capacity in the residency breakpoints, which are kept per (batch, b_in, b_out).
 """
 from __future__ import annotations
 
 import csv
 import warnings
+from bisect import bisect_right
 from collections.abc import Sequence
 from typing import NamedTuple
 from importlib import resources
@@ -150,8 +158,12 @@ class Network(tuple):
 
     Entry i of each column belongs to layer i. The columns are lifted once
     per topology; `network_runtime` then maps any config with list
-    arithmetic over them, and keeps the columns that do not read input SRAM
-    in `_tilings`. `RuntimeStats` of one Network share those lists.
+    arithmetic over them. It keeps the columns that do not read input SRAM
+    in `_tilings`, per (rows, cols, batch, b_in, b_w, b_out, b_acc), and the
+    residency, input-write and DRAM columns in `_residencies`, per (cols,
+    b_w, batch, b_in, b_out, residency pattern); `breakpoints` keeps the
+    residency breakpoints per (batch, b_in, b_out). `RuntimeStats` of one
+    Network share those lists.
     """
 
     names: list[str]
@@ -172,7 +184,17 @@ class Network(tuple):
         net.weights = [w * f for w, f in zip(net.windows, net.filters)]
         net.outputs = [p * f for p, f in zip(net.pixels, net.filters)]
         net._tilings = {}
+        net._breakpoints = {}
+        net._residencies = {}
         return net
+
+    def breakpoints(self, cfg: ChipConfig) -> list[int]:
+        """`residency_breakpoints` of this network, once per (batch, b_in, b_out)."""
+        key = (cfg.batch, cfg.b_in, cfg.b_out)
+        if key not in self._breakpoints:
+            ifmap_bits, output_bits = _io_columns(self, cfg)
+            self._breakpoints[key] = sorted({*ifmap_bits, *output_bits})
+        return self._breakpoints[key]
 
     @classmethod
     def of(cls, layers) -> "Network":
@@ -313,8 +335,7 @@ def residency_breakpoints(layers, cfg: ChipConfig) -> list[int]:
     cfg.input_sram_bits)` therefore resolve every residency test alike and
     get identical counts.
     """
-    ifmap_bits, output_bits = _io_columns(Network.of(layers), cfg)
-    return sorted({*ifmap_bits, *output_bits})
+    return list(Network.of(layers).breakpoints(cfg))
 
 
 def network_runtime(layers, cfg: ChipConfig) -> RuntimeStats:
@@ -328,39 +349,59 @@ def network_runtime(layers, cfg: ChipConfig) -> RuntimeStats:
     net = Network.of(layers)
     if not net:
         raise ValueError("network must contain at least one layer")
-    # the columns that do not read input SRAM, and their sums, once per key
     key = (cfg.rows, cfg.cols, cfg.batch, cfg.b_in, cfg.b_w, cfg.b_out, cfg.b_acc)
     if key not in net._tilings:
-        rows, cols, batch = cfg.rows, cfg.cols, cfg.batch
-        cells_per_event, input_bits_per_cycle = rows * cols, rows * cfg.b_in
-        row_tiles = [-(-w // rows) for w in net.windows]
-        col_tiles = [-(-f // cols) for f in net.filters]
-        events = [r * c for r, c in zip(row_tiles, col_tiles)]
-        vectors = [p * batch for p in net.pixels]
-        cycles = [e * v for e, v in zip(events, vectors)]
-        # partial sums go through the accumulator only when the window is row-tiled
-        acc_bits_per_cycle = cols * cfg.b_acc
-        ifmap_bits, output_bits = _io_columns(net, cfg)
-        fixed = dict(
-            row_tiles=row_tiles,
-            col_tiles=col_tiles,
-            vectors_per_tile=vectors,
-            programming_events=events,
-            compute_cycles=cycles,
-            cells_programmed=[e * cells_per_event for e in events],
-            input_read_bits=[c * input_bits_per_cycle for c in cycles],
-            weight_bits=[w * cfg.b_w for w in net.weights],
-            output_bits=output_bits,
-            acc_bits=[c * acc_bits_per_cycle if r > 1 else 0
-                      for c, r in zip(cycles, row_tiles)],
-        )
-        net._tilings[key] = fixed, {n: sum(c) for n, c in fixed.items()}, ifmap_bits
+        net._tilings[key] = _tiling(net, cfg)
     fixed, sums, ifmap_bits = net._tilings[key]
+    breakpoints = net.breakpoints(cfg)
+    pattern = bisect_right(breakpoints, cfg.input_sram_bits)
+    key = (cfg.cols, cfg.b_w, cfg.batch, cfg.b_in, cfg.b_out, pattern)
+    if key not in net._residencies:
+        # the sizes that fit are the first `pattern` breakpoints
+        net._residencies[key] = _residency(fixed, ifmap_bits, set(breakpoints[:pattern]))
+    columns, residency_sums = net._residencies[key]
+    sums = {**sums, **residency_sums}
+    total = Counts(*[sums[name] for name in _COUNT_COLUMNS])
+    return RuntimeStats(network=net, **fixed, **columns, total=total)
 
+
+def _tiling(net: Network, cfg: ChipConfig) -> tuple[dict, dict, list[int]]:
+    """The columns that do not read input SRAM, their sums, and the ifmap bits."""
+    rows, cols, batch = cfg.rows, cfg.cols, cfg.batch
+    cells_per_event, input_bits_per_cycle = rows * cols, rows * cfg.b_in
+    row_tiles = [-(-w // rows) for w in net.windows]
+    col_tiles = [-(-f // cols) for f in net.filters]
+    events = [r * c for r, c in zip(row_tiles, col_tiles)]
+    vectors = [p * batch for p in net.pixels]
+    cycles = [e * v for e, v in zip(events, vectors)]
+    # partial sums go through the accumulator only when the window is row-tiled
+    acc_bits_per_cycle = cols * cfg.b_acc
+    ifmap_bits, output_bits = _io_columns(net, cfg)
+    fixed = dict(
+        row_tiles=row_tiles,
+        col_tiles=col_tiles,
+        vectors_per_tile=vectors,
+        programming_events=events,
+        compute_cycles=cycles,
+        cells_programmed=[e * cells_per_event for e in events],
+        input_read_bits=[c * input_bits_per_cycle for c in cycles],
+        weight_bits=[w * cfg.b_w for w in net.weights],
+        output_bits=output_bits,
+        acc_bits=[c * acc_bits_per_cycle if r > 1 else 0
+                  for c, r in zip(cycles, row_tiles)],
+    )
+    return fixed, {n: sum(c) for n, c in fixed.items()}, ifmap_bits
+
+
+def _residency(fixed: dict, ifmap_bits: list[int], fits: set[int]) -> tuple[dict, dict]:
+    """The residency, input-write and DRAM columns and their sums.
+
+    They read the col tiles, weight bits, ifmap bits and output bits of a
+    tiling, and `fits`, the set of those sizes that fit input SRAM.
+    """
     output_bits = fixed["output_bits"]
-    capacity = cfg.input_sram_bits
-    resident = [b <= capacity for b in ifmap_bits]
-    forwarded = [b <= capacity for b in output_bits[:-1]] + [False]
+    resident = [b in fits for b in ifmap_bits]
+    forwarded = [b in fits for b in output_bits[:-1]] + [False]
     input_write = [b if r else b * t
                    for b, r, t in zip(ifmap_bits, resident, fixed["col_tiles"])]
     fed_on_chip = [False, *forwarded[:-1]]
@@ -370,10 +411,8 @@ def network_runtime(layers, cfg: ChipConfig) -> RuntimeStats:
                         for w, b, fed in zip(fixed["weight_bits"], input_write, fed_on_chip)],
         dram_write_bits=[0 if f else b for f, b in zip(forwarded, output_bits)],
     )
-    sums = {**sums, **{n: sum(c) for n, c in columns.items()}}
-    total = Counts(*(sums[name] for name in _COUNT_COLUMNS))
-    return RuntimeStats(network=net, **fixed, **columns, ifmap_resident=resident,
-                        output_forwarded=forwarded, total=total)
+    sums = {n: sum(c) for n, c in columns.items()}
+    return {**columns, "ifmap_resident": resident, "output_forwarded": forwarded}, sums
 
 
 def layer_runtime(layer: LayerSpec, cfg: ChipConfig) -> LayerRuntime:

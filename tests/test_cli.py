@@ -2,7 +2,6 @@ import hashlib
 import importlib.util
 import json
 import math
-import operator
 import os
 import subprocess
 import sys
@@ -209,7 +208,7 @@ def test_sweep_csv_cells_round_trip_the_flat_rows(tmp_path):
 
     _, tech, _, _ = load_run_inputs(None, str(prof))
     results = sweep(_over_chip(grid, "grid", SweepGrid), load_topology("toy3"), tech)
-    rows = [flat_row(cfg, report) for cfg, report in results]
+    rows = [dict(zip(CSV_COLUMNS, flat_row(cfg, report))) for cfg, report in results]
     assert len(cells) == len(rows) == 4
     negative_zeros = 0
     for line, row in zip(cells, rows):
@@ -229,8 +228,7 @@ def _oracle_csv_text(rows, manifest):
     # `_csv_text` before it formatted each distinct float once, kept as the oracle
     lines = [f"# {k} = {v}" for k, v in sorted(manifest._asdict().items())]
     lines.append(",".join(CSV_COLUMNS))
-    cells = operator.itemgetter(*CSV_COLUMNS)
-    lines.extend(",".join(map(str, cells(row))) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -253,7 +251,7 @@ def _csv_rows(draw):
     for column, pair in zip(columns, _EQUAL_NOT_ALIKE):
         first, second = draw(st.permutations(range(n)))[:2]
         rows[first][column], rows[second][column] = draw(st.permutations(pair))
-    return [dict(zip(CSV_COLUMNS, row)) for row in rows]
+    return rows
 
 
 @settings(max_examples=200, deadline=None)
@@ -409,7 +407,7 @@ def test_bad_source_date_epoch_exits_1_before_any_work(tmp_path, monkeypatch, ca
     ("sweep", "--grid", "[grid]\ninput_sram_mb = 0 1\n", "grid", "input_sram_mb"),
     ("sweep", "--grid", "[grid]\nrows =\ncols = 32 64\n", "grid", "rows"),
     ("evaluate", "--config", "[chip]\nserdes_ratio = 10\n", "chip", "serdes_ratio"),
-    ("optimize", "--constraints", "[chip]\ncores = 1\n", "constraints", "cores"),
+    ("optimize", "--constraints", "[chip]\ncores = 1\n", "chip", "cores"),
 ], ids=["fractional-int", "inf-chip", "nan-tech", "nan-profile-override",
         "unknown-profile-key", "inf-grid-axis", "nan-constraint", "template-key",
         "batch-descending", "batch-zero", "batch-empty", "rows-empty", "cols-empty",
@@ -440,6 +438,28 @@ def test_atomic_write_failure_leaves_target_and_no_temp_file(tmp_path, monkeypat
         _atomic_write(target, "new")
     assert target.read_text() == "old"
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("command, out", [
+    ("sweep", "dir"), ("optimize", "dir"), ("evaluate", "file"), ("sweep", "file/x.csv"),
+])
+def test_unwritable_output_path_exits_1_naming_it(tmp_path, command, out):
+    # an existing directory where a file goes, or an existing file where a
+    # directory goes; checked in a subprocess, where a traceback would show
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("kept")
+    grid = tmp_path / "grid.ini"
+    grid.write_text(GRID_SMALL)
+    inputs = ["--grid", str(grid)] if command == "sweep" else []
+    env = {**os.environ, "PYTHONPATH": str(Path(oxsim.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-m", "oxsim.cli", command, *inputs,
+                          "--topology", "toy3", "--out", str(tmp_path / out)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stderr
+    assert f"config error: cannot write {tmp_path / out}" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 def test_loss_budget_overflow_exits_3_naming_array_and_loss(tmp_path, capsys):

@@ -25,7 +25,7 @@ from oxsim import (
     size_sram,
     sweep,
 )
-from oxsim import dse, perf
+from oxsim import dse, perf, workload
 from oxsim.perf import area_model
 from oxsim.reports import flat_row
 from oxsim.workload import residency_breakpoints
@@ -139,6 +139,48 @@ def test_sweep_builds_each_loss_budget_and_energy_breakdown_once(resnet_layers,
     # one batch (64) refetches at 0.5 MB, so the SRAM axis splits some mappings
     assert len(energies) == len(set(energies)) > 8
     assert len(results) == 32
+    for cfg, report in results:
+        assert flat_row(cfg, report) == flat_row(cfg, evaluate(resnet_layers, cfg,
+                                                               tech_calibrated))
+
+
+def test_sweep_builds_each_residency_column_set_and_area_once(resnet_layers, tech_calibrated):
+    grid = SweepGrid(template=ChipConfig(), rows=(32, 128), cols=(64, 128),
+                     batch=(8, 64), input_sram_mb=(0.5, 2.0, 64.0), cores=(1, 2))
+    mapped, columns, areas = [], [], []
+
+    def counting_runtime(layers, cfg):
+        mapped.append(cfg)
+        return network_runtime(layers, cfg)
+
+    def counting_residency(fixed, ifmap_bits, fits):
+        # the config being mapped when the columns are built
+        cfg = mapped[-1]
+        columns.append((cfg.cols, cfg.b_w, cfg.batch, cfg.b_in, cfg.b_out,
+                        bisect_right(residency_breakpoints(resnet_layers, cfg),
+                                     cfg.input_sram_bits)))
+        return residency(fixed, ifmap_bits, fits)
+
+    def counting_area(cfg, tech):
+        areas.append((cfg.rows, cfg.cols, cfg.cores, cfg.sram_input_mb))
+        return area_model(cfg, tech)
+
+    residency = workload._residency
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dse, "network_runtime", counting_runtime)
+        mp.setattr(workload, "_residency", counting_residency)
+        mp.setattr(perf, "area_model", counting_area)
+        results = sweep(grid, resnet_layers, tech_calibrated)
+
+    configs = grid.configs()
+    assert len(columns) == len(set(columns)) < len(mapped)
+    assert set(columns) == {
+        (c.cols, c.b_w, c.batch, c.b_in, c.b_out,
+         bisect_right(residency_breakpoints(resnet_layers, c), c.input_sram_bits))
+        for c in configs}
+    assert len(areas) == len(set(areas)) == len(
+        {(c.rows, c.cols, c.cores, c.sram_input_mb) for c in configs}) < len(configs)
+    assert [cfg for cfg, _ in results] == configs
     for cfg, report in results:
         assert flat_row(cfg, report) == flat_row(cfg, evaluate(resnet_layers, cfg,
                                                                tech_calibrated))

@@ -21,7 +21,8 @@ def _report(toy_layers, tech_calibrated):
 
 def test_flat_row_fills_every_column(toy_layers, tech_calibrated):
     cfg, report = _report(toy_layers, tech_calibrated)
-    row = flat_row(cfg, report)
+    assert len(flat_row(cfg, report)) == len(CSV_COLUMNS)
+    row = dict(zip(CSV_COLUMNS, flat_row(cfg, report)))
     assert list(row) == CSV_COLUMNS  # same names, same order, nothing blank
     assert all(row[c] is not None for c in CSV_COLUMNS)
     assert row["schema_version"] == SCHEMA_VERSION
@@ -45,7 +46,7 @@ def test_flat_row_puts_each_value_under_its_column(toy_layers, tech_calibrated):
             **{f"energy_{k}_j": report.energy_j[k] for k in ENERGY_CATEGORIES},
             **{f"power_{k}_w": report.power_by_w[k] for k in ENERGY_CATEGORIES},
             **{f"area_{k}_mm2": report.area_by_mm2[k] for k in AREA_CATEGORIES}}
-    row = flat_row(cfg, report)
+    row = dict(zip(CSV_COLUMNS, flat_row(cfg, report)))
     assert list(row) == list(want)
     for name, value in want.items():
         assert row[name] == value and type(row[name]) is type(value), name
