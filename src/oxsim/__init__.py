@@ -42,16 +42,9 @@ from .perf import (
     timeline_dual_core,
     timeline_single_core,
 )
-from .dse import (
-    Constraints,
-    OptimizationResult,
-    SweepGrid,
-    find_min_hiding_batch,
-    optimize,
-    pick_array_size,
-    size_sram,
-    sweep,
-)
+
+_DSE_NAMES = ("SweepGrid", "Constraints", "OptimizationResult",
+              "sweep", "find_min_hiding_batch", "size_sram", "pick_array_size", "optimize")
 
 __all__ = [
     "__version__",
@@ -66,15 +59,19 @@ __all__ = [
     "tile_layer", "layer_runtime", "network_runtime",
     "Timeline", "PerfReport", "timeline_single_core", "timeline_dual_core",
     "energy_model", "area_model", "evaluate",
-    "SweepGrid", "Constraints", "OptimizationResult",
-    "sweep", "find_min_hiding_batch", "size_sram", "pick_array_size", "optimize",
+    *_DSE_NAMES,
 ]
 
 
 def __getattr__(name: str):
-    # Only the numpy-backed functional model (`photonics`) is exported but not
-    # imported above; it loads on first use, so the CLI never loads numpy.
-    if name in __all__:
-        from . import photonics
-        return getattr(photonics, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Two modules are exported but not imported above; each loads on first use
+    # of one of its names. The design-space search (`dse`) is compiled only by
+    # `sweep`, `optimize` and their callers, never by `oxsim evaluate`; the
+    # numpy-backed functional model (`photonics`) by no CLI command at all.
+    if name in _DSE_NAMES:
+        from . import dse as module
+    elif name in __all__:
+        from . import photonics as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)

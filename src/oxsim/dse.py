@@ -205,7 +205,7 @@ class Constraints(Checked, _ConstraintsFields):
                 raise ConfigError(f"{name} must list at least one size, all >= 1, "
                                   f"got {list(sizes)}")
         for name in ("area_cap_mm2", "sram_step_mb"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         for name in ("hiding_eps", "tie_tol"):
             if not 0.0 <= getattr(self, name) < 1.0:

@@ -97,7 +97,8 @@ class TechParams(Checked, _TechParamsFields):
         for name, v in zip(self._fields, self):
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise ConfigError(f"tech parameter {name} must be numeric, got {v!r}")
-            if v < 0:
+            # NaN fails too; laser_wallplug_eff's own range check below rejects it
+            if v < 0 or v != v and name != "laser_wallplug_eff":
                 raise ConfigError(f"tech parameter {name} must be >= 0, got {v}")
         if not 0.0 < self.laser_wallplug_eff <= 1.0:
             raise ConfigError(

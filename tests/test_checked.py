@@ -213,3 +213,19 @@ def _bad_constraint(draw):
 def test_constraints_over_a_template_reject_each_invalid_field(template, case):
     field, bad, message = case
     _each_path(ConfigError, message, Constraints, Constraints(template=template), field, bad)
+
+
+# --- NaN in any float field ---------------------------------------------------
+
+_FLOAT_FIELDS = [(cls, field) for cls in (ChipConfig, TechParams, Constraints)
+                 for field, default in cls()._asdict().items() if type(default) is float]
+
+
+@pytest.mark.parametrize("cls, field", _FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{field}" for cls, field in _FLOAT_FIELDS])
+def test_nan_in_a_float_field_is_rejected_naming_the_field(cls, field):
+    # a range check written as `x <= 0` lets NaN through; each must fail it
+    for build in (lambda: cls(**{field: float("nan")}),
+                  lambda: cls()._replace(**{field: float("nan")})):
+        with pytest.raises(ConfigError, match=rf"\b{field}\b"):
+            build()

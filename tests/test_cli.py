@@ -736,8 +736,16 @@ def test_package_exports_resolve_and_functional_model_loads_on_first_use():
         assert getattr(oxsim, name) is not None
     assert oxsim.crossbar_mvm is oxsim.photonics.crossbar_mvm
     assert oxsim.loss_budget is oxsim.perf.loss_budget
-    with pytest.raises(AttributeError, match="no_such_name"):
-        oxsim.no_such_name
+    for name in ("SweepGrid", "Constraints", "OptimizationResult", "sweep",
+                 "find_min_hiding_batch", "size_sram", "pick_array_size", "optimize"):
+        assert name in oxsim.__all__
+        assert getattr(oxsim, name) is getattr(oxsim.dse, name)
+    # cli resolves these from dse on first use (see test_only_sweep_and_optimize_import_dse)
+    assert oxsim.cli.sweep is oxsim.dse.sweep
+    assert oxsim.cli.optimize is oxsim.dse.optimize
+    for module in (oxsim, oxsim.cli):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
 
 
 def test_every_perfbench_trace_boundary_resolves():
@@ -767,3 +775,45 @@ assert "json" not in set(sys.modules) - before
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("argv, loads_dse", [
+    (["-c", "import oxsim"], False),
+    (["-m", "oxsim.cli", "--version"], False),
+    (["-m", "oxsim.cli", "evaluate", "--topology", "toy3"], False),
+    (["-m", "oxsim.cli", "sweep", "--grid", str(CONFIGS / "array_sweep.ini"),
+      "--topology", "toy3"], True),
+    (["-m", "oxsim.cli", "optimize", "--topology", "toy3"], True),
+])
+def test_only_sweep_and_optimize_import_dse(tmp_path, argv, loads_dse):
+    # compiling dse.py costs every process that imports it a few ms; evaluate never calls it
+    src = Path(oxsim.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "oxsim.workload" in imported  # the trace was read
+    assert ("oxsim.dse" in imported) is loads_dse
+
+
+@pytest.mark.filterwarnings("ignore:no candidate batch hides programming")
+def test_perfbench_tracer_records_the_sweep_and_optimize_spans(tmp_path):
+    # cli resolves sweep and optimize on its module object, so the tracer's
+    # wrappers are what run, and --trace 1 reports the dse layers
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    audit = tmp_path / "audit.json"
+    with tracer.installed():
+        assert main(["sweep", "--grid", str(CONFIGS / "array_sweep.ini"), "--topology", "toy3",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert main(["optimize", "--topology", "toy3", "--out", str(audit)]) == 0
+    spans = {span[0]: span for span in tracer.spans}
+    assert "dse.sweep" in spans
+    rows = sum(len(step["candidates"]) for step in json.loads(audit.read_text())["steps"])
+    assert spans["dse.optimize"][4] == rows > 0
+
