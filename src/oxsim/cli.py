@@ -110,10 +110,8 @@ def _read_ini(path: Path, allowed_sections: set[str]) -> configparser.ConfigPars
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keys are case-sensitive field names
     try:
-        parser.read_string(path.read_text(), source=str(path))
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except configparser.Error as exc:
+        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     for section in parser.sections():
         if section not in allowed_sections:
@@ -174,9 +172,11 @@ def load_profile(spec: str | None) -> CalibrationProfile:
             f"({', '.join(sorted(builtin_profiles()))}) nor a file"
         )
     parser = _read_ini(path, {"profile", "overrides", "notes"})
+    name = _section(parser, "profile", CalibrationProfile, path).get("name", path.stem)
+    # the name is checked alone first, so an error about it names [profile]
+    _build(f"{path} [profile]", CalibrationProfile, name=name)
     return _build(
-        f"{path} [overrides]", CalibrationProfile,
-        name=_section(parser, "profile", CalibrationProfile, path).get("name", path.stem),
+        f"{path} [overrides]", CalibrationProfile, name=name,
         overrides=_section(parser, "overrides", TechParams, path),
         notes=dict(parser["notes"]) if parser.has_section("notes") else {},
     )

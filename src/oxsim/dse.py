@@ -195,6 +195,9 @@ class Constraints(Checked, _ConstraintsFields):
         if self.template.cores != 2:
             raise ConfigError(f"template cores must be 2: the optimizer designs a "
                               f"dual-core chip, got cores = {self.template.cores}")
+        for name in ("batch_candidates", "array_rows", "array_cols"):
+            if not all(isinstance(v, int) for v in getattr(self, name)):
+                raise ConfigError(f"{name} must list integers, got {list(getattr(self, name))}")
         b = self.batch_candidates
         if not b or b[0] < 1 or any(x >= y for x, y in zip(b, b[1:])):
             raise ConfigError(f"batch_candidates must be non-empty, >= 1 and strictly "

@@ -71,13 +71,7 @@ def json_payload(cfg: ChipConfig, report: PerfReport, manifest: dict) -> dict:
         "energy_breakdown_j": dict(report.energy_j),
         "power_breakdown_w": dict(report.power_by_w),
         "area_breakdown_mm2": dict(report.area_by_mm2),
-        "loss_budget": {
-            "worst_path_db": report.budget.worst_path_db,
-            "crossings_on_path": report.budget.crossings_on_path,
-            "waveguide_len_cm": report.budget.waveguide_len_cm,
-            "laser_optical_power_w": report.budget.laser_optical_power_w,
-            "laser_wallplug_power_w": report.budget.laser_wallplug_power_w,
-        },
+        "loss_budget": report.budget._asdict(),
         "runtime_totals": {
             "compute_cycles": report.stats.total.compute_cycles,
             "programming_events": report.stats.total.programming_events,

@@ -106,6 +106,9 @@ class TechParams(Checked, _TechParamsFields):
             )
         if self.rings_per_row_tx < 1:
             raise ConfigError("rings_per_row_tx must be >= 1")
+        if not isinstance(self.rings_per_row_tx, int):
+            raise ConfigError(f"rings_per_row_tx must be an integer, "
+                              f"got {self.rings_per_row_tx!r}")
 
 
 _TECH_FIELD_NAMES = frozenset(TechParams._fields)
@@ -134,6 +137,8 @@ class CalibrationProfile(Checked, _CalibrationProfileFields):
                                {} if notes is None else notes)
 
     def _check(self) -> None:
+        if not self.name.isprintable():  # it goes on one report header line
+            raise ConfigError(f"profile name {self.name!r} is not one printable line")
         for key in self.overrides:
             if key not in _TECH_FIELD_NAMES:
                 raise ConfigError(f"profile {self.name!r} overrides unknown tech parameter {key!r}")

@@ -125,6 +125,10 @@ class ChipConfig(Checked, _ChipConfigFields):
     __slots__ = ()
 
     def _check(self) -> None:
+        for f in ("rows", "cols", "cores", "batch", "b_in", "b_w", "b_out", "b_acc"):
+            v = getattr(self, f)
+            if not isinstance(v, int):
+                raise ConfigError(f"{f} must be an integer, got {v!r}")
         if self.rows < 1 or self.cols < 1:
             raise ConfigError(f"array must be at least 1x1, got {self.rows}x{self.cols}")
         if self.cores not in (1, 2):
@@ -425,18 +429,19 @@ def tile_layer(layer: LayerSpec, cfg: ChipConfig) -> TileMap:
 
 
 def parse_topology(path) -> list[LayerSpec]:
-    """Load LayerSpecs from a CSV with a header row (column order fixed)."""
+    """Load LayerSpecs from a UTF-8 CSV whose first non-blank row is TOPOLOGY_COLUMNS."""
     path = Path(path)
     if not path.exists():
         raise TopologyError(f"topology file not found: {path}")
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
+    except (OSError, UnicodeDecodeError) as exc:
         raise TopologyError(f"cannot read topology file {path}: {exc}") from exc
     if not text.strip():
         warnings.warn(f"topology file {path} is empty; no layers loaded")
         return []
     layers: list[LayerSpec] = []
+    header_seen = False
     reader = csv.reader(text.splitlines())
     for lineno, row in enumerate(reader, start=1):
         cells = [c.strip() for c in row]
@@ -444,8 +449,12 @@ def parse_topology(path) -> list[LayerSpec]:
             cells.pop()
         if not cells:
             continue
-        if lineno == 1:
-            continue  # header row
+        if not header_seen:
+            if cells != TOPOLOGY_COLUMNS:
+                raise TopologyError(f"{path}:{lineno}: the header must be "
+                                    f"{','.join(TOPOLOGY_COLUMNS)}, got {','.join(cells)}")
+            header_seen = True
+            continue
         if len(cells) != len(TOPOLOGY_COLUMNS):
             raise TopologyError(
                 f"{path}:{lineno}: expected {len(TOPOLOGY_COLUMNS)} columns "

@@ -229,3 +229,27 @@ def test_nan_in_a_float_field_is_rejected_naming_the_field(cls, field):
                   lambda: cls()._replace(**{field: float("nan")})):
         with pytest.raises(ConfigError, match=rf"\b{field}\b"):
             build()
+
+
+# --- NaN or a fraction in any int field ---------------------------------------
+
+# TechParams' NaN is left out: its `>= 0` check, shared by every tech parameter,
+# already rejects it
+_INT_CASES = [(cls, field, bad)
+              for cls, fields in ((ChipConfig, ("rows", "cols", "batch", "b_in", "b_w",
+                                                "b_out", "b_acc")),
+                                  (TechParams, ("rings_per_row_tx",)),
+                                  (Constraints, ("batch_candidates", "array_rows",
+                                                 "array_cols")))
+              for field in fields for bad in (float("nan"), 2.5)
+              if not (cls is TechParams and bad != bad)]
+
+
+@pytest.mark.parametrize("cls, field, bad", _INT_CASES,
+                         ids=[f"{cls.__name__}.{field}-{bad}" for cls, field, bad in _INT_CASES])
+def test_an_int_field_rejects_nan_and_fractions_naming_the_field(cls, field, bad):
+    # `x < 1` lets NaN and 2.5 through; an int field must hold an int
+    value = (1, bad) if cls is Constraints else bad
+    for build in (lambda: cls(**{field: value}), lambda: cls()._replace(**{field: value})):
+        with pytest.raises(ConfigError, match=rf"\b{field}\b.* integer"):
+            build()

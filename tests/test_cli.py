@@ -408,13 +408,14 @@ def test_bad_source_date_epoch_exits_1_before_any_work(tmp_path, monkeypatch, ca
     ("sweep", "--grid", "[grid]\nrows =\ncols = 32 64\n", "grid", "rows"),
     ("evaluate", "--config", "[chip]\nserdes_ratio = 10\n", "chip", "serdes_ratio"),
     ("optimize", "--constraints", "[chip]\ncores = 1\n", "chip", "cores"),
+    ("evaluate", "--profile", "[profile]\nname = local\n  cal\n", "profile", "name"),
 ], ids=["fractional-int", "inf-chip", "nan-tech", "nan-profile-override",
         "unknown-profile-key", "inf-grid-axis", "nan-constraint", "template-key",
         "batch-descending", "batch-zero", "batch-empty", "rows-empty", "cols-empty",
         "sram-step-zero", "area-cap-negative", "hiding-eps-one", "tie-tol-negative",
         "profile-override-negative", "grid-rows-zero", "grid-cores-three",
         "grid-sram-zero", "grid-rows-empty", "serdes-ratio-removed",
-        "template-single-core"])
+        "template-single-core", "profile-name-two-lines"])
 def test_loader_rejects_bad_key_or_value(tmp_path, capsys, command, flag, text, section, key):
     p = tmp_path / "input.ini"
     p.write_text(text)
@@ -423,6 +424,33 @@ def test_loader_rejects_bad_key_or_value(tmp_path, capsys, command, flag, text, 
     assert rc == 1
     err = capsys.readouterr().err
     assert f"{p} [{section}]" in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, body, code", [
+    ("evaluate", "--topology",
+     b"name,ifmap_h,ifmap_w,channels,filter_h,filter_w,num_filters,stride\n"
+     b"caf\xe9,8,8,3,3,3,16,1\n", 2),
+    ("evaluate", "--config", b"[chip]\n# caf\xe9\nrows = 32\n", 1),
+    ("evaluate", "--profile", b"[profile]\n# caf\xe9\nname = p\n", 1),
+    ("sweep", "--grid", b"[grid]\n# caf\xe9\nrows = 8 16\n", 1),
+    ("optimize", "--constraints", b"[constraints]\n# caf\xe9\narea_cap_mm2 = 30\n", 1),
+], ids=["topology", "config", "profile", "grid", "constraints"])
+def test_input_file_that_is_not_utf8_exits_naming_it(tmp_path, command, flag, body, code):
+    # a Latin-1 byte does not decode as UTF-8
+    path = tmp_path / "input.txt"
+    path.write_bytes(body)
+    out = tmp_path / "out"
+    argv = [command, flag, str(path), "--out", str(out)]
+    if flag != "--topology":
+        argv += ["--topology", "toy3"]
+    src = Path(oxsim.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-m", "oxsim.cli", *argv], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == code, run.stderr
+    assert str(path) in run.stderr
+    assert "Traceback" not in run.stderr
     assert not out.exists()
 
 

@@ -232,16 +232,21 @@ def _report_or_error(run, cfg):
 @given(rows=st.integers(1, 1024), cols=st.integers(1, 1024), cores=st.sampled_from([1, 2]),
        batch=st.integers(1, 10**300), clock_hz=st.floats(1e-300, 1e300),
        sram_mb=st.floats(1e-300, 1e308),
+       bits=st.fixed_dictionaries({b: st.integers(1, 64)
+                                   for b in ("b_in", "b_w", "b_out", "b_acc")}),
+       banks=st.fixed_dictionaries({bank: st.floats(1e-300, 1e308) for bank in
+                                    ("sram_filter_mb", "sram_output_mb", "sram_acc_mb")}),
        profile=st.sampled_from(["paper-default", "paper-consistent"]),
        overrides=_tech_overrides())
 def test_stages_report_and_evaluate_agree_or_fail_alike(topology, rows, cols, cores, batch,
-                                                        clock_hz, sram_mb, profile, overrides):
+                                                        clock_hz, sram_mb, bits, banks,
+                                                        profile, overrides):
     # the memo builds the loss budget and energy breakdown apart from roll_up,
     # so its checks must still fail in evaluate's order, with its message
     layers = load_topology(topology)
     tech = apply_profile(default_tech_params(), get_profile(profile))._replace(**overrides)
     cfg = ChipConfig(rows=rows, cols=cols, cores=cores, batch=batch, clock_hz=clock_hz,
-                     sram_input_mb=sram_mb)
+                     sram_input_mb=sram_mb, **bits, **banks)
     direct = _report_or_error(lambda: evaluate(layers, cfg, tech), cfg)
     memo = _report_or_error(lambda: dse._Stages(layers, tech).report(cfg), cfg)
     assert memo == direct

@@ -3,7 +3,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oxsim import (
@@ -385,14 +385,6 @@ def test_input_sram_buys_energy_not_speed_and_batch_hides_programming(
     assert hi.exposed_prog_cycles * lo.total_cycles <= lo.exposed_prog_cycles * hi.total_cycles
 
 
-def test_evaluate_breakdowns_sum(resnet_layers, headline_config, tech_calibrated):
-    r = evaluate(resnet_layers, headline_config, tech_calibrated)
-    assert sum(r.energy_j.values()) == pytest.approx(r.energy_total_j, rel=1e-9)
-    assert sum(r.power_by_w.values()) == pytest.approx(r.power_w, rel=1e-9)
-    assert sum(r.area_by_mm2.values()) == pytest.approx(r.area_mm2, rel=1e-9)
-    assert r.ips_per_w == pytest.approx(r.ips / r.power_w, rel=1e-12)
-
-
 def test_evaluate_deterministic(toy_layers, tech_calibrated):
     cfg = ChipConfig(rows=16, cols=8, cores=2, batch=2)
     a = evaluate(toy_layers, cfg, tech_calibrated)
@@ -463,6 +455,25 @@ def test_evaluate_is_finite_or_fails_cleanly(topology, case):
         return
     for out in (json_payload(cfg, report, {}), flat_row(cfg, report)):
         assert all(math.isfinite(x) for x in _floats(out))
+
+
+@settings(max_examples=300, deadline=None)
+@given(topology=st.sampled_from(["toy3", "resnet50_v15"]), case=_configs_and_tech())
+@example(topology="resnet50_v15",
+         case=(ChipConfig(rows=128, cols=128, cores=2, batch=32, sram_input_mb=26.3,
+                          sram_filter_mb=0.75, sram_output_mb=0.75, sram_acc_mb=0.75),
+               apply_profile(default_tech_params(), get_profile("paper-consistent"))))
+def test_evaluate_breakdowns_sum(topology, case):
+    # roll_up does not re-check these sums; every report it returns must hold them
+    cfg, tech = case
+    try:
+        r = evaluate(load_topology(topology), cfg, tech)
+    except EvaluationError:
+        return
+    for parts, total in ((r.energy_j, r.energy_total_j), (r.power_by_w, r.power_w),
+                         (r.area_by_mm2, r.area_mm2)):
+        assert math.isclose(sum(parts.values()), total, rel_tol=1e-9, abs_tol=1e-30)
+    assert r.ips_per_w == pytest.approx(r.ips / r.power_w, rel=1e-12)
 
 
 def test_power_too_small_for_a_finite_ips_per_w_fails_naming_it(toy_layers, tech_default):

@@ -1,6 +1,9 @@
 import csv
+import importlib.util
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -80,6 +83,49 @@ def test_parse_nonpositive_dimension(tmp_path):
 def test_parse_filter_larger_than_ifmap(tmp_path):
     with pytest.raises(TopologyError, match="does not fit"):
         parse_topology(_write(tmp_path, "c,2,2,1,3,3,4,1\n"))
+
+
+@pytest.mark.parametrize("text", [
+    "conv1,224,224,3,7,7,64,2\nconv2,56,56,64,1,1,64,1\n",
+    "name,ifmap_h,ifmap_w,filter_h,filter_w,channels,num_filters,stride\n"
+    "conv1,224,224,7,7,3,64,2\n",
+], ids=["no-header", "other-column-order"])
+def test_parse_rejects_a_first_row_that_is_not_the_header(tmp_path, text):
+    # the first row would be read as the header, or the rows in the wrong order
+    p = tmp_path / "net.csv"
+    p.write_text(text)
+    with pytest.raises(TopologyError) as info:
+        parse_topology(p)
+    assert f"{p}:1:" in str(info.value)
+    assert HEADER.strip() in str(info.value)
+
+
+def test_parse_takes_the_first_non_blank_row_as_the_header(tmp_path):
+    p = tmp_path / "net.csv"
+    p.write_text("\n  \n" + HEADER + "c,8,8,2,3,3,4,1\n")
+    assert parse_topology(p) == [LayerSpec("c", 8, 8, 2, 3, 3, 4, 1)]
+
+
+def test_every_shipped_and_perfbench_topology_loads(tmp_path, monkeypatch):
+    # the header check must not reject a topology that the tool or its benchmark writes
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for seed in range(3):
+        workloads.build("evaluate-cli", seed, tmp_path / f"in{seed}", tmp_path / f"out{seed}")
+    generated = sorted(tmp_path.glob("in*/generated_*.csv"))
+    shipped = sorted(bundled_topology_path("toy3").parent.glob("*.csv"))
+    assert generated and len(shipped) >= 2
+    for topology in shipped + generated:
+        text = topology.read_text()
+        layers = parse_topology(topology)
+        assert len(layers) == len(text.strip().splitlines()) - 1
+        # a UTF-8 byte-order mark before the header is accepted too
+        with_bom = tmp_path / "bom.csv"
+        with_bom.write_text("\ufeff" + text, encoding="utf-8")
+        assert parse_topology(with_bom) == layers
 
 
 def test_resnet_fixture_layer_count(resnet_layers):
