@@ -20,16 +20,12 @@ from .tech import (
 from .workload import (
     ChipConfig,
     Counts,
-    LayerRuntime,
     LayerSpec,
     RuntimeStats,
-    TileMap,
     bundled_topology_path,
-    layer_runtime,
     load_topology,
     network_runtime,
     parse_topology,
-    tile_layer,
 )
 from .perf import (
     LossBudget,
@@ -40,7 +36,6 @@ from .perf import (
     evaluate,
     loss_budget,
     timeline_dual_core,
-    timeline_single_core,
 )
 
 _DSE_NAMES = ("SweepGrid", "Constraints", "OptimizationResult",
@@ -54,10 +49,9 @@ __all__ = [
     "CouplerPlan", "WeightMatrix", "InputVector", "LossBudget",
     "synth_input_couplers", "synth_output_couplers", "quantize",
     "crossbar_mvm", "coherent_detect", "loss_budget",
-    "LayerSpec", "ChipConfig", "TileMap", "Counts", "LayerRuntime", "RuntimeStats",
-    "parse_topology", "load_topology", "bundled_topology_path",
-    "tile_layer", "layer_runtime", "network_runtime",
-    "Timeline", "PerfReport", "timeline_single_core", "timeline_dual_core",
+    "LayerSpec", "ChipConfig", "Counts", "RuntimeStats",
+    "parse_topology", "load_topology", "bundled_topology_path", "network_runtime",
+    "Timeline", "PerfReport", "timeline_dual_core",
     "energy_model", "area_model", "evaluate",
     *_DSE_NAMES,
 ]

@@ -110,7 +110,8 @@ def _read_ini(path: Path, allowed_sections: set[str]) -> configparser.ConfigPars
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keys are case-sensitive field names
     try:
-        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+        # a leading byte-order mark is dropped, as the topology loader drops it
+        parser.read_string(path.read_text(encoding="utf-8-sig"), source=str(path))
     except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     for section in parser.sections():

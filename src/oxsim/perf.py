@@ -83,13 +83,6 @@ def _prog_cycles(cfg: ChipConfig, tech) -> int:
     return round(cycles)
 
 
-def timeline_single_core(stats: RuntimeStats, cfg: ChipConfig, tech) -> Timeline:
-    """One array: every reprogramming stalls compute."""
-    if cfg.cores != 1:
-        raise EvaluationError(f"single-core timeline asked for a {cfg.cores}-core config")
-    return make_timeline(stats, cfg, tech)
-
-
 def timeline_dual_core(stats: RuntimeStats, cfg: ChipConfig, tech) -> Timeline:
     """Two arrays ping-pong: tile i computes while tile i+1 is programmed.
 
@@ -103,7 +96,8 @@ def timeline_dual_core(stats: RuntimeStats, cfg: ChipConfig, tech) -> Timeline:
 
 
 def make_timeline(stats: RuntimeStats, cfg: ChipConfig, tech) -> Timeline:
-    """`cfg`'s timeline: the dual-core closed form if `cores == 2`, else single core."""
+    """`cfg`'s timeline: the dual-core closed form if `cores == 2`, else single core,
+    where every reprogramming stalls compute."""
     p = _prog_cycles(cfg, tech)
     compute_total = stats.total.compute_cycles
     vectors = stats.vectors_per_tile

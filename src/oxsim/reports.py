@@ -20,6 +20,10 @@ METRIC_COLUMNS = [
     "laser_wallplug_power_w", "worst_path_db",
 ]
 
+# the RuntimeStats columns each report.json `per_layer` entry carries, besides its name
+PER_LAYER_COLUMNS = ("row_tiles", "col_tiles", "programming_events", "compute_cycles",
+                     "ifmap_resident", "output_forwarded", "dram_read_bits", "dram_write_bits")
+
 CSV_COLUMNS = (
     ["schema_version"]
     + CONFIG_COLUMNS
@@ -48,7 +52,7 @@ def flat_row(cfg: ChipConfig, report: PerfReport) -> list:
 
 def json_payload(cfg: ChipConfig, report: PerfReport, manifest: dict) -> dict:
     """Full nested report for report.json."""
-    tl = report.timeline
+    tl, stats = report.timeline, report.stats
     return {
         "schema_version": SCHEMA_VERSION,
         "manifest": manifest,
@@ -81,20 +85,9 @@ def json_payload(cfg: ChipConfig, report: PerfReport, manifest: dict) -> dict:
             "dram_read_bits": report.stats.total.dram_read_bits,
             "dram_write_bits": report.stats.total.dram_write_bits,
         },
-        "per_layer": [
-            {
-                "name": lr.layer.name,
-                "row_tiles": lr.tiles.row_tiles,
-                "col_tiles": lr.tiles.col_tiles,
-                "programming_events": lr.tiles.programming_events,
-                "compute_cycles": lr.counts.compute_cycles,
-                "ifmap_resident": lr.ifmap_resident,
-                "output_forwarded": lr.output_forwarded,
-                "dram_read_bits": lr.counts.dram_read_bits,
-                "dram_write_bits": lr.counts.dram_write_bits,
-            }
-            for lr in report.stats.layers
-        ],
+        "per_layer": [dict(zip(("name", *PER_LAYER_COLUMNS), row))
+                      for row in zip(stats.layers.names,
+                                     *[getattr(stats, name) for name in PER_LAYER_COLUMNS])],
     }
 
 

@@ -23,8 +23,8 @@ quantity with entry i for layer i:
     DRAM bits   dram_read_bits, dram_write_bits
     residency   ifmap_resident, output_forwarded (bools)
 
-Its `total` sums the columns into one `Counts`. `LayerRuntime` rows are
-built only when `stats.layers` is indexed. The columns are computed once
+Its `total` sums the columns into one `Counts`, and its `layers` is the
+`Network` whose layers the entries belong to. The columns are computed once
 per key and kept, with their sums, on the `Network`:
 
     per tiling key (array, batch, bit widths): every column but those below
@@ -40,7 +40,6 @@ from __future__ import annotations
 import csv
 import warnings
 from bisect import bisect_right
-from collections.abc import Sequence
 from typing import NamedTuple
 from importlib import resources
 from pathlib import Path
@@ -193,7 +192,15 @@ class Network(tuple):
         return net
 
     def breakpoints(self, cfg: ChipConfig) -> list[int]:
-        """`residency_breakpoints` of this network, once per (batch, b_in, b_out)."""
+        """Sorted distinct sizes that `network_runtime` tests against input SRAM.
+
+        Input-SRAM capacity enters the counts only through `ifmap_bits <=
+        capacity` and `output_bits <= capacity`. Two configs that differ only
+        in `sram_input_mb` and have the same `bisect_right(breakpoints,
+        cfg.input_sram_bits)` therefore resolve every residency test alike
+        and get identical counts. Kept once per (batch, b_in, b_out); callers
+        must not change the list.
+        """
         key = (cfg.batch, cfg.b_in, cfg.b_out)
         if key not in self._breakpoints:
             ifmap_bits, output_bits = _io_columns(self, cfg)
@@ -204,15 +211,6 @@ class Network(tuple):
     def of(cls, layers) -> "Network":
         """`layers` itself if it is a Network already, else its columns lifted."""
         return layers if isinstance(layers, cls) else cls(layers)
-
-
-class TileMap(NamedTuple):
-    """How one layer splits across crossbar programmings."""
-
-    row_tiles: int
-    col_tiles: int
-    vectors_per_tile: int
-    programming_events: int
 
 
 class Counts(NamedTuple):
@@ -251,25 +249,14 @@ class Counts(NamedTuple):
         return self.dram_read_bits + self.dram_write_bits
 
 
-class LayerRuntime(NamedTuple):
-    """Per-layer counters plus the residency decisions behind them."""
-
-    layer: LayerSpec
-    tiles: TileMap
-    counts: Counts
-    ifmap_resident: bool
-    output_forwarded: bool
-
-
 class RuntimeStats(NamedTuple):
     """Counters of one network pass: one column per quantity, plus their sums.
 
-    Entry i of each column belongs to `network[i]`. Weight, output and
-    accumulator bits are each read once and written once. `layers` shows
-    the columns as `LayerRuntime` rows, built only when read.
+    Entry i of each column belongs to `layers[i]`, named `layers.names[i]`.
+    Weight, output and accumulator bits are each read once and written once.
     """
 
-    network: Network
+    layers: Network
     row_tiles: list[int]
     col_tiles: list[int]
     vectors_per_tile: list[int]
@@ -287,10 +274,6 @@ class RuntimeStats(NamedTuple):
     output_forwarded: list[bool]
     total: Counts
 
-    @property
-    def layers(self) -> "LayerRows":
-        return LayerRows(self)
-
 
 # the RuntimeStats column behind each Counts field, in field order
 _COUNT_COLUMNS = ("compute_cycles", "programming_events", "cells_programmed",
@@ -299,47 +282,10 @@ _COUNT_COLUMNS = ("compute_cycles", "programming_events", "cells_programmed",
                   "dram_write_bits")
 
 
-class LayerRows(Sequence):
-    """`RuntimeStats.layers`: one `LayerRuntime` per layer, built on indexing."""
-
-    __slots__ = ("_stats",)
-
-    def __init__(self, stats: RuntimeStats) -> None:
-        self._stats = stats
-
-    def __len__(self) -> int:
-        return len(self._stats.network)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(len(self))[i])
-        s = self._stats
-        return LayerRuntime(
-            layer=s.network[i],
-            tiles=TileMap(s.row_tiles[i], s.col_tiles[i], s.vectors_per_tile[i],
-                          s.programming_events[i]),
-            counts=Counts(*(getattr(s, name)[i] for name in _COUNT_COLUMNS)),
-            ifmap_resident=s.ifmap_resident[i],
-            output_forwarded=s.output_forwarded[i],
-        )
-
-
 def _io_columns(net: Network, cfg: ChipConfig) -> tuple[list[int], list[int]]:
     """Batched ifmap and output sizes of each layer, in bits."""
     in_scale, out_scale = cfg.batch * cfg.b_in, cfg.batch * cfg.b_out
     return [v * in_scale for v in net.ifmaps], [v * out_scale for v in net.outputs]
-
-
-def residency_breakpoints(layers, cfg: ChipConfig) -> list[int]:
-    """Sorted distinct sizes that `network_runtime` tests against input SRAM.
-
-    Input-SRAM capacity enters the counts only through `ifmap_bits <=
-    capacity` and `output_bits <= capacity`. Two configs that differ only in
-    `sram_input_mb` and have the same `bisect_right(breakpoints,
-    cfg.input_sram_bits)` therefore resolve every residency test alike and
-    get identical counts.
-    """
-    return list(Network.of(layers).breakpoints(cfg))
 
 
 def network_runtime(layers, cfg: ChipConfig) -> RuntimeStats:
@@ -366,7 +312,7 @@ def network_runtime(layers, cfg: ChipConfig) -> RuntimeStats:
     columns, residency_sums = net._residencies[key]
     sums = {**sums, **residency_sums}
     total = Counts(*[sums[name] for name in _COUNT_COLUMNS])
-    return RuntimeStats(network=net, **fixed, **columns, total=total)
+    return RuntimeStats(layers=net, **fixed, **columns, total=total)
 
 
 def _tiling(net: Network, cfg: ChipConfig) -> tuple[dict, dict, list[int]]:
@@ -417,15 +363,6 @@ def _residency(fixed: dict, ifmap_bits: list[int], fits: set[int]) -> tuple[dict
     )
     sums = {n: sum(c) for n, c in columns.items()}
     return {**columns, "ifmap_resident": resident, "output_forwarded": forwarded}, sums
-
-
-def layer_runtime(layer: LayerSpec, cfg: ChipConfig) -> LayerRuntime:
-    """Counters for one layer in isolation (ifmap fetched, output written)."""
-    return network_runtime([layer], cfg).layers[0]
-
-
-def tile_layer(layer: LayerSpec, cfg: ChipConfig) -> TileMap:
-    return layer_runtime(layer, cfg).tiles
 
 
 def parse_topology(path) -> list[LayerSpec]:

@@ -454,6 +454,28 @@ def test_input_file_that_is_not_utf8_exits_naming_it(tmp_path, command, flag, bo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, text", [
+    ("evaluate", "--config", CONFIG_HEADLINE),
+    ("evaluate", "--profile", "[profile]\nname = local\n\n[overrides]\np_tia = 1e-3\n"),
+    ("sweep", "--grid", GRID_SMALL),
+    ("optimize", "--constraints", CONSTRAINTS_SMALL),
+], ids=["config", "profile", "grid", "constraints"])
+def test_input_file_with_a_byte_order_mark_reads_as_without_it(tmp_path, command, flag, text):
+    outputs = {}
+    for bom in (b"", b"\xef\xbb\xbf"):
+        run_dir = tmp_path / ("bom" if bom else "plain")
+        run_dir.mkdir()
+        path = run_dir / "input.ini"
+        path.write_bytes(bom + text.encode())
+        out = run_dir / "out"
+        assert main([command, flag, str(path), "--topology", "toy3", "--out", str(out)]) == 0
+        files = sorted(out.iterdir()) if out.is_dir() else [out]
+        # the manifest hashes the input file's bytes, which differ by the mark
+        outputs[bom] = {f.name: f.read_text().replace(_sha(path), "<input sha256>")
+                        for f in files}
+    assert outputs[b""] == outputs[b"\xef\xbb\xbf"]
+
+
 def test_atomic_write_failure_leaves_target_and_no_temp_file(tmp_path, monkeypatch):
     target = tmp_path / "report.json"
     target.write_text("old")
@@ -844,4 +866,6 @@ def test_perfbench_tracer_records_the_sweep_and_optimize_spans(tmp_path):
     assert "dse.sweep" in spans
     rows = sum(len(step["candidates"]) for step in json.loads(audit.read_text())["steps"])
     assert spans["dse.optimize"][4] == rows > 0
+    # the tracer counts the layers each mapping covers as len(stats.layers): toy3 has 3
+    assert {span[4] for span in tracer.spans if span[0] == "workload.network_runtime"} == {3}
 

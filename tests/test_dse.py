@@ -28,7 +28,7 @@ from oxsim import (
 from oxsim import dse, perf, workload
 from oxsim.perf import area_model
 from oxsim.reports import flat_row
-from oxsim.workload import residency_breakpoints
+from oxsim.workload import Network
 
 
 def test_sweep_single_point_equals_evaluate(toy_layers, tech_default):
@@ -108,7 +108,7 @@ def test_sweep_memo_equals_evaluate_at_every_point(topology, rows, cols, batch, 
         assert report.stats == direct.stats and report.timeline == direct.timeline
     assert len(mapped) == len({
         (c.rows, c.cols, c.batch,
-         bisect_right(residency_breakpoints(layers, c), c.input_sram_bits))
+         bisect_right(Network.of(layers).breakpoints(c), c.input_sram_bits))
         for c in configs})
     assert len(timed) == len({(c.rows, c.cols, c.batch, c.cores) for c in configs})
 
@@ -125,7 +125,7 @@ def test_sweep_builds_each_loss_budget_and_energy_breakdown_once(resnet_layers,
 
     def counting_energy(stats, timeline, cfg, tech, budget=None):
         energies.append((cfg.rows, cfg.cols, cfg.batch, cfg.b_in, cfg.b_w, cfg.b_out,
-                         cfg.b_acc, bisect_right(residency_breakpoints(resnet_layers, cfg),
+                         cfg.b_acc, bisect_right(Network.of(resnet_layers).breakpoints(cfg),
                                                  cfg.input_sram_bits), cfg.clock_hz))
         return energy_model(stats, timeline, cfg, tech, budget)
 
@@ -157,7 +157,7 @@ def test_sweep_builds_each_residency_column_set_and_area_once(resnet_layers, tec
         # the config being mapped when the columns are built
         cfg = mapped[-1]
         columns.append((cfg.cols, cfg.b_w, cfg.batch, cfg.b_in, cfg.b_out,
-                        bisect_right(residency_breakpoints(resnet_layers, cfg),
+                        bisect_right(Network.of(resnet_layers).breakpoints(cfg),
                                      cfg.input_sram_bits)))
         return residency(fixed, ifmap_bits, fits)
 
@@ -176,7 +176,7 @@ def test_sweep_builds_each_residency_column_set_and_area_once(resnet_layers, tec
     assert len(columns) == len(set(columns)) < len(mapped)
     assert set(columns) == {
         (c.cols, c.b_w, c.batch, c.b_in, c.b_out,
-         bisect_right(residency_breakpoints(resnet_layers, c), c.input_sram_bits))
+         bisect_right(Network.of(resnet_layers).breakpoints(c), c.input_sram_bits))
         for c in configs}
     assert len(areas) == len(set(areas)) == len(
         {(c.rows, c.cols, c.cores, c.sram_input_mb) for c in configs}) < len(configs)
@@ -393,7 +393,7 @@ def test_size_sram_memo_equals_scan_of_every_candidate(
                            "critical_input_sram_mb": critical}
     traffics = [c["dram_bits"] for c in plan.candidates]
     assert all(a >= b for a, b in zip(traffics, traffics[1:]))
-    assert len(calls) <= len(residency_breakpoints(layers, tpl)) + 1
+    assert len(calls) <= len(Network.of(layers).breakpoints(tpl)) + 1
 
 
 def test_size_sram_memo_counts_a_capacity_equal_to_a_breakpoint_as_resident(tech_default):
@@ -401,7 +401,7 @@ def test_size_sram_memo_counts_a_capacity_equal_to_a_breakpoint_as_resident(tech
     # column tiles a non-resident ifmap is fetched twice
     layers = [LayerSpec("mb", 1024, 1024, 1, 1, 1, 2, 1)]
     tpl = ChipConfig(rows=1, cols=1, cores=2, batch=1, b_in=8, b_out=8)
-    assert residency_breakpoints(layers, tpl) == [8 * 2**20, 16 * 2**20]
+    assert Network.of(layers).breakpoints(tpl) == [8 * 2**20, 16 * 2**20]
     cap = sum(area_model(tpl.with_(sram_input_mb=2.0), tech_default).values())
     plan = size_sram(layers, tpl, tech_default, Constraints(area_cap_mm2=cap, sram_step_mb=0.5))
     assert plan.candidates == _scan_every_candidate(layers, tpl, tech_default, 4, 0.5)[0]
@@ -513,7 +513,7 @@ def test_optimize_maps_and_times_each_distinct_input_once(resnet_layers, tech_ca
 
     assert mapped_outside == []
     keys = [(c.rows, c.cols, c.b_w, c.b_acc, c.batch, c.b_in, c.b_out,
-             bisect_right(residency_breakpoints(resnet_layers, c), c.input_sram_bits))
+             bisect_right(Network.of(resnet_layers).breakpoints(c), c.input_sram_bits))
             for c in mapped]
     # new keys per step: batch 9, sram 14, array 24 (32x32 is the sram step's
     # pick), sram again 14, array again 0 (it shares every key)

@@ -18,9 +18,8 @@ from oxsim import (
     load_topology,
     network_runtime,
     timeline_dual_core,
-    timeline_single_core,
 )
-from oxsim.perf import area_model, energy_model, loss_budget
+from oxsim.perf import area_model, energy_model, loss_budget, make_timeline
 from oxsim.reports import flat_row, json_payload
 from oxsim.workload import Counts, Network, RuntimeStats
 
@@ -54,8 +53,7 @@ def replay_dual(stream, p):
 
 
 def _stream_of(stats):
-    return [(lr.tiles.vectors_per_tile, lr.tiles.programming_events)
-            for lr in stats.layers]
+    return list(zip(stats.vectors_per_tile, stats.programming_events))
 
 
 def _uniform_stream_stats(cycles_per_tile, tiles):
@@ -70,7 +68,7 @@ def _uniform_stream_stats(cycles_per_tile, tiles):
 def test_single_core_stalls_per_tile():
     # one tile of 1000 cycles at 10 GHz plus one 100 ns programming = 200 ns
     stats, cfg = _uniform_stream_stats(1000, 1)
-    tl = timeline_single_core(stats, cfg.with_(cores=1), default_tech_params())
+    tl = make_timeline(stats, cfg.with_(cores=1), default_tech_params())
     assert tl.total_cycles == 2000
     assert tl.t_total == pytest.approx(200e-9, rel=1e-12)
     assert tl.t_program_exposed == pytest.approx(100e-9, rel=1e-12)
@@ -79,7 +77,7 @@ def test_single_core_stalls_per_tile():
 def test_zero_programming_time_leaves_pure_compute():
     stats, cfg = _uniform_stream_stats(500, 4)
     tech = default_tech_params()._replace(t_pcm_program=0.0)
-    tl = timeline_single_core(stats, cfg.with_(cores=1), tech)
+    tl = make_timeline(stats, cfg.with_(cores=1), tech)
     assert tl.t_total == tl.t_compute
     assert tl.t_program_exposed == 0.0
 
@@ -87,7 +85,7 @@ def test_zero_programming_time_leaves_pure_compute():
 def test_single_core_matches_replay_on_resnet(resnet_layers, headline_config):
     cfg = headline_config.with_(cores=1)
     stats = network_runtime(resnet_layers, cfg)
-    tl = timeline_single_core(stats, cfg, default_tech_params())
+    tl = make_timeline(stats, cfg, default_tech_params())
     assert tl.total_cycles == replay_single(_stream_of(stats), 1000)
 
 
@@ -123,7 +121,7 @@ def test_dual_core_mixed_streams_match_replay():
         stats = network_runtime(layers, cfg)
         tl = timeline_dual_core(stats, cfg, tech)
         assert tl.total_cycles == replay_dual(_stream_of(stats), 1000)
-        single = timeline_single_core(stats, cfg.with_(cores=1), tech)
+        single = make_timeline(stats, cfg.with_(cores=1), tech)
         assert tl.total_cycles <= single.total_cycles
         assert tl.t_program_exposed <= single.t_program_exposed + 1e-15
 
@@ -200,7 +198,7 @@ def test_timeline_equals_the_per_layer_oracle(case):
     stats = network_runtime(layers, cfg)
     tech = default_tech_params()._replace(t_pcm_program=float(p))
     stream = [(layer.name, count, cycles) for layer, (count, cycles) in zip(layers, tiles)]
-    for cores, timeline in ((1, timeline_single_core), (2, timeline_dual_core)):
+    for cores, timeline in ((1, make_timeline), (2, timeline_dual_core)):
         tl = timeline(stats, cfg.with_(cores=cores), tech)
         assert tl.prog_cycles_per_event == p
         assert (tl.compute_cycles, tl.exposed_prog_cycles, tl.total_cycles) == \
@@ -209,9 +207,6 @@ def test_timeline_equals_the_per_layer_oracle(case):
 
 def test_timeline_core_count_must_match():
     stats, cfg = _uniform_stream_stats(10, 1)
-    from oxsim.errors import EvaluationError
-    with pytest.raises(EvaluationError):
-        timeline_single_core(stats, cfg, default_tech_params())
     with pytest.raises(EvaluationError):
         timeline_dual_core(stats, cfg.with_(cores=1), default_tech_params())
 
@@ -221,9 +216,9 @@ def test_timeline_core_count_must_match():
 def test_energy_zero_activity_is_all_zero():
     # a network with no layers: every column empty, every total 0
     columns = dict.fromkeys(RuntimeStats._fields, [])
-    stats = RuntimeStats(**{**columns, "network": Network(), "total": Counts()})
+    stats = RuntimeStats(**{**columns, "layers": Network(), "total": Counts()})
     cfg = ChipConfig(rows=4, cols=4, cores=1, batch=1)
-    tl = timeline_single_core(stats, cfg, default_tech_params())
+    tl = make_timeline(stats, cfg, default_tech_params())
     energy = energy_model(stats, tl, cfg, default_tech_params(),
                           loss_budget(cfg, default_tech_params()))
     assert all(v == 0.0 for v in energy.values())
@@ -235,7 +230,7 @@ def test_energy_single_cycle_unit_cell():
     tech = default_tech_params()
     stats = network_runtime([layer], cfg)
     assert stats.total.compute_cycles == 1
-    tl = timeline_single_core(stats, cfg, tech)
+    tl = make_timeline(stats, cfg, tech)
     energy = energy_model(stats, tl, cfg, tech, loss_budget(cfg, tech))
     assert energy["adc"] == pytest.approx(25e-3 / 1e10, rel=1e-12)   # 2.5 pJ
     assert energy["tia"] == pytest.approx(2.25e-3 / 1e10, rel=1e-12)  # 0.225 pJ

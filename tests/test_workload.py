@@ -6,23 +6,24 @@ import sys
 from pathlib import Path
 
 import pytest
+from typing import NamedTuple
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oxsim import (
     ChipConfig,
     Counts,
-    LayerRuntime,
     LayerSpec,
-    TileMap,
     TopologyError,
     bundled_topology_path,
-    layer_runtime,
+    default_tech_params,
+    evaluate,
     network_runtime,
     parse_topology,
-    tile_layer,
 )
-from oxsim.workload import MB_BITS, Network
+from oxsim.reports import json_payload
+from oxsim.workload import _COUNT_COLUMNS, MB_BITS, Network
 
 HEADER = "name,ifmap_h,ifmap_w,channels,filter_h,filter_w,num_filters,stride\n"
 
@@ -145,6 +146,50 @@ def test_resnet_fixture_row_order(resnet_layers):
     assert names == file_names
 
 
+# --- per-layer rows ----------------------------------------------------------
+# The mapping returns columns; these rows are how the per-layer tests and the
+# scalar oracle below read one layer.
+
+class TileMap(NamedTuple):
+    """How one layer splits across crossbar programmings."""
+
+    row_tiles: int
+    col_tiles: int
+    vectors_per_tile: int
+    programming_events: int
+
+
+class LayerRuntime(NamedTuple):
+    """Per-layer counters plus the residency decisions behind them."""
+
+    layer: LayerSpec
+    tiles: TileMap
+    counts: Counts
+    ifmap_resident: bool
+    output_forwarded: bool
+
+
+def _rows(stats) -> list[LayerRuntime]:
+    """One LayerRuntime per layer, read off the columns of `stats`."""
+    return [LayerRuntime(
+        layer=layer,
+        tiles=TileMap(stats.row_tiles[i], stats.col_tiles[i], stats.vectors_per_tile[i],
+                      stats.programming_events[i]),
+        counts=Counts(*(getattr(stats, name)[i] for name in _COUNT_COLUMNS)),
+        ifmap_resident=stats.ifmap_resident[i],
+        output_forwarded=stats.output_forwarded[i],
+    ) for i, layer in enumerate(stats.layers)]
+
+
+def layer_runtime(layer: LayerSpec, cfg: ChipConfig) -> LayerRuntime:
+    """Counters for one layer in isolation (ifmap fetched, output written)."""
+    return _rows(network_runtime([layer], cfg))[0]
+
+
+def tile_layer(layer: LayerSpec, cfg: ChipConfig) -> TileMap:
+    return layer_runtime(layer, cfg).tiles
+
+
 # --- tiling ------------------------------------------------------------------
 
 def test_tile_counts_3x3x64():
@@ -252,7 +297,7 @@ def test_forwarding_zeroes_consumer_ifmap_reads():
     b = LayerSpec("b", 8, 8, 8, 3, 3, 16, 1)
     cfg = ChipConfig(rows=32, cols=32, batch=1, sram_input_mb=1.0)
     net = network_runtime([a, b], cfg)
-    lr_a, lr_b = net.layers
+    lr_a, lr_b = _rows(net)
     assert lr_a.output_forwarded
     assert lr_b.counts.dram_read_bits == 3 * 3 * 8 * 16 * cfg.b_w  # weights only
     # layer a's output never leaves chip; layer b's (last) always does
@@ -265,7 +310,7 @@ def test_output_too_big_to_forward_goes_through_dram():
     b = LayerSpec("b", 64, 64, 512, 1, 1, 8, 1)
     cfg = ChipConfig(rows=128, cols=128, batch=8, sram_input_mb=1.0)
     net = network_runtime([a, b], cfg)
-    lr_a, lr_b = net.layers
+    lr_a, lr_b = _rows(net)
     assert not lr_a.output_forwarded
     assert lr_a.counts.dram_write_bits == lr_a.counts.sram_output_write_bits
     assert lr_b.counts.dram_read_bits > lr_b.counts.sram_filter_read_bits
@@ -299,10 +344,10 @@ def test_resnet_cycles_match_independent_recount(resnet_layers, headline_config)
 
 
 def test_resnet_all_resident_at_headline_batch(resnet_layers, headline_config):
-    net = network_runtime(resnet_layers, headline_config)
-    assert all(lr.ifmap_resident for lr in net.layers)
-    assert all(lr.output_forwarded for lr in net.layers[:-1])
-    assert not net.layers[-1].output_forwarded
+    rows = _rows(network_runtime(resnet_layers, headline_config))
+    assert all(lr.ifmap_resident for lr in rows)
+    assert all(lr.output_forwarded for lr in rows[:-1])
+    assert not rows[-1].output_forwarded
 
 
 # --- properties --------------------------------------------------------------
@@ -452,10 +497,29 @@ def test_network_runtime_equals_the_scalar_per_layer_oracle(case):
     per_layer, total = _oracle_network(layers, cfg)
     stats = network_runtime(layers, cfg)
     assert stats.total == total
-    assert len(stats.layers) == len(per_layer)
-    assert list(stats.layers) == per_layer
-    assert stats.layers[-1] == per_layer[-1]
-    assert stats.layers[:-1] == tuple(per_layer[:-1])
+    assert _rows(stats) == per_layer
+
+
+@settings(max_examples=300, deadline=None)
+@given(_networks_and_configs())
+def test_report_json_per_layer_equals_the_scalar_oracle(case):
+    layers, cfg = case
+    per_layer, _ = _oracle_network(layers, cfg)
+    report = evaluate(layers, cfg, default_tech_params())
+    got = json_payload(cfg, report, {})["per_layer"]
+    want = [{"name": lr.layer.name,
+             "row_tiles": lr.tiles.row_tiles,
+             "col_tiles": lr.tiles.col_tiles,
+             "programming_events": lr.tiles.programming_events,
+             "compute_cycles": lr.counts.compute_cycles,
+             "ifmap_resident": lr.ifmap_resident,
+             "output_forwarded": lr.output_forwarded,
+             "dram_read_bits": lr.counts.dram_read_bits,
+             "dram_write_bits": lr.counts.dram_write_bits} for lr in per_layer]
+    assert got == want
+    # `True == 1`, so the types are compared too: a count stays an int, a flag a bool
+    assert [{k: type(v) for k, v in row.items()} for row in got] == \
+        [{k: type(v) for k, v in row.items()} for row in want]
 
 
 # --- the tiling memo of a shared Network ---------------------------------------
