@@ -250,10 +250,7 @@ def _csv_text(rows: list[list], manifest: RunManifest) -> str:
 
 def _topology(spec: str) -> tuple[list, Path]:
     path = topology_path(spec)
-    layers = load_topology(path)
-    if not layers:
-        raise TopologyError(f"topology {path} contains no layers")
-    return layers, path
+    return load_topology(path), path
 
 
 def cmd_evaluate(args) -> int:

@@ -250,6 +250,9 @@ def find_min_hiding_batch(layers, template: ChipConfig, tech, cons: Constraints,
     return StepRecord("batch", tuple(audit), {"batch": best}, template.with_(batch=best))
 
 
+MAX_SRAM_STEPS = 100_000  # bound of size_sram's grid scan; the shipped scan has 841 steps
+
+
 def size_sram(layers, template: ChipConfig, tech, cons: Constraints,
               _stages: _Stages | None = None) -> StepRecord:
     """Largest input SRAM (on a step grid) that keeps total area under the cap.
@@ -279,6 +282,10 @@ def size_sram(layers, template: ChipConfig, tech, cons: Constraints,
             f"sram step: area cap {cons.area_cap_mm2} mm2 leaves {headroom:.3f} mm2 for "
             f"input SRAM; even {step_mb} MB does not fit"
         )
+    if max_units > MAX_SRAM_STEPS:
+        raise InfeasibleError(f"sram step: the area cap allows {max_units} steps of {step_mb} MB "
+                              f"at a_sram_per_mb = {tech.a_sram_per_mb} mm2/MB, more than "
+                              f"the {MAX_SRAM_STEPS} the scan visits")
 
     # Only the SRAM term of `area_model` changes between candidates. Adding
     # the banks in `total_sram_mb`'s order and summing the same six terms in

@@ -81,10 +81,10 @@ class CouplerPlan:
     def for_array(cls, rows: int, cols: int) -> "CouplerPlan":
         return cls(k_in=synth_input_couplers(cols), k_out=synth_output_couplers(rows))
 
-    def delivered_input_fields(self, row_field: float = 1.0) -> np.ndarray:
-        """Field delivered into each cell of a row, by tap-by-tap propagation."""
+    def delivered_input_fields(self) -> np.ndarray:
+        """Field delivered into each cell of a unit-field row, by tap-by-tap propagation."""
         delivered = np.empty(self.cols)
-        remaining = row_field
+        remaining = 1.0
         for j, k in enumerate(self.k_in):
             delivered[j] = remaining * k
             remaining *= math.sqrt(max(0.0, 1.0 - k * k))
@@ -125,51 +125,42 @@ def _on_grid(values: np.ndarray, bits: int) -> bool:
 
 
 @dataclass(frozen=True)
-class WeightMatrix:
-    """N x M stored field transmissions, quantized to 2**bits levels."""
+class _Levels:
+    """Field values of rank `_ndim`, quantized to 2**bits levels."""
 
     values: np.ndarray
     bits: int = 6
+    _ndim, _what, _items = 0, "", ""  # set by each subclass
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if v.ndim != 2:
-            raise ValueError("weight matrix must be 2-D")
+        if v.ndim != self._ndim:
+            raise ValueError(f"{self._what} must be {self._ndim}-D")
         if np.any(v < 0.0) or np.any(v > 1.0):
-            raise ValueError("weights must lie in [0, 1]")
+            raise ValueError(f"{self._items} must lie in [0, 1]")
         if not _on_grid(v, self.bits):
-            raise ValueError(f"weights must sit on the {2**self.bits}-level grid")
+            raise ValueError(f"{self._items} must sit on the {2**self.bits}-level grid")
 
     @classmethod
-    def from_real(cls, values, bits: int = 6) -> "WeightMatrix":
+    def from_real(cls, values, bits: int = 6):
         return cls(values=quantize(np.asarray(values, dtype=float), bits), bits=bits)
+
+
+class WeightMatrix(_Levels):
+    """N x M stored field transmissions, quantized to 2**bits levels."""
+
+    _ndim, _what, _items = 2, "weight matrix", "weights"
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
 
-@dataclass(frozen=True)
-class InputVector:
+class InputVector(_Levels):
     """Length-N field amplitudes, quantized to 2**bits levels."""
 
-    values: np.ndarray
-    bits: int = 6
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1:
-            raise ValueError("input vector must be 1-D")
-        if np.any(v < 0.0) or np.any(v > 1.0):
-            raise ValueError("inputs must lie in [0, 1]")
-        if not _on_grid(v, self.bits):
-            raise ValueError(f"inputs must sit on the {2**self.bits}-level grid")
-
-    @classmethod
-    def from_real(cls, values, bits: int = 6) -> "InputVector":
-        return cls(values=quantize(np.asarray(values, dtype=float), bits), bits=bits)
+    _ndim, _what, _items = 1, "input vector", "inputs"
 
 
 def crossbar_mvm(
@@ -180,7 +171,7 @@ def crossbar_mvm(
     phase_offsets: np.ndarray | None = None,
     return_cell_fields: bool = False,
 ):
-    """End-of-column fields for one crossbar pass, by tap-by-tap propagation.
+    """End-of-column fields for one crossbar pass, through the plan's coupler ladders.
 
     `v` is an InputVector (or plain length-N array), `w` a WeightMatrix (or
     N x M array). The result is checked against the closed form
@@ -199,29 +190,16 @@ def crossbar_mvm(
             f"coupler plan is for {plan.rows}x{plan.cols}, weights are {n}x{m}"
         )
 
+    # row buses tap each cell's share of its row field, which the cell's
+    # transmission scales; column buses collect each row's product with its weight
     row_fields = vv * (e_laser / math.sqrt(n))
-
-    # row buses: walk the tap ladder, peeling off each cell's share
-    delivered = np.empty((n, m))
-    remaining = row_fields.copy()
-    for j in range(m):
-        k = plan.k_in[j]
-        delivered[:, j] = remaining * k
-        remaining *= math.sqrt(max(0.0, 1.0 - k * k))
-
-    cell_fields = delivered * ww
+    cell_fields = np.outer(row_fields, plan.delivered_input_fields()) * ww
     if phase_offsets is not None:
         phi = np.asarray(phase_offsets, dtype=float)
         if phi.shape != (n, m):
             raise ValueError(f"phase offsets must be shaped {n}x{m}")
         cell_fields = cell_fields * np.cos(phi)
-
-    # column buses: each row's injector couples in while attenuating what
-    # is already on the bus
-    bus = np.zeros(m)
-    for i in range(n):
-        k = plan.k_out[i]
-        bus = bus * math.sqrt(max(0.0, 1.0 - k * k)) + k * cell_fields[i]
+    bus = plan.collection_weights() @ cell_fields
 
     effective = ww if phase_offsets is None else ww * np.cos(phi)
     closed_form = (e_laser / (n * math.sqrt(m))) * (effective.T @ vv)

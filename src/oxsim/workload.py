@@ -38,7 +38,6 @@ capacity in the residency breakpoints, which are kept per (batch, b_in, b_out).
 from __future__ import annotations
 
 import csv
-import warnings
 from bisect import bisect_right
 from typing import NamedTuple
 from importlib import resources
@@ -214,31 +213,29 @@ class Network(tuple):
 
 
 class Counts(NamedTuple):
-    """Event and traffic counters; all integers, all additive."""
+    """Event and traffic counters; all integers, all additive.
 
-    compute_cycles: int = 0
+    One field per count column of `RuntimeStats`, with its name and in its order.
+    """
+
     programming_events: int = 0
+    compute_cycles: int = 0
     cells_programmed: int = 0
-    sram_input_read_bits: int = 0
-    sram_input_write_bits: int = 0
-    sram_filter_read_bits: int = 0
-    sram_filter_write_bits: int = 0
-    sram_output_read_bits: int = 0
-    sram_output_write_bits: int = 0
-    sram_acc_read_bits: int = 0
-    sram_acc_write_bits: int = 0
+    input_read_bits: int = 0
+    input_write_bits: int = 0
+    weight_bits: int = 0
+    output_bits: int = 0
+    acc_bits: int = 0
     dram_read_bits: int = 0
     dram_write_bits: int = 0
 
     @property
     def sram_read_bits(self) -> int:
-        return (self.sram_input_read_bits + self.sram_filter_read_bits
-                + self.sram_output_read_bits + self.sram_acc_read_bits)
+        return self.input_read_bits + self.weight_bits + self.output_bits + self.acc_bits
 
     @property
     def sram_write_bits(self) -> int:
-        return (self.sram_input_write_bits + self.sram_filter_write_bits
-                + self.sram_output_write_bits + self.sram_acc_write_bits)
+        return self.input_write_bits + self.weight_bits + self.output_bits + self.acc_bits
 
     @property
     def sram_bits(self) -> int:
@@ -275,13 +272,6 @@ class RuntimeStats(NamedTuple):
     total: Counts
 
 
-# the RuntimeStats column behind each Counts field, in field order
-_COUNT_COLUMNS = ("compute_cycles", "programming_events", "cells_programmed",
-                  "input_read_bits", "input_write_bits", "weight_bits", "weight_bits",
-                  "output_bits", "output_bits", "acc_bits", "acc_bits", "dram_read_bits",
-                  "dram_write_bits")
-
-
 def _io_columns(net: Network, cfg: ChipConfig) -> tuple[list[int], list[int]]:
     """Batched ifmap and output sizes of each layer, in bits."""
     in_scale, out_scale = cfg.batch * cfg.b_in, cfg.batch * cfg.b_out
@@ -311,7 +301,7 @@ def network_runtime(layers, cfg: ChipConfig) -> RuntimeStats:
         net._residencies[key] = _residency(fixed, ifmap_bits, set(breakpoints[:pattern]))
     columns, residency_sums = net._residencies[key]
     sums = {**sums, **residency_sums}
-    total = Counts(*[sums[name] for name in _COUNT_COLUMNS])
+    total = Counts(*[sums[name] for name in Counts._fields])
     return RuntimeStats(layers=net, **fixed, **columns, total=total)
 
 
@@ -374,9 +364,6 @@ def parse_topology(path) -> list[LayerSpec]:
         text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except (OSError, UnicodeDecodeError) as exc:
         raise TopologyError(f"cannot read topology file {path}: {exc}") from exc
-    if not text.strip():
-        warnings.warn(f"topology file {path} is empty; no layers loaded")
-        return []
     layers: list[LayerSpec] = []
     header_seen = False
     reader = csv.reader(text.splitlines())
@@ -407,7 +394,7 @@ def parse_topology(path) -> list[LayerSpec]:
         except ValueError as exc:
             raise TopologyError(f"{path}:{lineno}: {exc}") from exc
     if not layers:
-        warnings.warn(f"topology file {path} has a header but no layers")
+        raise TopologyError(f"topology file {path} contains no layers")
     return layers
 
 

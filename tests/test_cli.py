@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import oxsim
 import oxsim.cli
 from oxsim.cli import RunManifest, _atomic_write, _csv_text, _over_chip, load_run_inputs, main
-from oxsim.dse import Constraints, SweepGrid, sweep
+from oxsim.dse import MAX_SRAM_STEPS, Constraints, SweepGrid, sweep
 from oxsim.reports import CSV_COLUMNS, flat_row
 from oxsim.workload import ChipConfig, load_topology
 
@@ -310,6 +310,21 @@ def test_topology_path_is_directory_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("text", [
+    "", "\n  \n", "name,ifmap_h,ifmap_w,channels,filter_h,filter_w,num_filters,stride\n",
+], ids=["empty", "blank", "header-only"])
+def test_topology_without_layers_exits_2_naming_it_once(tmp_path, text):
+    topo = tmp_path / "topo.csv"
+    topo.write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(Path(oxsim.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-m", "oxsim.cli", "evaluate", "--topology", str(topo),
+                          "--out", str(tmp_path / "o")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr == f"topology error: topology file {topo} contains no layers\n"
+    assert "Traceback" not in run.stderr and "UserWarning" not in run.stderr
+
+
 def test_constraints_malformed_value_exits_1(tmp_path, capsys):
     cons = tmp_path / "cons.ini"
     cons.write_text("[constraints]\nbatch_candidates = one two\n")
@@ -342,6 +357,21 @@ def test_optimize_infeasible_exits_4(tmp_path, capsys):
     assert rc == 4
     assert "sram" in capsys.readouterr().err
     assert not (tmp_path / "audit.json").exists()  # no partial output
+
+
+def test_optimize_sram_scan_too_long_exits_4(tmp_path):
+    # at 1e-6 mm2/MB the area cap leaves about 364 million SRAM steps on toy3
+    prof = tmp_path / "prof.ini"
+    prof.write_text("[profile]\nname = tiny-sram\n\n[overrides]\na_sram_per_mb = 1e-6\n")
+    out = tmp_path / "audit.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(oxsim.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-m", "oxsim.cli", "optimize", "--topology", "toy3",
+                          "--profile", str(prof), "--out", str(out)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 4, run.stderr
+    assert f"more than the {MAX_SRAM_STEPS}" in run.stderr
+    assert "a_sram_per_mb = 1e-06" in run.stderr
+    assert not out.exists()
 
 
 def test_timestamp_honors_source_date_epoch(tmp_path, monkeypatch):

@@ -23,7 +23,7 @@ from oxsim import (
     parse_topology,
 )
 from oxsim.reports import json_payload
-from oxsim.workload import _COUNT_COLUMNS, MB_BITS, Network
+from oxsim.workload import MB_BITS, Network, RuntimeStats
 
 HEADER = "name,ifmap_h,ifmap_w,channels,filter_h,filter_w,num_filters,stride\n"
 
@@ -46,18 +46,18 @@ def test_parse_tolerates_trailing_comma(tmp_path):
     assert layers[0].num_filters == 4
 
 
-def test_parse_empty_file_warns(tmp_path):
+def test_parse_empty_file_raises(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("")
-    with pytest.warns(UserWarning):
-        assert parse_topology(p) == []
+    with pytest.raises(TopologyError, match=f"topology file {p} contains no layers"):
+        parse_topology(p)
 
 
-def test_parse_header_only_warns(tmp_path):
+def test_parse_header_only_raises(tmp_path):
     p = tmp_path / "hdr.csv"
     p.write_text(HEADER)
-    with pytest.warns(UserWarning):
-        assert parse_topology(p) == []
+    with pytest.raises(TopologyError, match=f"topology file {p} contains no layers"):
+        parse_topology(p)
 
 
 def test_parse_missing_file():
@@ -175,7 +175,7 @@ def _rows(stats) -> list[LayerRuntime]:
         layer=layer,
         tiles=TileMap(stats.row_tiles[i], stats.col_tiles[i], stats.vectors_per_tile[i],
                       stats.programming_events[i]),
-        counts=Counts(*(getattr(stats, name)[i] for name in _COUNT_COLUMNS)),
+        counts=Counts(*(getattr(stats, name)[i] for name in Counts._fields)),
         ifmap_resident=stats.ifmap_resident[i],
         output_forwarded=stats.output_forwarded[i],
     ) for i, layer in enumerate(stats.layers)]
@@ -249,7 +249,7 @@ def test_nonresident_ifmap_refetched_per_column_tile():
     lr = layer_runtime(layer, cfg)
     weight_bits = 512 * 512 * cfg.b_w
     assert lr.counts.dram_read_bits == fetched + weight_bits
-    assert lr.counts.sram_input_write_bits == fetched
+    assert lr.counts.input_write_bits == fetched
 
 
 def test_resident_ifmap_fetched_once():
@@ -264,10 +264,8 @@ def test_accumulator_traffic_only_when_row_tiled():
     cfg = ChipConfig(rows=128, cols=128, batch=2)
     flat = layer_runtime(LayerSpec("flat", 8, 8, 16, 1, 1, 8, 1), cfg)  # 16 rows
     deep = layer_runtime(LayerSpec("deep", 8, 8, 256, 1, 1, 8, 1), cfg)  # 2 row tiles
-    assert flat.counts.sram_acc_read_bits == 0
-    assert flat.counts.sram_acc_write_bits == 0
-    assert deep.counts.sram_acc_read_bits == deep.counts.compute_cycles * 128 * 24
-    assert deep.counts.sram_acc_read_bits == deep.counts.sram_acc_write_bits
+    assert flat.counts.acc_bits == 0
+    assert deep.counts.acc_bits == deep.counts.compute_cycles * 128 * 24
 
 
 def test_layer_sram_formulas():
@@ -275,11 +273,10 @@ def test_layer_sram_formulas():
     cfg = ChipConfig(rows=64, cols=32, batch=3)
     lr = layer_runtime(layer, cfg)
     c = lr.counts
-    assert c.sram_input_read_bits == c.compute_cycles * 64 * cfg.b_in
-    assert c.sram_output_write_bits == 10 * 10 * 48 * 3 * cfg.b_out
+    assert c.input_read_bits == c.compute_cycles * 64 * cfg.b_in
+    assert c.output_bits == 10 * 10 * 48 * 3 * cfg.b_out
     weight_bits = 9 * 32 * 48 * cfg.b_w
-    assert c.sram_filter_read_bits == weight_bits
-    assert c.sram_filter_write_bits == weight_bits
+    assert c.weight_bits == weight_bits
     assert c.cells_programmed == c.programming_events * 64 * 32
 
 
@@ -302,7 +299,7 @@ def test_forwarding_zeroes_consumer_ifmap_reads():
     assert lr_b.counts.dram_read_bits == 3 * 3 * 8 * 16 * cfg.b_w  # weights only
     # layer a's output never leaves chip; layer b's (last) always does
     assert lr_a.counts.dram_write_bits == 0
-    assert lr_b.counts.dram_write_bits == lr_b.counts.sram_output_write_bits
+    assert lr_b.counts.dram_write_bits == lr_b.counts.output_bits
 
 
 def test_output_too_big_to_forward_goes_through_dram():
@@ -312,8 +309,8 @@ def test_output_too_big_to_forward_goes_through_dram():
     net = network_runtime([a, b], cfg)
     lr_a, lr_b = _rows(net)
     assert not lr_a.output_forwarded
-    assert lr_a.counts.dram_write_bits == lr_a.counts.sram_output_write_bits
-    assert lr_b.counts.dram_read_bits > lr_b.counts.sram_filter_read_bits
+    assert lr_a.counts.dram_write_bits == lr_a.counts.output_bits
+    assert lr_b.counts.dram_read_bits > lr_b.counts.weight_bits
 
 
 def _oracle_network_cycles(csv_path, rows, cols, batch):
@@ -385,20 +382,27 @@ def test_bit_counts_divisible_by_widths():
         layer = LayerSpec("r", rng.randint(f, 20), rng.randint(f, 20),
                           rng.randint(1, 64), f, f, rng.randint(1, 64), 1)
         c = layer_runtime(layer, cfg).counts
-        assert c.sram_input_read_bits % cfg.b_in == 0
-        assert c.sram_input_write_bits % cfg.b_in == 0
-        assert c.sram_filter_read_bits % cfg.b_w == 0
-        assert c.sram_output_write_bits % cfg.b_out == 0
-        assert c.sram_acc_read_bits % cfg.b_acc == 0
+        assert c.input_read_bits % cfg.b_in == 0
+        assert c.input_write_bits % cfg.b_in == 0
+        assert c.weight_bits % cfg.b_w == 0
+        assert c.output_bits % cfg.b_out == 0
+        assert c.acc_bits % cfg.b_acc == 0
 
 
 def test_input_sram_capacity_uses_binary_megabytes():
     assert ChipConfig(sram_input_mb=1.0).input_sram_bits == MB_BITS == 8 * 2**20
 
 
+def test_counts_fields_are_runtime_stats_columns():
+    # each Counts field sums the RuntimeStats column of its name, in column order
+    columns = iter(RuntimeStats._fields)
+    assert all(field in columns for field in Counts._fields)
+
+
 # --- the columnar kernel against the scalar per-layer loop it replaced -------
 # `_oracle_tile_layer`, `_io_bits`, `_layer_counts` and `_oracle_network` are
-# the earlier scalar mapping, kept verbatim (helpers renamed) as the oracle.
+# the earlier scalar mapping, kept verbatim (helpers renamed, each read/write
+# pair of counts folded into one field) as the oracle.
 
 def _oracle_tile_layer(layer: LayerSpec, cfg: ChipConfig) -> TileMap:
     row_tiles = -(-layer.window_size // cfg.rows)
@@ -431,20 +435,17 @@ def _layer_counts(layer: LayerSpec, cfg: ChipConfig, *,
     output_fits = output_bits <= capacity
     forwarded = output_fits and not is_last
 
-    acc_half = compute_cycles * cfg.cols * cfg.b_acc if tiles.row_tiles > 1 else 0
+    acc_bits = compute_cycles * cfg.cols * cfg.b_acc if tiles.row_tiles > 1 else 0
 
     counts = Counts(
         compute_cycles=compute_cycles,
         programming_events=tiles.programming_events,
         cells_programmed=tiles.programming_events * cfg.rows * cfg.cols,
-        sram_input_read_bits=compute_cycles * cfg.rows * cfg.b_in,
-        sram_input_write_bits=ifmap_bits * fetch_passes,
-        sram_filter_read_bits=weight_bits,
-        sram_filter_write_bits=weight_bits,
-        sram_output_read_bits=output_bits,
-        sram_output_write_bits=output_bits,
-        sram_acc_read_bits=acc_half,
-        sram_acc_write_bits=acc_half,
+        input_read_bits=compute_cycles * cfg.rows * cfg.b_in,
+        input_write_bits=ifmap_bits * fetch_passes,
+        weight_bits=weight_bits,
+        output_bits=output_bits,
+        acc_bits=acc_bits,
         dram_read_bits=weight_bits + (ifmap_bits * fetch_passes if ifmap_from_dram else 0),
         dram_write_bits=0 if forwarded else output_bits,
     )
