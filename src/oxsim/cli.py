@@ -1,9 +1,9 @@
 """Command-line front end: evaluate / sweep / optimize.
 
 Config, grid, constraints, and profile files are sectioned key = value text
-(INI). Unknown sections or keys are hard errors. All outputs are written
-atomically (temp file + rename) and embed a RunManifest; identical inputs
-produce byte-identical files (set SOURCE_DATE_EPOCH to stamp a real time).
+(INI). Unknown sections or keys are hard errors. `reports` lays out every
+output; each is written atomically (temp file + rename) with a RunManifest;
+identical inputs give byte-identical files (SOURCE_DATE_EPOCH stamps a time).
 """
 from __future__ import annotations
 
@@ -16,12 +16,11 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import NamedTuple
 
 from . import __version__
 from .errors import ConfigError, EvaluationError, InfeasibleError, OxsimError, TopologyError
 from .perf import evaluate
-from .reports import CSV_COLUMNS, SCHEMA_VERSION, dump_json, flat_row, json_payload
+from .reports import RunManifest, audit_payload, csv_text, dump_json, flat_row, json_payload
 from .tech import (
     CalibrationProfile,
     TechParams,
@@ -71,15 +70,6 @@ _PARSERS = {
     "tuple[int, ...]": lambda raw: tuple(int(x) for x in raw.split()),
     "tuple[float, ...]": lambda raw: tuple(_finite(x) for x in raw.split()),
 }
-
-
-class RunManifest(NamedTuple):
-    tool_version: str
-    command: str
-    config_hash: str
-    profile: str
-    topology_hash: str
-    timestamp: str
 
 
 def _deterministic_timestamp() -> str:
@@ -235,19 +225,6 @@ def _manifest(command: str, config_hash: str, profile: str, topology: Path,
     )
 
 
-def _csv_text(rows: list[list], manifest: RunManifest) -> str:
-    lines = [f"# {k} = {v}" for k, v in sorted(manifest._asdict().items())]
-    lines.append(",".join(CSV_COLUMNS))
-    # every row is a flat_row, its values in CSV_COLUMNS order. Each distinct
-    # non-zero float is formatted once; zeros and ints are not memoised, as
-    # 0.0 == -0.0 and 1 == 1.0 compare equal but print differently.
-    texts = {}
-    lines.extend(",".join([texts.get(v) or texts.setdefault(v, str(v))
-                           if type(v) is float and v else str(v) for v in row])
-                 for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def _topology(spec: str) -> tuple[list, Path]:
     path = topology_path(spec)
     return load_topology(path), path
@@ -266,7 +243,7 @@ def cmd_evaluate(args) -> int:
     manifest = _manifest("evaluate", config_hash, profile.name, topo_path, args.timestamp)
     out_dir = Path(args.out or ".")
     _write_out(out_dir / "report.json", dump_json(json_payload(cfg, report, manifest._asdict())))
-    _write_out(out_dir / "report.csv", _csv_text([flat_row(cfg, report)], manifest))
+    _write_out(out_dir / "report.csv", csv_text([flat_row(cfg, report)], manifest))
     print(
         f"ips={report.ips:.1f} ips_per_w={report.ips_per_w:.1f} "
         f"power_w={report.power_w:.3f} area_mm2={report.area_mm2:.2f} "
@@ -300,7 +277,7 @@ def cmd_sweep(args) -> int:
                          args.timestamp)
     rows = [flat_row(cfg, report) for cfg, report in results]
     out_path = Path(args.out or "sweep.csv")
-    _write_out(out_path, _csv_text(rows, manifest))
+    _write_out(out_path, csv_text(rows, manifest))
     print(f"evaluated {len(rows)} configs; wrote {out_path}")
     return EXIT_OK
 
@@ -319,23 +296,8 @@ def cmd_optimize(args) -> int:
 
     result = this.optimize(layers, tech, cons)
     manifest = _manifest("optimize", cons_hash, profile.name, topo_path, args.timestamp)
-    audit = {
-        "schema_version": SCHEMA_VERSION,
-        "manifest": manifest._asdict(),
-        "chosen_config": result.config._asdict(),
-        "metrics": {
-            "ips": result.report.ips,
-            "ips_per_w": result.report.ips_per_w,
-            "power_w": result.report.power_w,
-            "area_mm2": result.report.area_mm2,
-        },
-        "steps": [
-            {"step": s.step, "candidates": list(s.candidates), "chosen": s.chosen}
-            for s in result.steps
-        ],
-    }
     out_path = Path(args.out or "optimize_audit.json")
-    _write_out(out_path, dump_json(audit))
+    _write_out(out_path, dump_json(audit_payload(result, manifest)))
     cfg = result.config
     print(
         f"chosen: rows={cfg.rows} cols={cfg.cols} batch={cfg.batch} "

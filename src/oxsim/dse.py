@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from . import perf
 from .errors import Checked, ConfigError, EvaluationError, InfeasibleError
-from .perf import PerfReport, Timeline, area_model, roll_up
+from .perf import PerfReport, Timeline, area_model, float_sum, roll_up
 # unused here; perfbench/tracing.py's BOUNDARIES wraps these dse names (--trace 1)
 from .perf import evaluate, timeline_dual_core  # noqa: F401
 from .workload import (
@@ -270,7 +270,7 @@ def size_sram(layers, template: ChipConfig, tech, cons: Constraints,
                               "and the area cap cannot size it")
     step_mb = cons.sram_step_mb
     first = area_model(template.with_(sram_input_mb=step_mb), tech)
-    headroom = cons.area_cap_mm2 - (sum(first.values()) - step_mb * tech.a_sram_per_mb)
+    headroom = cons.area_cap_mm2 - (float_sum(first.values()) - step_mb * tech.a_sram_per_mb)
     units = (headroom / tech.a_sram_per_mb + 1e-9) / step_mb
     if not math.isfinite(units):
         raise InfeasibleError(f"sram step: {headroom:.3f} mm2 of headroom at a_sram_per_mb = "
@@ -289,8 +289,8 @@ def size_sram(layers, template: ChipConfig, tech, cons: Constraints,
 
     # Only the SRAM term of `area_model` changes between candidates. Adding
     # the banks in `total_sram_mb`'s order and summing the same six terms in
-    # the same order keeps each area equal to sum(area_model(cfg, tech).values())
-    # without building a ChipConfig.
+    # the same order keeps each area equal to
+    # float_sum(area_model(cfg, tech).values()) without building a ChipConfig.
     _, *other_areas = first.values()
     t = template
     stages = _stages or _Stages(layers, tech)
@@ -301,7 +301,7 @@ def size_sram(layers, template: ChipConfig, tech, cons: Constraints,
         mb = unit * step_mb
         sram_area = (mb + t.sram_filter_mb + t.sram_output_mb + t.sram_acc_mb) * tech.a_sram_per_mb
         traffic = stages.runtime(t, mb).total.dram_bits
-        candidates.append({"input_sram_mb": mb, "area_mm2": sum((sram_area, *other_areas)),
+        candidates.append({"input_sram_mb": mb, "area_mm2": float_sum((sram_area, *other_areas)),
                            "dram_bits": traffic})
         if critical is None and traffic <= floor_bits:
             critical = mb
@@ -380,7 +380,7 @@ def optimize(layers, tech, constraints: Constraints) -> OptimizationResult:
         queue = []
         if tl.t_program_exposed > cons.hiding_eps * tl.t_total:
             queue.append(find_min_hiding_batch)
-        if sum(area_model(cfg, tech).values()) > cons.area_cap_mm2 + 1e-9:
+        if float_sum(area_model(cfg, tech).values()) > cons.area_cap_mm2 + 1e-9:
             queue += [size_sram, pick_array_size]
         if not queue or cfg == start:
             break

@@ -25,6 +25,8 @@ independent of core count, and the dual core buys latency, not efficiency.
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 from typing import NamedTuple
 
 from .errors import EvaluationError
@@ -233,11 +235,11 @@ class PerfReport(NamedTuple):
     stats: RuntimeStats
     budget: LossBudget
 
-    def largest_energy_category(self) -> str:
-        return max(self.energy_j, key=lambda k: self.energy_j[k])
 
-    def largest_area_category(self) -> str:
-        return max(self.area_by_mm2, key=lambda k: self.area_by_mm2[k])
+def float_sum(values) -> float:
+    """`values` added left to right from int 0, as `sum` did before Python 3.12
+    compensated its rounding, so totals print the same on every Python."""
+    return reduce(operator.add, values, 0)
 
 
 def evaluate(layers, cfg: ChipConfig, tech) -> PerfReport:
@@ -259,14 +261,14 @@ def roll_up(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, budget: Lo
     `cfg`; the report keeps references to all of them, so reports may share
     them.
     """
-    energy_total = sum(energy.values())
+    energy_total = float_sum(energy.values())
 
     t_total = timeline.t_total
     if t_total <= 0:
         raise EvaluationError("network produced a zero-length timeline")
     power = energy_total / t_total
     ips = cfg.batch / t_total
-    area_total = sum(area.values())
+    area_total = float_sum(area.values())
     power_by = {k: v / t_total for k, v in energy.items()}
 
     for what, value in (("IPS", ips), ("power", power), ("area", area_total),

@@ -1,9 +1,11 @@
-"""Stable machine-readable report schemas (JSON + flat CSV).
+"""Every output layout: report.json, the flat CSV, the optimize audit, RunManifest.
 
-Column names and key layout are versioned via SCHEMA_VERSION; any change to
-them must bump it.
+Keys, columns and manifest fields are versioned via SCHEMA_VERSION; any change
+to them must bump it.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .perf import AREA_CATEGORIES, ENERGY_CATEGORIES, PerfReport
 from .workload import ChipConfig
@@ -23,6 +25,16 @@ METRIC_COLUMNS = [
 # the RuntimeStats columns each report.json `per_layer` entry carries, besides its name
 PER_LAYER_COLUMNS = ("row_tiles", "col_tiles", "programming_events", "compute_cycles",
                      "ifmap_resident", "output_forwarded", "dram_read_bits", "dram_write_bits")
+
+
+class RunManifest(NamedTuple):
+    tool_version: str
+    command: str
+    config_hash: str
+    profile: str
+    topology_hash: str
+    timestamp: str
+
 
 CSV_COLUMNS = (
     ["schema_version"]
@@ -48,6 +60,19 @@ def flat_row(cfg: ChipConfig, report: PerfReport) -> list:
             *[energy[cat] for cat in ENERGY_CATEGORIES],
             *[power[cat] for cat in ENERGY_CATEGORIES],
             *[area[cat] for cat in AREA_CATEGORIES]]
+
+
+def csv_text(rows: list[list], manifest: RunManifest) -> str:
+    """The manifest as `# key = value` lines, the header, then `rows` (flat_rows)."""
+    lines = [f"# {k} = {v}" for k, v in sorted(manifest._asdict().items())]
+    lines.append(",".join(CSV_COLUMNS))
+    # Each distinct non-zero float is formatted once; zeros and ints are not
+    # memoised, as 0.0 == -0.0 and 1 == 1.0 compare equal but print differently.
+    texts = {}
+    lines.extend(",".join([texts.get(v) or texts.setdefault(v, str(v))
+                           if type(v) is float and v else str(v) for v in row])
+                 for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def json_payload(cfg: ChipConfig, report: PerfReport, manifest: dict) -> dict:
@@ -88,6 +113,25 @@ def json_payload(cfg: ChipConfig, report: PerfReport, manifest: dict) -> dict:
         "per_layer": [dict(zip(("name", *PER_LAYER_COLUMNS), row))
                       for row in zip(stats.layers.names,
                                      *[getattr(stats, name) for name in PER_LAYER_COLUMNS])],
+    }
+
+
+def audit_payload(result, manifest: RunManifest) -> dict:
+    """The optimize audit of an `OptimizationResult`; reads its config, report, steps."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "manifest": manifest._asdict(),
+        "chosen_config": result.config._asdict(),
+        "metrics": {
+            "ips": result.report.ips,
+            "ips_per_w": result.report.ips_per_w,
+            "power_w": result.report.power_w,
+            "area_mm2": result.report.area_mm2,
+        },
+        "steps": [
+            {"step": s.step, "candidates": list(s.candidates), "chosen": s.chosen}
+            for s in result.steps
+        ],
     }
 
 

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 import oxsim
 import oxsim.cli
-from oxsim.cli import RunManifest, _atomic_write, _csv_text, _over_chip, load_run_inputs, main
+from oxsim.cli import _atomic_write, _over_chip, load_run_inputs, main
 from oxsim.dse import MAX_SRAM_STEPS, Constraints, SweepGrid, sweep
-from oxsim.reports import CSV_COLUMNS, flat_row
+from oxsim.reports import CSV_COLUMNS, RunManifest, flat_row
+from oxsim.reports import csv_text as _csv_text
 from oxsim.workload import ChipConfig, load_topology
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

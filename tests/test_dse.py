@@ -26,7 +26,7 @@ from oxsim import (
     sweep,
 )
 from oxsim import dse, perf, workload
-from oxsim.perf import area_model
+from oxsim.perf import area_model, float_sum
 from oxsim.reports import flat_row
 from oxsim.workload import Network
 
@@ -351,8 +351,8 @@ def _scan_every_candidate(layers, tpl, tech, n_candidates, step_mb):
         mb = unit * step_mb
         cfg = tpl.with_(sram_input_mb=mb)
         traffic = network_runtime(layers, cfg).total.dram_bits
-        candidates.append({"input_sram_mb": mb, "area_mm2": sum(area_model(cfg, tech).values()),
-                           "dram_bits": traffic})
+        area = float_sum(area_model(cfg, tech).values())
+        candidates.append({"input_sram_mb": mb, "area_mm2": area, "dram_bits": traffic})
         if critical is None and traffic <= floor:
             critical = mb
     return tuple(candidates), critical
