@@ -2,14 +2,16 @@
 
 Config, grid, constraints, and profile files are sectioned key = value text
 (INI). Unknown sections or keys are hard errors. `reports` lays out every
-output; each is written atomically (temp file + rename) with a RunManifest;
-identical inputs give byte-identical files (SOURCE_DATE_EPOCH stamps a time).
+output; each is written atomically (temp file + rename) as UTF-8 with a
+RunManifest; identical inputs give byte-identical files (SOURCE_DATE_EPOCH
+stamps a time).
 """
 from __future__ import annotations
 
 import argparse
 import configparser
 import hashlib
+import io
 import math
 import os
 import sys
@@ -194,7 +196,7 @@ def load_run_inputs(config_path: str | None, profile_spec: str | None):
 def _atomic_write(path: Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.chmod(tmp, 0o644)  # mkstemp makes 0600; match a plain write under umask 022
         os.replace(tmp, path)
@@ -344,6 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper):  # not when redirected to a StringIO
+        # the summary is UTF-8, as every output file is, whatever the locale
+        sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
     args = build_parser().parse_args(argv)
     try:
         # a bad SOURCE_DATE_EPOCH fails before any evaluation or output

@@ -46,7 +46,8 @@ class _SweepGridFields(NamedTuple):
 class SweepGrid(Checked, _SweepGridFields):
     """Axis candidates swept against a fixed template config.
 
-    An axis left as None is not swept; one given must list at least one value.
+    An axis left as None is not swept; one given must list at least one value,
+    and no value twice.
     """
 
     __slots__ = ()
@@ -64,7 +65,9 @@ class SweepGrid(Checked, _SweepGridFields):
                 continue
             if not values:
                 raise ConfigError(f"{key} is given but lists no values")
-            for v in values:
+            for i, v in enumerate(values):
+                if v in values[:i]:  # it would give a second, identical grid point
+                    raise ConfigError(f"{key} lists {v} more than once")
                 try:
                     self.template.with_(**{name: v})
                 except ConfigError as exc:

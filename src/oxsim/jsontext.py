@@ -1,0 +1,64 @@
+"""Indented, key-sorted JSON text through `json`'s C encoder.
+
+`reports.dump_json` imports this module on first use, so that a process that
+writes no JSON (a sweep) neither compiles it nor loads `json`.
+"""
+from __future__ import annotations
+
+import json
+import sys
+from itertools import chain
+
+
+def dumps(payload: dict) -> str:
+    """`json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\\n"`, byte
+    for byte, for a payload whose dicts have str keys and whose values are dicts,
+    lists and JSON scalars.
+
+    Before Python 3.13, `indent` sends `json` to its pure-Python encoder. There the
+    C encoder, which then takes no indent, writes each scalar-only container, and
+    each list of non-empty scalar-only dicts, in one call, with a newline and the
+    items' indentation as its item separator. An encoded scalar never holds a raw
+    newline, so in such a list `},` followed by a newline only ends a row, and the
+    row boundaries are re-indented by replacing it. Other containers recurse.
+    """
+    if sys.version_info >= (3, 13):  # its C encoder takes `indent` itself
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+    key = json.encoder.encode_basestring_ascii
+    encoders = {}
+
+    def flat(value, depth: int) -> str:
+        # one C-encoder call whose items are separated by a newline and `depth` indents
+        if depth not in encoders:
+            encoders[depth] = json.JSONEncoder(
+                sort_keys=True, allow_nan=False,
+                separators=(",\n" + "  " * depth, ": ")).encode
+        return encoders[depth](value)
+
+    def scalars(types: set) -> bool:
+        return not any(issubclass(t, (dict, list, tuple)) for t in types)
+
+    def encode(value, depth: int) -> str:
+        is_dict = isinstance(value, dict)
+        if not is_dict and not isinstance(value, (list, tuple)):
+            return flat(value, depth)
+        outer, inner, row = ("\n" + "  " * d for d in (depth, depth + 1, depth + 2))
+        types = set(map(type, value.values() if is_dict else value))
+        if scalars(types):
+            text = flat(value, depth + 1)
+            if len(text) == 2:  # {} or []
+                return text
+            return text[0] + inner + text[1:-1] + outer + text[-1]
+        if is_dict:
+            parts = [key(k) + ": " + encode(v, depth + 1) for k, v in sorted(value.items())]
+            return "{" + inner + ("," + inner).join(parts) + outer + "}"
+        if (types == {dict} and all(value)
+                and scalars(set(map(type, chain.from_iterable(map(dict.values, value)))))):
+            rows = flat(value, depth + 2)[2:-2].replace(
+                "}," + row + "{", inner + "}," + inner + "{" + row)
+            return "[" + inner + "{" + row + rows + inner + "}" + outer + "]"
+        parts = [encode(v, depth + 1) for v in value]
+        return "[" + inner + ("," + inner).join(parts) + outer + "]"
+
+    return encode(payload, 0) + "\n"

@@ -136,6 +136,7 @@ def audit_payload(result, manifest: RunManifest) -> dict:
 
 
 def dump_json(payload: dict) -> str:
-    import json  # here, so that a process that writes no JSON (a sweep) never loads it
+    """`json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\\n"`."""
+    from .jsontext import dumps  # here, so that a sweep never compiles it nor loads json
 
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return dumps(payload)

@@ -116,6 +116,17 @@ def test_sweep_grid_rejects_an_axis_without_values(template, key):
     _each_path(ConfigError, message, SweepGrid, SweepGrid(template=template), key, ())
 
 
+@settings(max_examples=20, deadline=None)
+@given(template=_TEMPLATES, key=st.sampled_from(sorted(_AXES)))
+def test_sweep_grid_rejects_a_repeated_axis_value(template, key):
+    # a repeated value would sweep the same point twice, as two identical rows
+    value = getattr(template, _AXES[key])
+    other = 3 - value if key == "cores" else value * 2
+    message = f"{key} lists {value} more than once"
+    values = (other, value, value)
+    _each_path(ConfigError, message, SweepGrid, SweepGrid(template=template), key, values)
+
+
 # --- TechParams and CalibrationProfile ----------------------------------------
 
 _NOT_NUMERIC = st.sampled_from([None, "1.0", True, False, [1.0], 1j])

@@ -437,6 +437,7 @@ def test_bad_source_date_epoch_exits_1_before_any_work(tmp_path, monkeypatch, ca
     ("sweep", "--grid", "[grid]\ncores = 1 3\n", "grid", "cores"),
     ("sweep", "--grid", "[grid]\ninput_sram_mb = 0 1\n", "grid", "input_sram_mb"),
     ("sweep", "--grid", "[grid]\nrows =\ncols = 32 64\n", "grid", "rows"),
+    ("sweep", "--grid", "[grid]\nrows = 32 64 32\n", "grid", "rows"),
     ("evaluate", "--config", "[chip]\nserdes_ratio = 10\n", "chip", "serdes_ratio"),
     ("optimize", "--constraints", "[chip]\ncores = 1\n", "chip", "cores"),
     ("evaluate", "--profile", "[profile]\nname = local\n  cal\n", "profile", "name"),
@@ -445,7 +446,7 @@ def test_bad_source_date_epoch_exits_1_before_any_work(tmp_path, monkeypatch, ca
         "batch-descending", "batch-zero", "batch-empty", "rows-empty", "cols-empty",
         "sram-step-zero", "area-cap-negative", "hiding-eps-one", "tie-tol-negative",
         "profile-override-negative", "grid-rows-zero", "grid-cores-three",
-        "grid-sram-zero", "grid-rows-empty", "serdes-ratio-removed",
+        "grid-sram-zero", "grid-rows-empty", "grid-rows-repeated", "serdes-ratio-removed",
         "template-single-core", "profile-name-two-lines"])
 def test_loader_rejects_bad_key_or_value(tmp_path, capsys, command, flag, text, section, key):
     p = tmp_path / "input.ini"
@@ -505,6 +506,28 @@ def test_input_file_with_a_byte_order_mark_reads_as_without_it(tmp_path, command
         outputs[bom] = {f.name: f.read_text().replace(_sha(path), "<input sha256>")
                         for f in files}
     assert outputs[b""] == outputs[b"\xef\xbb\xbf"]
+
+
+def test_outputs_are_utf8_whatever_the_locale(tmp_path):
+    # under the C locale, with locale coercion and UTF-8 mode off, Python's
+    # default text encoding is ASCII, which cannot write the profile name
+    profile = tmp_path / "cafe.ini"
+    profile.write_text("[profile]\nname = caf\u00e9\n", encoding="utf-8")
+    src = Path(oxsim.__file__).resolve().parents[1]
+    runs = {}
+    for name, locale in (("c", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}),
+                         ("utf8", {"PYTHONUTF8": "1"})):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        run = subprocess.run(
+            [sys.executable, "-m", "oxsim.cli", "evaluate", "--topology", "toy3",
+             "--profile", str(profile)], cwd=run_dir, capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src), "SOURCE_DATE_EPOCH": "0", **locale})
+        assert run.returncode == 0, run.stderr.decode(errors="replace")
+        runs[name] = run.stdout, {f.name: f.read_bytes() for f in sorted(run_dir.iterdir())}
+    assert "profile=caf\u00e9)" in runs["c"][0].decode("utf-8")
+    assert list(runs["c"][1]) == ["report.csv", "report.json"]
+    assert runs["c"] == runs["utf8"]
 
 
 def test_atomic_write_failure_leaves_target_and_no_temp_file(tmp_path, monkeypatch):

@@ -1,6 +1,9 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oxsim import ChipConfig, evaluate
 from oxsim.perf import AREA_CATEGORIES, ENERGY_CATEGORIES
@@ -73,3 +76,49 @@ def test_dump_json_rejects_non_finite_numbers(value):
     # json.dumps would write Infinity/NaN, which is not JSON
     with pytest.raises(ValueError):
         dump_json({"metrics": {"area_mm2": value}})
+
+
+def _reference(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# str keys and values with escapes, non-ASCII and the text that ends a row of a
+# list of flat dicts; scalars at the float and int extremes
+_TEXT = st.text() | st.sampled_from(["", "caf\u00e9", "\u2603\U0001f600", "\"\\\n\t\x00",
+                                      "},\n    {", "}, {"])
+_SCALARS = (st.none() | st.booleans() | _TEXT
+            | st.integers(-2**100, 2**100)
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]))
+_FLAT_DICTS = st.dictionaries(_TEXT, _SCALARS, max_size=4)
+_ROWS = st.lists(st.dictionaries(_TEXT, _SCALARS, min_size=1, max_size=4), max_size=4)
+_VALUES = st.recursive(
+    _SCALARS | _FLAT_DICTS | _ROWS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_TEXT, kids, max_size=4),
+    max_leaves=20)
+_PAYLOADS = st.dictionaries(_TEXT, _VALUES, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAYLOADS)
+def test_dump_json_writes_the_bytes_of_indented_json_dumps(payload):
+    assert dump_json(payload) == _reference(payload)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_dump_json_rejects_a_non_finite_float_anywhere(data, bad):
+    # put `bad` at a drawn place in a drawn payload: as a dict value, or a list item
+    value = bad
+    for _ in range(data.draw(st.integers(0, 3))):
+        if data.draw(st.booleans()):
+            value = {**data.draw(_FLAT_DICTS), data.draw(_TEXT): value}
+        else:
+            items = data.draw(st.lists(_SCALARS | _FLAT_DICTS, max_size=3))
+            items.insert(data.draw(st.integers(0, len(items))), value)
+            value = items
+    payload = {**data.draw(_PAYLOADS), data.draw(_TEXT): value}
+    with pytest.raises(ValueError):
+        _reference(payload)
+    with pytest.raises(ValueError):
+        dump_json(payload)
