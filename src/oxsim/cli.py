@@ -99,7 +99,10 @@ def _sha256_text(text: str) -> str:
 def _read_ini(path: Path, allowed_sections: set[str]) -> configparser.ConfigParser:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are read literally; no section name can hold a newline, so a
+    # [DEFAULT] section is an ordinary one and fails the check below
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None, default_section="\n")
     parser.optionxform = str  # keys are case-sensitive field names
     try:
         # a leading byte-order mark is dropped, as the topology loader drops it

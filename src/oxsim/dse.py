@@ -8,9 +8,10 @@ share one signature and return one `StepRecord`; `optimize` re-runs a step
 while the chosen array breaks its premise, for at most `MAX_PASSES` passes.
 
 `sweep` and `optimize` score many configs that differ in a few fields. Each
-call keeps one `_Stages` memo that computes the mapping, timeline, loss
-budget, energy breakdown and area breakdown once per distinct value of the
-fields each one reads; every score equals evaluating its point on its own.
+call keeps one `_Stages` memo that computes the mapping (kept on its
+`Network`), timeline, loss budget, energy breakdown and area breakdown once
+per distinct value of the fields each one reads; every score equals
+evaluating its point on its own.
 """
 from __future__ import annotations
 
@@ -25,13 +26,7 @@ from .errors import Checked, ConfigError, EvaluationError, InfeasibleError
 from .perf import PerfReport, Timeline, area_model, float_sum, roll_up
 # unused here; perfbench/tracing.py's BOUNDARIES wraps these dse names (--trace 1)
 from .perf import evaluate, timeline_dual_core  # noqa: F401
-from .workload import (
-    MB_BITS,
-    ChipConfig,
-    Network,
-    RuntimeStats,
-    network_runtime,
-)
+from .workload import MB_BITS, ChipConfig, Network, network_runtime
 
 
 class _SweepGridFields(NamedTuple):
@@ -91,58 +86,40 @@ class SweepGrid(Checked, _SweepGridFields):
 class _Stages:
     """Memo of the evaluation stages of one run, for fixed layers and tech.
 
-    The layers are lifted into `Network` columns once, for every mapping.
-
-    `runtime(cfg, input_sram_mb)` maps `cfg` with `input_sram_mb` of input SRAM
-    (default: its own). The mapping reads the array, the batch, the bit widths
-    and, through the residency tests (`Network.breakpoints`), only
-    `bisect_right(breakpoints, capacity)` of the SRAM: one mapping per such key.
-    `timeline(cfg)` reads the tile streams, cores and clock: one per (array,
-    batch, cores, clock). `report(cfg)` equals `evaluate`: it builds the loss
-    budget once per array, the energy breakdown (which does not read the
-    cores) once per mapping key and clock, and the area breakdown once per
+    The layers are lifted into one `Network`, which keeps each mapping
+    (`network_runtime`) per mapping key. On top of it, `timeline(cfg)` reads
+    the tile streams, cores and clock: one per (array, batch, cores, clock).
+    `report(cfg)` equals `evaluate`: it builds the loss budget once per
+    array, the energy breakdown once per (mapping totals, array, b_in, b_out,
+    clock), the inputs `energy_model` reads, and the area breakdown once per
     (array, cores, total SRAM), and passes them to `roll_up`, so only the
     energy and area totals, power, IPS and their checks run per point.
     """
 
     def __init__(self, layers, tech) -> None:
         self.layers, self.tech = Network.of(layers), tech
-        self._runtimes: dict[tuple, RuntimeStats] = {}
         self._timelines: dict[tuple, Timeline] = {}
         self._budgets: dict[tuple[int, int], perf.LossBudget] = {}
         self._energies: dict[tuple, dict[str, float]] = {}
         self._areas: dict[tuple, dict[str, float]] = {}
 
-    def _mapping(self, cfg: ChipConfig, input_sram_mb: float | None = None
-                 ) -> tuple[tuple, RuntimeStats]:
-        mb = cfg.sram_input_mb if input_sram_mb is None else input_sram_mb
-        key = (cfg.rows, cfg.cols, cfg.b_w, cfg.b_acc, cfg.batch, cfg.b_in, cfg.b_out,
-               bisect_right(self.layers.breakpoints(cfg), mb * MB_BITS))
-        if key not in self._runtimes:
-            if input_sram_mb is not None:
-                cfg = cfg.with_(sram_input_mb=mb)
-            self._runtimes[key] = network_runtime(self.layers, cfg)
-        return key, self._runtimes[key]
-
-    def runtime(self, cfg: ChipConfig, input_sram_mb: float | None = None) -> RuntimeStats:
-        return self._mapping(cfg, input_sram_mb)[1]
-
     def timeline(self, cfg: ChipConfig) -> Timeline:
         key = (cfg.rows, cfg.cols, cfg.batch, cfg.cores, cfg.clock_hz)
         if key not in self._timelines:
+            stats = network_runtime(self.layers, cfg)
             # looked up on the module, so a tracer's wrapper on it sees every call
-            self._timelines[key] = perf.make_timeline(self.runtime(cfg), cfg, self.tech)
+            self._timelines[key] = perf.make_timeline(stats, cfg, self.tech)
         return self._timelines[key]
 
     def report(self, cfg: ChipConfig) -> PerfReport:
-        key, stats = self._mapping(cfg)
+        stats = network_runtime(self.layers, cfg)
         timeline, tech = self.timeline(cfg), self.tech
         # perf's functions are looked up on the module, as in `timeline`
         array = (cfg.rows, cfg.cols)
         if array not in self._budgets:
             self._budgets[array] = perf.loss_budget(cfg, tech)
         budget = self._budgets[array]
-        key += (cfg.clock_hz,)
+        key = (stats.total, cfg.rows, cfg.cols, cfg.b_in, cfg.b_out, cfg.clock_hz)
         if key not in self._energies:
             self._energies[key] = perf.energy_model(stats, timeline, cfg, tech, budget)
         # area reads the SRAM banks only through their total
@@ -155,14 +132,9 @@ class _Stages:
 def sweep(grid: SweepGrid, layers, tech) -> list[tuple[ChipConfig, PerfReport]]:
     """Evaluate the full Cartesian grid in deterministic (lexicographic) order.
 
-    Every report equals `evaluate(layers, cfg, tech)` at its point, but one
-    `_Stages` memo maps the network once per (array, batch, residency
-    pattern), builds the timeline once per (array, batch, cores), the loss
-    budget once per array, the energy breakdown once per mapping and the area
-    breakdown once per (array, cores, SRAM). Points share those objects; only
-    `roll_up` (energy and area totals, power, IPS and their checks) runs per
-    point. The mapping itself keeps its residency columns per (cols, b_w,
-    batch, b_in, b_out, residency pattern) on the `Network`.
+    Every report equals `evaluate(layers, cfg, tech)` at its point; one
+    `_Stages` memo lets points share each stage, so only `roll_up` (energy
+    and area totals, power, IPS and their checks) runs per point.
     """
     stages = _Stages(layers, tech)
     results = []
@@ -264,9 +236,10 @@ def size_sram(layers, template: ChipConfig, tech, cons: Constraints,
     which total DRAM traffic bottoms out (growing SRAM further buys nothing).
 
     Every grid size is a candidate with its area and DRAM traffic, but the
-    network is mapped only once per residency pattern (`_Stages`): the
-    first candidate with each pattern is mapped and the rest reuse its
-    `dram_bits`. The result equals a scan that maps every candidate.
+    network is mapped only where the residency pattern
+    (`Network.breakpoints`) changes along the grid: the rest reuse the
+    last mapped `dram_bits`. The result equals a scan that maps every
+    candidate.
     """
     if tech.a_sram_per_mb == 0:
         raise InfeasibleError("sram step: a_sram_per_mb is 0, so input SRAM takes no area "
@@ -296,14 +269,19 @@ def size_sram(layers, template: ChipConfig, tech, cons: Constraints,
     # float_sum(area_model(cfg, tech).values()) without building a ChipConfig.
     _, *other_areas = first.values()
     t = template
-    stages = _stages or _Stages(layers, tech)
-    floor_bits = stages.runtime(t, 1e9).total.dram_bits
+    net = _stages.layers if _stages else Network.of(layers)
+    breakpoints = net.breakpoints(t)
+    floor_bits = network_runtime(net, t.with_(sram_input_mb=1e9)).total.dram_bits
     candidates = []
     critical: float | None = None
+    pattern = None
     for unit in range(1, max_units + 1):
         mb = unit * step_mb
         sram_area = (mb + t.sram_filter_mb + t.sram_output_mb + t.sram_acc_mb) * tech.a_sram_per_mb
-        traffic = stages.runtime(t, mb).total.dram_bits
+        level = bisect_right(breakpoints, mb * MB_BITS)
+        if level != pattern:
+            pattern = level
+            traffic = network_runtime(net, t.with_(sram_input_mb=mb)).total.dram_bits
         candidates.append({"input_sram_mb": mb, "area_mm2": float_sum((sram_area, *other_areas)),
                            "dram_bits": traffic})
         if critical is None and traffic <= floor_bits:

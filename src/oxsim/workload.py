@@ -24,16 +24,20 @@ quantity with entry i for layer i:
     residency   ifmap_resident, output_forwarded (bools)
 
 Its `total` sums the columns into one `Counts`, and its `layers` is the
-`Network` whose layers the entries belong to. The columns are computed once
-per key and kept, with their sums, on the `Network`:
+`Network` whose layers the entries belong to.
 
-    per tiling key (array, batch, bit widths): every column but those below
+A mapping reads the array, the batch, the bit widths and, of the SRAM, only
+input SRAM's residency pattern: `bisect_right` of its capacity in the
+residency breakpoints, which are kept per (batch, b_in, b_out). This module
+is the one place that knows it. The `Network` keeps each `RuntimeStats` per
+mapping key (tiling key, residency pattern), so a repeat call returns the
+same object, and the columns it is built from, with their sums:
+
+    per tiling key (rows, cols, batch, b_in, b_w, b_out, b_acc):
+                every column but those below
     per residency key (cols, b_w, batch, b_in, b_out, residency pattern):
                 input_write_bits, dram_read_bits, dram_write_bits,
                 ifmap_resident, output_forwarded
-
-Input SRAM enters only through the residency pattern, `bisect_right` of its
-capacity in the residency breakpoints, which are kept per (batch, b_in, b_out).
 """
 from __future__ import annotations
 
@@ -160,12 +164,13 @@ class Network(tuple):
 
     Entry i of each column belongs to layer i. The columns are lifted once
     per topology; `network_runtime` then maps any config with list
-    arithmetic over them. It keeps the columns that do not read input SRAM
-    in `_tilings`, per (rows, cols, batch, b_in, b_w, b_out, b_acc), and the
-    residency, input-write and DRAM columns in `_residencies`, per (cols,
-    b_w, batch, b_in, b_out, residency pattern); `breakpoints` keeps the
-    residency breakpoints per (batch, b_in, b_out). `RuntimeStats` of one
-    Network share those lists.
+    arithmetic over them. It keeps each `RuntimeStats` in `_runtimes`, per
+    tiling key plus residency pattern; the columns that do not read input
+    SRAM in `_tilings`, per tiling key (rows, cols, batch, b_in, b_w, b_out,
+    b_acc); and the residency, input-write and DRAM columns in
+    `_residencies`, per (cols, b_w, batch, b_in, b_out, residency pattern).
+    `breakpoints` keeps the residency breakpoints per (batch, b_in, b_out).
+    `RuntimeStats` of one Network share those lists.
     """
 
     names: list[str]
@@ -185,6 +190,7 @@ class Network(tuple):
         net.ifmaps = [l.ifmap_h * l.ifmap_w * l.channels for l in net]
         net.weights = [w * f for w, f in zip(net.windows, net.filters)]
         net.outputs = [p * f for p, f in zip(net.pixels, net.filters)]
+        net._runtimes = {}
         net._tilings = {}
         net._breakpoints = {}
         net._residencies = {}
@@ -285,24 +291,30 @@ def network_runtime(layers, cfg: ChipConfig) -> RuntimeStats:
     layer on chip; that next layer then reads nothing from DRAM. The final
     layer's output always goes off chip. An ifmap that does not fit input
     SRAM is fetched once per column tile.
+
+    Two configs with the same mapping key get the same object from one Network.
     """
     net = Network.of(layers)
     if not net:
         raise ValueError("network must contain at least one layer")
-    key = (cfg.rows, cfg.cols, cfg.batch, cfg.b_in, cfg.b_w, cfg.b_out, cfg.b_acc)
-    if key not in net._tilings:
-        net._tilings[key] = _tiling(net, cfg)
-    fixed, sums, ifmap_bits = net._tilings[key]
     breakpoints = net.breakpoints(cfg)
     pattern = bisect_right(breakpoints, cfg.input_sram_bits)
-    key = (cfg.cols, cfg.b_w, cfg.batch, cfg.b_in, cfg.b_out, pattern)
-    if key not in net._residencies:
+    key = (cfg.rows, cfg.cols, cfg.batch, cfg.b_in, cfg.b_w, cfg.b_out, cfg.b_acc, pattern)
+    if key in net._runtimes:
+        return net._runtimes[key]
+    tiling = key[:-1]
+    if tiling not in net._tilings:
+        net._tilings[tiling] = _tiling(net, cfg)
+    fixed, sums, ifmap_bits = net._tilings[tiling]
+    residency = (cfg.cols, cfg.b_w, cfg.batch, cfg.b_in, cfg.b_out, pattern)
+    if residency not in net._residencies:
         # the sizes that fit are the first `pattern` breakpoints
-        net._residencies[key] = _residency(fixed, ifmap_bits, set(breakpoints[:pattern]))
-    columns, residency_sums = net._residencies[key]
+        net._residencies[residency] = _residency(fixed, ifmap_bits, set(breakpoints[:pattern]))
+    columns, residency_sums = net._residencies[residency]
     sums = {**sums, **residency_sums}
     total = Counts(*[sums[name] for name in Counts._fields])
-    return RuntimeStats(layers=net, **fixed, **columns, total=total)
+    stats = net._runtimes[key] = RuntimeStats(layers=net, **fixed, **columns, total=total)
+    return stats
 
 
 def _tiling(net: Network, cfg: ChipConfig) -> tuple[dict, dict, list[int]]:

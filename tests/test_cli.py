@@ -156,6 +156,36 @@ def test_profile_file_roundtrip(tmp_path, capsys):
     assert payload["manifest"]["profile"] == "local-cal"
 
 
+def test_profile_with_a_percent_sign_evaluates(tmp_path, capsys):
+    prof = tmp_path / "cal.ini"
+    prof.write_text("[profile]\nname = tia-50%\n\n[overrides]\np_tia = 1e-3\n"
+                    "\n[notes]\np_tia = 50% lower than the stock TIA\n")
+    rc = main(["evaluate", "--topology", "toy3", "--profile", str(prof),
+               "--out", str(tmp_path / "o")])
+    assert rc == 0, capsys.readouterr().err
+    payload = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert payload["manifest"]["profile"] == "tia-50%"
+
+
+@pytest.mark.parametrize("command, flag, section", [
+    ("evaluate", "--config", "chip"),
+    ("evaluate", "--profile", "overrides"),
+    ("sweep", "--grid", "grid"),
+    ("optimize", "--constraints", "constraints"),
+])
+def test_a_default_section_exits_1_naming_the_file(tmp_path, capsys, command, flag, section):
+    # configparser would otherwise merge [DEFAULT] into every section, or drop it
+    p = tmp_path / "input.ini"
+    p.write_text(f"[DEFAULT]\ne_dram_per_bit = 1e-12\n\n[{section}]\n")
+    out = tmp_path / "out"
+    rc = main([command, flag, str(p), "--topology", "toy3", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"{p}: unknown section [DEFAULT]" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_profile_file_bad_field_exits_1(tmp_path, capsys):
     prof = tmp_path / "cal.ini"
     prof.write_text("[overrides]\nnot_a_field = 1\n")
@@ -441,13 +471,14 @@ def test_bad_source_date_epoch_exits_1_before_any_work(tmp_path, monkeypatch, ca
     ("evaluate", "--config", "[chip]\nserdes_ratio = 10\n", "chip", "serdes_ratio"),
     ("optimize", "--constraints", "[chip]\ncores = 1\n", "chip", "cores"),
     ("evaluate", "--profile", "[profile]\nname = local\n  cal\n", "profile", "name"),
+    ("evaluate", "--config", "[chip]\ncols = 64\nrows = %(cols)s\n", "chip", "rows"),
 ], ids=["fractional-int", "inf-chip", "nan-tech", "nan-profile-override",
         "unknown-profile-key", "inf-grid-axis", "nan-constraint", "template-key",
         "batch-descending", "batch-zero", "batch-empty", "rows-empty", "cols-empty",
         "sram-step-zero", "area-cap-negative", "hiding-eps-one", "tie-tol-negative",
         "profile-override-negative", "grid-rows-zero", "grid-cores-three",
         "grid-sram-zero", "grid-rows-empty", "grid-rows-repeated", "serdes-ratio-removed",
-        "template-single-core", "profile-name-two-lines"])
+        "template-single-core", "profile-name-two-lines", "interpolation-is-literal"])
 def test_loader_rejects_bad_key_or_value(tmp_path, capsys, command, flag, text, section, key):
     p = tmp_path / "input.ini"
     p.write_text(text)

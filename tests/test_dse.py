@@ -87,8 +87,9 @@ def test_sweep_memo_equals_evaluate_at_every_point(topology, rows, cols, batch, 
     mapped, timed = [], []
 
     def counting_runtime(layers_, cfg):
-        mapped.append(cfg)
-        return network_runtime(layers_, cfg)
+        stats = network_runtime(layers_, cfg)
+        mapped.append((cfg, stats))
+        return stats
 
     def counting_timeline(stats, cfg, tech_):
         timed.append(cfg)
@@ -106,11 +107,23 @@ def test_sweep_memo_equals_evaluate_at_every_point(topology, rows, cols, batch, 
         direct = evaluate(layers, cfg, tech)
         assert flat_row(cfg, report) == flat_row(cfg, direct)
         assert report.stats == direct.stats and report.timeline == direct.timeline
-    assert len(mapped) == len({
-        (c.rows, c.cols, c.batch,
-         bisect_right(Network.of(layers).breakpoints(c), c.input_sram_bits))
-        for c in configs})
+
+    def key(c):
+        return (c.rows, c.cols, c.batch,
+                bisect_right(Network.of(layers).breakpoints(c), c.input_sram_bits))
+
+    # the Network keeps each mapping, so repeat lookups return the object
+    # built first: one build per distinct key
+    assert _builds(mapped, key) == len({key(c) for c in configs})
     assert len(timed) == len({(c.rows, c.cols, c.batch, c.cores) for c in configs})
+
+
+def _builds(mapped, key):
+    """The number of RuntimeStats objects in `mapped`, a list of (config, stats),
+    checked to be one per distinct `key(config)`."""
+    built = {(key(cfg), id(stats)) for cfg, stats in mapped}
+    assert len(built) == len({k for k, _ in built}) == len({i for _, i in built})
+    return len(built)
 
 
 def test_sweep_builds_each_loss_budget_and_energy_breakdown_once(resnet_layers,
@@ -124,9 +137,8 @@ def test_sweep_builds_each_loss_budget_and_energy_breakdown_once(resnet_layers,
         return loss_budget(cfg, tech)
 
     def counting_energy(stats, timeline, cfg, tech, budget=None):
-        energies.append((cfg.rows, cfg.cols, cfg.batch, cfg.b_in, cfg.b_w, cfg.b_out,
-                         cfg.b_acc, bisect_right(Network.of(resnet_layers).breakpoints(cfg),
-                                                 cfg.input_sram_bits), cfg.clock_hz))
+        # the inputs energy_model reads
+        energies.append((stats.total, cfg.rows, cfg.cols, cfg.b_in, cfg.b_out, cfg.clock_hz))
         return energy_model(stats, timeline, cfg, tech, budget)
 
     loss_budget, energy_model = perf.loss_budget, perf.energy_model
@@ -227,29 +239,41 @@ def _report_or_error(run, cfg):
         return type(exc), str(exc)
 
 
+_CHIP_FIELDS = dict(
+    rows=st.integers(1, 1024), cols=st.integers(1, 1024), cores=st.sampled_from([1, 2]),
+    batch=st.integers(1, 10**300), clock_hz=st.floats(1e-300, 1e300),
+    sram_input_mb=st.floats(1e-300, 1e308),
+    **{b: st.integers(1, 64) for b in ("b_in", "b_w", "b_out", "b_acc")},
+    **{bank: st.floats(1e-300, 1e308)
+       for bank in ("sram_filter_mb", "sram_output_mb", "sram_acc_mb")})
+
+
+@st.composite
+def _chip_sequences(draw):
+    """A config, then up to three more, each one field away from an earlier one."""
+    configs = [ChipConfig(**{f: draw(s) for f, s in _CHIP_FIELDS.items()})]
+    for _ in range(draw(st.integers(0, 3))):
+        field = draw(st.sampled_from(sorted(_CHIP_FIELDS)))
+        configs.append(draw(st.sampled_from(configs)).with_(
+            **{field: draw(_CHIP_FIELDS[field])}))
+    return configs
+
+
 @pytest.mark.parametrize("topology", ["toy3", "resnet50_v15"])
 @settings(max_examples=150, deadline=None)
-@given(rows=st.integers(1, 1024), cols=st.integers(1, 1024), cores=st.sampled_from([1, 2]),
-       batch=st.integers(1, 10**300), clock_hz=st.floats(1e-300, 1e300),
-       sram_mb=st.floats(1e-300, 1e308),
-       bits=st.fixed_dictionaries({b: st.integers(1, 64)
-                                   for b in ("b_in", "b_w", "b_out", "b_acc")}),
-       banks=st.fixed_dictionaries({bank: st.floats(1e-300, 1e308) for bank in
-                                    ("sram_filter_mb", "sram_output_mb", "sram_acc_mb")}),
+@given(configs=_chip_sequences(),
        profile=st.sampled_from(["paper-default", "paper-consistent"]),
        overrides=_tech_overrides())
-def test_stages_report_and_evaluate_agree_or_fail_alike(topology, rows, cols, cores, batch,
-                                                        clock_hz, sram_mb, bits, banks,
-                                                        profile, overrides):
+def test_stages_report_and_evaluate_agree_or_fail_alike(topology, configs, profile, overrides):
     # the memo builds the loss budget and energy breakdown apart from roll_up,
-    # so its checks must still fail in evaluate's order, with its message
+    # so its checks must still fail in evaluate's order, with its message;
+    # one memo reports the whole sequence, so later configs hit its entries
     layers = load_topology(topology)
     tech = apply_profile(default_tech_params(), get_profile(profile))._replace(**overrides)
-    cfg = ChipConfig(rows=rows, cols=cols, cores=cores, batch=batch, clock_hz=clock_hz,
-                     sram_input_mb=sram_mb, **bits, **banks)
-    direct = _report_or_error(lambda: evaluate(layers, cfg, tech), cfg)
-    memo = _report_or_error(lambda: dse._Stages(layers, tech).report(cfg), cfg)
-    assert memo == direct
+    stages = dse._Stages(layers, tech)
+    for cfg in configs:
+        direct = _report_or_error(lambda: evaluate(layers, cfg, tech), cfg)
+        assert _report_or_error(lambda: stages.report(cfg), cfg) == direct
 
 
 # --- batch hiding -------------------------------------------------------------
@@ -375,11 +399,11 @@ def test_size_sram_memo_equals_scan_of_every_candidate(
         - step_mb * tech_calibrated.a_sram_per_mb
     cap = fixed + (units + slack) * step_mb * tech_calibrated.a_sram_per_mb
 
-    calls = []
+    built = []
 
     def counting_runtime(layers_, cfg):
-        calls.append(cfg.sram_input_mb)
-        return network_runtime(layers_, cfg)
+        built.append(network_runtime(layers_, cfg))
+        return built[-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dse, "network_runtime", counting_runtime)
@@ -393,7 +417,7 @@ def test_size_sram_memo_equals_scan_of_every_candidate(
                            "critical_input_sram_mb": critical}
     traffics = [c["dram_bits"] for c in plan.candidates]
     assert all(a >= b for a, b in zip(traffics, traffics[1:]))
-    assert len(calls) <= len(Network.of(layers).breakpoints(tpl)) + 1
+    assert len({id(stats) for stats in built}) <= len(Network.of(layers).breakpoints(tpl)) + 1
 
 
 def test_size_sram_memo_counts_a_capacity_equal_to_a_breakpoint_as_resident(tech_default):
@@ -491,8 +515,9 @@ def test_optimize_maps_and_times_each_distinct_input_once(resnet_layers, tech_ca
     mapped, mapped_outside, timed = [], [], []
 
     def counting_runtime(layers_, cfg):
-        mapped.append(cfg)
-        return network_runtime(layers_, cfg)
+        stats = network_runtime(layers_, cfg)
+        mapped.append((cfg, stats))
+        return stats
 
     def counting_perf_runtime(layers_, cfg):
         mapped_outside.append(cfg)
@@ -512,12 +537,14 @@ def test_optimize_maps_and_times_each_distinct_input_once(resnet_layers, tech_ca
         res = optimize(resnet_layers, tech_calibrated, Constraints())
 
     assert mapped_outside == []
-    keys = [(c.rows, c.cols, c.b_w, c.b_acc, c.batch, c.b_in, c.b_out,
-             bisect_right(Network.of(resnet_layers).breakpoints(c), c.input_sram_bits))
-            for c in mapped]
+
+    def key(c):
+        return (c.rows, c.cols, c.b_w, c.b_acc, c.batch, c.b_in, c.b_out,
+                bisect_right(Network.of(resnet_layers).breakpoints(c), c.input_sram_bits))
+
     # new keys per step: batch 9, sram 14, array 24 (32x32 is the sram step's
     # pick), sram again 14, array again 0 (it shares every key)
-    assert len(keys) == len(set(keys)) == 61
+    assert _builds(mapped, key) == 61
     shapes = [(c.rows, c.cols, c.batch, c.cores) for c in timed]
     assert len(shapes) == len(set(shapes))
     direct = evaluate(resnet_layers, res.config, tech_calibrated)

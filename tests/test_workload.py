@@ -1,4 +1,5 @@
 import csv
+from bisect import bisect_right
 import importlib.util
 import math
 import random
@@ -555,3 +556,10 @@ def test_one_network_maps_a_sequence_of_configs_as_fresh_layers_do(case):
     # earlier result's columns fails too
     for cfg, stats in zip(configs, shared):
         assert stats == network_runtime(list(layers), cfg)
+    # the Network keeps each mapping: configs with one mapping key share one object
+    assert network_runtime(net, configs[0]) is shared[0]
+    first = {}
+    for cfg, stats in zip(configs, shared):
+        key = (cfg.rows, cfg.cols, cfg.batch, cfg.b_in, cfg.b_w, cfg.b_out, cfg.b_acc,
+               bisect_right(net.breakpoints(cfg), cfg.input_sram_bits))
+        assert first.setdefault(key, stats) is stats
