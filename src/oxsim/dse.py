@@ -68,19 +68,13 @@ class SweepGrid(Checked, _SweepGridFields):
                 except ConfigError as exc:
                     raise ConfigError(f"{key} = {v}: {exc}") from exc
 
-    def axes(self) -> list[tuple[str, tuple]]:
-        return [(name, getattr(self, key)) for key, name in self._AXES
-                if getattr(self, key) is not None]
-
     def configs(self) -> list[ChipConfig]:
-        axes = self.axes()
-        if not axes:
-            return [self.template]
+        """Every grid point, in lexicographic order; with no axis swept, the template."""
+        axes = [(name, getattr(self, key)) for key, name in self._AXES
+                if getattr(self, key) is not None]
         names = [name for name, _ in axes]
-        out = []
-        for combo in itertools.product(*(vals for _, vals in axes)):
-            out.append(self.template.with_(**dict(zip(names, combo))))
-        return out
+        return [self.template.with_(**dict(zip(names, combo)))
+                for combo in itertools.product(*(vals for _, vals in axes))]
 
 
 class _Stages:
@@ -171,7 +165,8 @@ class Constraints(Checked, _ConstraintsFields):
             raise ConfigError(f"template cores must be 2: the optimizer designs a "
                               f"dual-core chip, got cores = {self.template.cores}")
         for name in ("batch_candidates", "array_rows", "array_cols"):
-            if not all(isinstance(v, int) for v in getattr(self, name)):
+            if not all(isinstance(v, int) and not isinstance(v, bool)
+                       for v in getattr(self, name)):
                 raise ConfigError(f"{name} must list integers, got {list(getattr(self, name))}")
         b = self.batch_candidates
         if not b or b[0] < 1 or any(x >= y for x, y in zip(b, b[1:])):
@@ -338,13 +333,15 @@ def optimize(layers, tech, constraints: Constraints) -> OptimizationResult:
 
     The array step changes the premises of the first two: a bigger array
     shrinks per-tile compute (can re-expose programming) and adds peripheral
-    area (can break the cap the SRAM was sized against). After each pass the
-    batch step is queued if programming is exposed beyond `hiding_eps`, and
-    the SRAM and array steps if the area is over the cap. The loop stops when
-    nothing is queued, when a pass leaves the config unchanged, or after
-    `MAX_PASSES` passes; a config still over the cap then fails.
+    area (can break the cap the SRAM was sized against). Each pass ends with
+    the report of its config: the batch step is queued if that report's
+    timeline exposes programming beyond `hiding_eps`, and the SRAM and array
+    steps if its area is over the cap. The loop stops when nothing is queued,
+    when a pass leaves the config unchanged, or after `MAX_PASSES` passes;
+    the last pass's report is the result, and a config still over the cap
+    fails.
 
-    Every step and the final report read one `_Stages` memo.
+    Every step and every pass's report read one `_Stages` memo.
     """
     cons = constraints
     stages = _Stages(layers, tech)
@@ -357,17 +354,17 @@ def optimize(layers, tech, constraints: Constraints) -> OptimizationResult:
         for step in queue:
             steps.append(step(layers, cfg, tech, cons, stages))
             cfg = steps[-1].config
-        tl = stages.timeline(cfg)
+        report = stages.report(cfg)
+        over_cap = report.area_mm2 > cons.area_cap_mm2 + 1e-9
         queue = []
-        if tl.t_program_exposed > cons.hiding_eps * tl.t_total:
+        if report.timeline.t_program_exposed > cons.hiding_eps * report.timeline.t_total:
             queue.append(find_min_hiding_batch)
-        if float_sum(area_model(cfg, tech).values()) > cons.area_cap_mm2 + 1e-9:
+        if over_cap:
             queue += [size_sram, pick_array_size]
         if not queue or cfg == start:
             break
 
-    report = stages.report(cfg)
-    if report.area_mm2 > cons.area_cap_mm2 + 1e-9:
+    if over_cap:
         raise InfeasibleError(
             f"array step: chosen config measures {report.area_mm2:.2f} mm2, over "
             f"the {cons.area_cap_mm2} mm2 cap"

@@ -143,11 +143,12 @@ def loss_budget(cfg, tech) -> LossBudget:
     Fixed insertion losses (grating, splitter tree, modulator OMA) add to
     the crossing loss of the farthest cell ((M-1) row junctions plus (N-1)
     column hops) and the propagation loss over (N+M) unit-cell pitches.
-    The equal-split field prefactor 1/(N*sqrt(M)) costs 10*log10(N*M) in
-    power for a single-cell contribution, which is the minimum level the
-    receiver must still resolve; the coherent sum across a column only adds
-    signal on top of it. The laser is sized so all M columns clear the
-    receiver floor at that worst case.
+    A single cell's product is charged 10*log10(N*M), an equal 1/(N*M) share
+    of the laser power: the minimum level the receiver must still resolve,
+    which the coherent sum across a column only adds to. The column bus's
+    1/sqrt(N) collection weight is not charged (the functional model's field
+    prefactor 1/(N*sqrt(M)) is a power fraction of 1/(N^2*M)). The laser is
+    sized so all M columns clear the receiver floor at that worst case.
     """
     n, m = cfg.rows, cfg.cols
     # n + m bounds every other array count below, so those convert too

@@ -28,10 +28,11 @@ Its `total` sums the columns into one `Counts`, and its `layers` is the
 
 A mapping reads the array, the batch, the bit widths and, of the SRAM, only
 input SRAM's residency pattern: `bisect_right` of its capacity in the
-residency breakpoints, which are kept per (batch, b_in, b_out). This module
-is the one place that knows it. The `Network` keeps each `RuntimeStats` per
-mapping key (tiling key, residency pattern), so a repeat call returns the
-same object, and the columns it is built from, with their sums:
+residency breakpoints, which are kept per (batch, b_in, b_out). Only
+`dse.size_sram` reads them outside this module, to map where the pattern
+changes. The `Network` keeps each `RuntimeStats` per mapping key (tiling
+key, residency pattern), so a repeat call returns the same object, and the
+columns it is built from, with their sums:
 
     per tiling key (rows, cols, batch, b_in, b_w, b_out, b_acc):
                 every column but those below
@@ -83,7 +84,7 @@ class LayerSpec(Checked, _LayerSpecFields):
         for f in ("ifmap_h", "ifmap_w", "channels", "filter_h", "filter_w",
                   "num_filters", "stride"):
             v = getattr(self, f)
-            if not isinstance(v, int) or v < 1:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"layer {self.name!r}: {f} must be a positive integer, got {v}")
         if self.out_h < 1 or self.out_w < 1:
             raise ValueError(
@@ -129,7 +130,7 @@ class ChipConfig(Checked, _ChipConfigFields):
     def _check(self) -> None:
         for f in ("rows", "cols", "cores", "batch", "b_in", "b_w", "b_out", "b_acc"):
             v = getattr(self, f)
-            if not isinstance(v, int):
+            if not isinstance(v, int) or isinstance(v, bool):
                 raise ConfigError(f"{f} must be an integer, got {v!r}")
         if self.rows < 1 or self.cols < 1:
             raise ConfigError(f"array must be at least 1x1, got {self.rows}x{self.cols}")

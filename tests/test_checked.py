@@ -46,7 +46,7 @@ _LAYER = LayerSpec("conv", 8, 8, 3, 3, 3, 16, 1)
 
 @settings(max_examples=60, deadline=None)
 @given(field=st.sampled_from(LayerSpec._fields[1:]),
-       bad=st.integers(max_value=0) | st.floats())
+       bad=st.integers(max_value=0) | st.floats() | st.booleans())
 def test_layer_spec_rejects_a_dimension_that_is_not_a_positive_int(field, bad):
     message = f"layer 'conv': {field} must be a positive integer, got {bad}"
     _each_path(ValueError, message, LayerSpec, _LAYER, field, bad)
@@ -244,22 +244,23 @@ def test_nan_in_a_float_field_is_rejected_naming_the_field(cls, field):
 
 # --- NaN or a fraction in any int field ---------------------------------------
 
-# TechParams' NaN is left out: its `>= 0` check, shared by every tech parameter,
-# already rejects it
+# TechParams' NaN and True are left out: its `>= 0` and numeric checks, shared by
+# every tech parameter, already reject them
 _INT_CASES = [(cls, field, bad)
-              for cls, fields in ((ChipConfig, ("rows", "cols", "batch", "b_in", "b_w",
-                                                "b_out", "b_acc")),
+              for cls, fields in ((ChipConfig, ("rows", "cols", "cores", "batch", "b_in",
+                                                "b_w", "b_out", "b_acc")),
                                   (TechParams, ("rings_per_row_tx",)),
                                   (Constraints, ("batch_candidates", "array_rows",
                                                  "array_cols")))
-              for field in fields for bad in (float("nan"), 2.5)
-              if not (cls is TechParams and bad != bad)]
+              for field in fields for bad in (float("nan"), 2.5, True)
+              if not (cls is TechParams and (bad is True or bad != bad))]
 
 
 @pytest.mark.parametrize("cls, field, bad", _INT_CASES,
                          ids=[f"{cls.__name__}.{field}-{bad}" for cls, field, bad in _INT_CASES])
 def test_an_int_field_rejects_nan_and_fractions_naming_the_field(cls, field, bad):
-    # `x < 1` lets NaN and 2.5 through; an int field must hold an int
+    # `x < 1` lets NaN and 2.5 through, and True is an int equal to 1; an int
+    # field must hold an int that is not a bool
     value = (1, bad) if cls is Constraints else bad
     for build in (lambda: cls(**{field: value}), lambda: cls()._replace(**{field: value})):
         with pytest.raises(ConfigError, match=rf"\b{field}\b.* integer"):

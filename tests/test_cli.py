@@ -912,6 +912,20 @@ assert "json" not in set(sys.modules) - before
     assert (tmp_path / "sweep.csv").exists()
 
 
+# the oxsim modules each process loads, keyed by its command: every command
+# loads the CLI's own set, sweep and optimize add dse, and the commands that
+# write JSON add jsontext
+_PACKAGE_IMPORTS = {"oxsim", "oxsim.errors", "oxsim.tech", "oxsim.workload", "oxsim.perf"}
+_CLI_IMPORTS = _PACKAGE_IMPORTS | {"oxsim.reports"}
+_IMPORTS = {
+    "import oxsim": _PACKAGE_IMPORTS,
+    "--version": _CLI_IMPORTS,
+    "evaluate": _CLI_IMPORTS | {"oxsim.jsontext"},
+    "sweep": _CLI_IMPORTS | {"oxsim.dse"},
+    "optimize": _CLI_IMPORTS | {"oxsim.dse", "oxsim.jsontext"},
+}
+
+
 @pytest.mark.parametrize("argv, loads_dse", [
     (["-c", "import oxsim"], False),
     (["-m", "oxsim.cli", "--version"], False),
@@ -931,6 +945,10 @@ def test_only_sweep_and_optimize_import_dse(tmp_path, argv, loads_dse):
                 if line.startswith("import time:")}
     assert "oxsim.workload" in imported  # the trace was read
     assert ("oxsim.dse" in imported) is loads_dse
+    command = argv[1] if argv[0] == "-c" else argv[2]
+    assert {m for m in imported if m.split(".")[0] == "oxsim"} == _IMPORTS[command]
+    # the numpy functional model is never on a command's import path
+    assert "numpy" not in imported and "oxsim.photonics" not in imported
 
 
 @pytest.mark.filterwarnings("ignore:no candidate batch hides programming")

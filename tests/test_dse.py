@@ -563,6 +563,26 @@ def test_optimize_over_the_cap_after_the_last_pass_is_infeasible(
         optimize(resnet_layers, tech_calibrated, cons)
 
 
+def test_optimize_judges_each_pass_on_one_report_and_returns_the_last(
+        resnet_layers, tech_calibrated, monkeypatch):
+    # the shipped constraints settle in two passes: the array step scores its
+    # candidates, each pass then ends with one report of its config, and
+    # nothing is evaluated after the loop
+    reports = []
+    real_report = dse._Stages.report
+
+    def recording(self, cfg):
+        reports.append(real_report(self, cfg))
+        return reports[-1]
+
+    monkeypatch.setattr(dse._Stages, "report", recording)
+    res = optimize(resnet_layers, tech_calibrated, Constraints())
+    assert [s.step for s in res.steps] == ["batch", "sram", "array", "sram", "array"]
+    scored = sum("ips" in row for s in res.steps if s.step == "array" for row in s.candidates)
+    assert len(reports) == scored + 2
+    assert res.report is reports[-1]
+
+
 @pytest.mark.filterwarnings("ignore:no candidate batch hides programming")
 @settings(max_examples=40, deadline=None)
 @given(cap=st.floats(5.0, 150.0), step=st.floats(0.1, 2.0),
