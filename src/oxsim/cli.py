@@ -9,8 +9,6 @@ stamps a time).
 from __future__ import annotations
 
 import argparse
-import configparser
-import hashlib
 import io
 import math
 import os
@@ -33,6 +31,16 @@ from .tech import (
     get_profile,
 )
 from .workload import ChipConfig, load_topology, topology_path
+
+# The manifest digests come from the builtin SHA-256, so a run does not load
+# OpenSSL, as hashlib does at import, to hash two small files.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # an interpreter built without it
+        from hashlib import sha256
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -89,36 +97,79 @@ def _deterministic_timestamp() -> str:
 
 
 def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return sha256(path.read_bytes()).hexdigest()
 
 
 def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+    return sha256(text.encode()).hexdigest()
 
 
-def _read_ini(path: Path, allowed_sections: set[str]) -> configparser.ConfigParser:
+def _parse_ini(text: str, source) -> dict[str, dict[str, str]]:
+    """{section: {key: value}} of INI text, read as configparser's strict
+    ConfigParser reads it with `#`/`;` inline comments, no interpolation, no
+    default section and case-sensitive keys (README gives the rules). A
+    malformed line is a ConfigError that names `source` and the line."""
+    sections: dict[str, dict[str, list[str]]] = {}
+    keys = None  # the current section's {key: value lines}
+    lines = None  # the value lines of the section's last key
+    indent = 0  # the indentation of that key's line
+    # split as configparser splits, at "\n" only
+    for number, line in enumerate(text.split("\n"), start=1):
+        # a comment runs from a `#` or `;` that starts the line or follows whitespace
+        cut = next((i for i, char in enumerate(line)
+                    if char in "#;" and (i == 0 or line[i - 1].isspace())), None)
+        clean = line[:cut].strip()
+        if not clean:
+            if lines is not None and cut is None:
+                lines.append("")
+            continue
+        where = f"{source}, line {number}"
+        line_indent = len(line) - len(line.lstrip())
+        if lines is not None and line_indent > indent:
+            lines.append(clean)
+            continue
+        indent = line_indent
+        end = clean.rfind("]")
+        if clean[0] == "[" and end > 1:
+            name = clean[1:end]
+            if name in sections:
+                raise ConfigError(f"{where}: section [{name}] is given twice")
+            keys = sections[name] = {}
+            lines = None
+        elif keys is None:
+            raise ConfigError(f"{where}: {clean!r} comes before any [section]")
+        else:
+            # a key ends at the first `=` or `:`
+            cut = min(i for i in (clean.find("="), clean.find(":"), len(clean)) if i >= 0)
+            key = clean[:cut].rstrip()
+            if not key or cut == len(clean):
+                raise ConfigError(f"{where}: {clean!r} is not a key = value line")
+            if key in keys:
+                raise ConfigError(f"{where}: key {key!r} is given twice in [{name}]")
+            lines = keys[key] = [clean[cut + 1:].strip()]
+    return {name: {key: "\n".join(value).rstrip() for key, value in keys.items()}
+            for name, keys in sections.items()}
+
+
+def _read_ini(path: Path, allowed_sections: set[str]) -> dict[str, dict[str, str]]:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    # values are read literally; no section name can hold a newline, so a
-    # [DEFAULT] section is an ordinary one and fails the check below
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                       interpolation=None, default_section="\n")
-    parser.optionxform = str  # keys are case-sensitive field names
     try:
         # a leading byte-order mark is dropped, as the topology loader drops it
-        parser.read_string(path.read_text(encoding="utf-8-sig"), source=str(path))
-    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        text = path.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    for section in parser.sections():
+    sections = _parse_ini(text, path)
+    for section in sections:
         if section not in allowed_sections:
             raise ConfigError(
                 f"{path}: unknown section [{section}]; allowed: "
                 f"{', '.join(sorted(allowed_sections))}"
             )
-    return parser
+    return sections
 
 
-def _section(parser: configparser.ConfigParser, section: str, cls, source) -> dict:
+def _section(sections: dict, section: str, cls, source) -> dict:
     """Keyword arguments for NamedTuple `cls` from one INI section.
 
     Each key must name a field of `cls` whose annotation `_PARSERS` knows, and
@@ -132,7 +183,7 @@ def _section(parser: configparser.ConfigParser, section: str, cls, source) -> di
              for name, ref in fields_cls.__annotations__.items()}
     kinds = {name: kind for name, kind in kinds.items() if kind in _PARSERS}
     out = {}
-    for key, raw in (parser[section].items() if parser.has_section(section) else ()):
+    for key, raw in sections.get(section, {}).items():
         if key not in kinds:
             raise ConfigError(f"{where}: unknown key {key!r}; allowed: "
                               f"{', '.join(sorted(kinds))}")
@@ -151,8 +202,8 @@ def _build(where: str, make, *args, **kwargs):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _chip(parser: configparser.ConfigParser, source) -> ChipConfig:
-    return _build(f"{source} [chip]", ChipConfig, **_section(parser, "chip", ChipConfig, source))
+def _chip(sections: dict, source) -> ChipConfig:
+    return _build(f"{source} [chip]", ChipConfig, **_section(sections, "chip", ChipConfig, source))
 
 
 def load_profile(spec: str | None) -> CalibrationProfile:
@@ -167,14 +218,14 @@ def load_profile(spec: str | None) -> CalibrationProfile:
             f"profile {spec!r} is neither a built-in "
             f"({', '.join(sorted(builtin_profiles()))}) nor a file"
         )
-    parser = _read_ini(path, {"profile", "overrides", "notes"})
-    name = _section(parser, "profile", CalibrationProfile, path).get("name", path.stem)
+    sections = _read_ini(path, {"profile", "overrides", "notes"})
+    name = _section(sections, "profile", CalibrationProfile, path).get("name", path.stem)
     # the name is checked alone first, so an error about it names [profile]
     _build(f"{path} [profile]", CalibrationProfile, name=name)
     return _build(
         f"{path} [overrides]", CalibrationProfile, name=name,
-        overrides=_section(parser, "overrides", TechParams, path),
-        notes=dict(parser["notes"]) if parser.has_section("notes") else {},
+        overrides=_section(sections, "overrides", TechParams, path),
+        notes=sections.get("notes", {}),
     )
 
 
@@ -184,11 +235,11 @@ def load_run_inputs(config_path: str | None, profile_spec: str | None):
     tech = apply_profile(default_tech_params(), profile)
     if config_path:
         path = Path(config_path)
-        parser = _read_ini(path, {"chip", "tech"})
-        cfg = _chip(parser, path)
+        sections = _read_ini(path, {"chip", "tech"})
+        cfg = _chip(sections, path)
         where = f"{path} [tech]"
         tech = _build(where, apply_overrides, tech,
-                      _section(parser, "tech", TechParams, path), source=where)
+                      _section(sections, "tech", TechParams, path), source=where)
         config_hash = _sha256_file(path)
     else:
         cfg = ChipConfig()
@@ -265,8 +316,8 @@ def _over_chip(path: Path, section: str, cls):
     The template is first checked by `cls` alone (every other field at its
     default), so an error about the template names [chip].
     """
-    parser = _read_ini(path, {section, "chip"})
-    template, fields = _chip(parser, path), _section(parser, section, cls, path)
+    sections = _read_ini(path, {section, "chip"})
+    template, fields = _chip(sections, path), _section(sections, section, cls, path)
     _build(f"{path} [chip]", cls, template=template)
     return _build(f"{path} [{section}]", cls, template=template, **fields)
 

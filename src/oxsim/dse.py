@@ -177,11 +177,12 @@ class Constraints(Checked, _ConstraintsFields):
             if not sizes or min(sizes) < 1:
                 raise ConfigError(f"{name} must list at least one size, all >= 1, "
                                   f"got {list(sizes)}")
+        # NaN fails each range check below; a bool would pass it as 0 or 1
         for name in ("area_cap_mm2", "sram_step_mb"):
-            if not getattr(self, name) > 0:  # NaN fails too
+            if isinstance(getattr(self, name), bool) or not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         for name in ("hiding_eps", "tie_tol"):
-            if not 0.0 <= getattr(self, name) < 1.0:
+            if isinstance(getattr(self, name), bool) or not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
     def array_candidates(self) -> list[tuple[int, int]]:

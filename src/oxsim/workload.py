@@ -138,13 +138,14 @@ class ChipConfig(Checked, _ChipConfigFields):
             raise ConfigError(f"cores must be 1 or 2, got {self.cores}")
         if self.batch < 1:
             raise ConfigError(f"batch must be >= 1, got {self.batch}")
-        if not self.clock_hz > 0:  # NaN fails too
+        # NaN fails each `> 0` check below; a bool would pass it as 1
+        if isinstance(self.clock_hz, bool) or not self.clock_hz > 0:
             raise ConfigError(f"clock_hz must be > 0, got {self.clock_hz}")
         for f in ("b_in", "b_w", "b_out", "b_acc"):
             if getattr(self, f) < 1:
                 raise ConfigError(f"{f} must be >= 1")
         for f in ("sram_input_mb", "sram_filter_mb", "sram_output_mb", "sram_acc_mb"):
-            if not getattr(self, f) > 0:  # NaN fails too
+            if isinstance(getattr(self, f), bool) or not getattr(self, f) > 0:
                 raise ConfigError(f"{f} must be > 0")
 
     @property

@@ -242,6 +242,26 @@ def test_nan_in_a_float_field_is_rejected_naming_the_field(cls, field):
             build()
 
 
+# --- a bool in any float field ------------------------------------------------
+
+_BOOL_CASES = [(cls, field, bad) for cls, field in _FLOAT_FIELDS for bad in (True, False)]
+
+
+@pytest.mark.parametrize("cls, field, bad", _BOOL_CASES,
+                         ids=[f"{cls.__name__}.{field}-{bad}" for cls, field, bad in _BOOL_CASES])
+def test_a_bool_in_a_float_field_is_rejected_naming_the_field(cls, field, bad):
+    # True > 0 and 0 <= False < 1 both hold, so a range check alone lets a bool through
+    for build in (lambda: cls(**{field: bad}), lambda: cls()._replace(**{field: bad})):
+        with pytest.raises(ConfigError, match=rf"\b{field}\b"):
+            build()
+
+
+def test_a_bool_on_a_float_sweep_axis_is_rejected_naming_the_axis():
+    # each axis value is checked on the template, so the grid inherits the field's check
+    _rejects(ConfigError, "input_sram_mb = True: sram_input_mb must be > 0",
+             lambda: SweepGrid(template=ChipConfig(), input_sram_mb=(True, 2.0)))
+
+
 # --- NaN or a fraction in any int field ---------------------------------------
 
 # TechParams' NaN and True are left out: its `>= 0` and numeric checks, shared by

@@ -1,3 +1,4 @@
+import configparser
 import hashlib
 import importlib.util
 import json
@@ -9,16 +10,17 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oxsim
 import oxsim.cli
-from oxsim.cli import _atomic_write, _over_chip, load_run_inputs, main
+from oxsim.cli import _atomic_write, _over_chip, _parse_ini, _sha256_file, load_run_inputs, main
 from oxsim.dse import MAX_SRAM_STEPS, Constraints, SweepGrid, sweep
+from oxsim.errors import ConfigError
 from oxsim.reports import CSV_COLUMNS, RunManifest, flat_row
 from oxsim.reports import csv_text as _csv_text
-from oxsim.workload import ChipConfig, load_topology
+from oxsim.workload import ChipConfig, load_topology, topology_path
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -539,6 +541,131 @@ def test_input_file_with_a_byte_order_mark_reads_as_without_it(tmp_path, command
     assert outputs[b""] == outputs[b"\xef\xbb\xbf"]
 
 
+# --- the INI reader, against configparser as the oracle ------------------------
+
+def _configparser_sections(text):
+    """configparser's reading of `text`, configured as the CLI configured it
+    before it had its own reader; None if configparser rejects the text."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None, default_section="\n")
+    parser.optionxform = str
+    try:
+        parser.read_string(text)
+    except configparser.Error:
+        return None
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+def _comment_found_alike_before_313(line):
+    """Whether configparser before Python 3.13 cuts `line`'s comment where the
+    reader does.
+
+    The reader, and configparser from 3.13, cut at the first `#` or `;` that
+    starts the line or follows whitespace. Before 3.13 configparser looked at
+    the first `#` and the first `;`, then the second of each, and so on, and
+    cut at the first round that held a comment start, so `a;b ;c #d` read as
+    `a;b ;c`. The two agree if the line holds one kind of prefix, or the first
+    of each kind starts a comment.
+    """
+    firsts = [line.find(prefix) for prefix in "#;" if prefix in line]
+    return len(firsts) < 2 or all(i == 0 or line[i - 1].isspace() for i in firsts)
+
+
+_INI_SPACE = st.sampled_from(["", " ", "  ", "\t", "\x0c", "\r", " \x0b"])
+# "\r", "\x0c" and "\x85" end a line for str.splitlines, but not for configparser
+_INI_TEXT = st.text(alphabet="ab []=:#;%\t\x0c\x85\r\u00e9", max_size=8)
+
+
+@st.composite
+def _ini_lines(draw):
+    kind = draw(st.sampled_from(["header", "option", "comment", "blank", "text"]))
+    if kind == "header":
+        body = "[" + draw(st.sampled_from(["chip", "grid", " chip", "a]b", "]", ""])) + "]"
+    elif kind == "option":
+        # few keys, so that a section often gives one twice
+        body = (draw(st.sampled_from(["rows", "cols", "a b", "%(rows)s", "[x"]))
+                + draw(_INI_SPACE) + draw(st.sampled_from("=:")) + draw(_INI_SPACE)
+                + draw(_INI_TEXT))
+    elif kind == "comment":
+        body = draw(st.sampled_from("#;")) + draw(_INI_TEXT)
+    else:
+        body = "" if kind == "blank" else draw(_INI_TEXT)
+    tail = draw(st.sampled_from(["", " ", " # note", "\t;note", "#glued", ";glued"]))
+    # an indented line continues the value of a less indented key
+    return draw(_INI_SPACE) + body + tail
+
+
+_INI_TEXTS = st.builds(lambda head, lines, newline, end: head + newline.join(lines) + end,
+                       st.sampled_from(["", "[chip]\n"]), st.lists(_ini_lines(), max_size=8),
+                       st.sampled_from(["\n", "\r\n"]), st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=_INI_TEXTS)
+@example(text="[chip]\nrows = 8\n  16\n\n \x0c\n\t32 ;c\n\n")
+@example(text="[chip]\r\nrows : 8 #c\r\n\x0ccols=a#b\r\n")
+@example(text="[chip] trailing\n[a]b]\n[]\n")
+@example(text="[chip]\nrows = 1\nrows = 2\n")
+@example(text="[chip]\n[grid]\n[chip]\n")
+@example(text="rows = 8\n[chip]\n")
+@example(text="[chip]\nrows\n")
+@example(text="[chip]\n = 8\n")
+@example(text="[DEFAULT]\nrows = 8\n[chip]\ncols = %(rows)s\n")
+def test_ini_reader_reads_every_text_as_configparser_does(text):
+    if sys.version_info < (3, 13):
+        assume(all(_comment_found_alike_before_313(line) for line in text.split("\n")))
+    want = _configparser_sections(text)
+    if want is None:
+        with pytest.raises(ConfigError, match=r"^<drawn>, line \d+: "):
+            _parse_ini(text, "<drawn>")
+    else:
+        assert _parse_ini(text, "<drawn>") == want
+
+
+def test_ini_comment_starts_at_the_first_prefix_after_whitespace_on_every_python():
+    # configparser before 3.13 reads `a;b ;c` here (see _comment_found_alike_before_313)
+    assert _parse_ini("[s]\nk = a;b ;c #d\n", "f") == {"s": {"k": "a;b"}}
+
+
+@pytest.mark.parametrize("text, line, fault", [
+    ("rows = 8\n[chip]\n", 1, "'rows = 8' comes before any [section]"),
+    ("[chip]\n\nrows 8\n", 3, "'rows 8' is not a key = value line"),
+    ("[chip]\n: 8\n", 2, "': 8' is not a key = value line"),
+    ("[chip]\nrows = 8\n[tech]\n[chip]\n", 4, "section [chip] is given twice"),
+    ("[chip]\nrows = 8\n# rows = 16\nrows: 16\n", 4, "key 'rows' is given twice in [chip]"),
+], ids=["before-section", "no-delimiter", "empty-key", "section-twice", "key-twice"])
+def test_malformed_ini_line_exits_1_naming_file_and_line(tmp_path, capsys, text, line, fault):
+    p = tmp_path / "input.ini"
+    p.write_text(text)
+    out = tmp_path / "out"
+    assert main(["evaluate", "--config", str(p), "--topology", "toy3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {p}, line {line}: {fault}\n"
+    assert not out.exists()
+
+
+# --- manifest digests from the builtin SHA-256 -------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=2048))
+def test_builtin_sha256_matches_hashlib(data):
+    assert oxsim.cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_manifest_digests_match_hashlib_for_every_shipped_input(tmp_path):
+    # the builtin module, not the hashlib fallback, on every CI Python
+    assert oxsim.cli.sha256.__module__ in ("_sha2", "_sha256")
+    topologies = {name: topology_path(name) for name in ("resnet50_v15", "toy3")}
+    for path in [*sorted(CONFIGS.glob("*.ini")), *topologies.values()]:
+        assert _sha256_file(path) == _sha(path), path
+    for name, path in topologies.items():
+        out = tmp_path / name
+        assert main(["evaluate", "--config", str(CONFIGS / "headline.ini"), "--topology", name,
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "report.json").read_text())["manifest"]
+        assert manifest["config_hash"] == _sha(CONFIGS / "headline.ini")
+        assert manifest["topology_hash"] == _sha(path)
+
+
 def test_outputs_are_utf8_whatever_the_locale(tmp_path):
     # under the C locale, with locale coercion and UTF-8 mode off, Python's
     # default text encoding is ASCII, which cannot write the profile name
@@ -910,6 +1037,34 @@ assert "json" not in set(sys.modules) - before
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["evaluate", "--config", str(CONFIGS / "headline.ini"), "--topology", "toy3"],
+    ["sweep", "--grid", str(CONFIGS / "array_sweep.ini"), "--topology", "toy3"],
+    ["optimize", "--constraints", str(CONFIGS / "optimize_default.ini"), "--topology", "toy3"],
+], ids=["version", "evaluate", "sweep", "optimize"])
+def test_cli_commands_do_not_import_hashlib_or_configparser(tmp_path, argv):
+    # hashlib loads OpenSSL (~4 ms) and configparser compiles its regexes (~3 ms)
+    # at import; the snapshot lets a site hook preload them
+    src = Path(oxsim.__file__).resolve().parents[1]
+    script = f"""
+import sys
+before = set(sys.modules)
+from oxsim.cli import main
+try:
+    code = main({argv!r})
+except SystemExit as exc:  # --version exits from argparse
+    code = exc.code
+assert code == 0, code
+loaded = {{"hashlib", "_hashlib", "configparser"}} & (set(sys.modules) - before)
+assert not loaded, sorted(loaded)
+"""
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 # the oxsim modules each process loads, keyed by its command: every command
