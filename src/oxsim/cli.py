@@ -8,7 +8,6 @@ stamps a time).
 """
 from __future__ import annotations
 
-import argparse
 import io
 import math
 import os
@@ -16,6 +15,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import ConfigError, EvaluationError, InfeasibleError, OxsimError, TopologyError
@@ -367,44 +367,97 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="oxsim",
-        description="Coherent optical crossbar accelerator simulator",
-    )
-    parser.add_argument("--version", action="version", version=f"oxsim {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+_TOPOLOGY_HELP = "topology CSV path or bundled name (resnet50_v15, toy3)"
+_PROFILE_HELP = "calibration profile name or file"
 
-    ev = sub.add_parser("evaluate", help="evaluate one configuration on a network")
-    ev.add_argument("--config", help="chip config file ([chip]/[tech] sections)")
-    ev.add_argument("--topology", required=True,
-                    help="topology CSV path or bundled name (resnet50_v15, toy3)")
-    ev.add_argument("--profile", help="calibration profile name or file")
-    ev.add_argument("--out", help="output directory (default: .)")
-    ev.set_defaults(func=cmd_evaluate)
+# command -> (its help, its function, {option: help}, the options it requires)
+_COMMANDS = {
+    "evaluate": ("evaluate one configuration on a network", cmd_evaluate, {
+        "--config": "chip config file ([chip]/[tech] sections)",
+        "--topology": _TOPOLOGY_HELP,
+        "--profile": _PROFILE_HELP,
+        "--out": "output directory (default: .)",
+    }, ("--topology",)),
+    "sweep": ("evaluate a Cartesian grid of configurations", cmd_sweep, {
+        "--grid": "grid file ([grid]/[chip] sections)",
+        "--topology": _TOPOLOGY_HELP,
+        "--profile": _PROFILE_HELP,
+        "--out": "output CSV path (default: sweep.csv)",
+    }, ("--grid", "--topology")),
+    "optimize": ("run the batch -> SRAM -> array flow", cmd_optimize, {
+        "--constraints": "constraints file ([constraints]/[chip])",
+        "--topology": _TOPOLOGY_HELP,
+        "--profile": _PROFILE_HELP,
+        "--out": "audit JSON path (default: optimize_audit.json)",
+    }, ("--topology",)),
+}
+_HELP = ("-h", "--help")
 
-    sw = sub.add_parser("sweep", help="evaluate a Cartesian grid of configurations")
-    sw.add_argument("--grid", required=True, help="grid file ([grid]/[chip] sections)")
-    sw.add_argument("--topology", required=True)
-    sw.add_argument("--profile")
-    sw.add_argument("--out", help="output CSV path (default: sweep.csv)")
-    sw.set_defaults(func=cmd_sweep)
 
-    op = sub.add_parser("optimize", help="run the batch -> SRAM -> array flow")
-    op.add_argument("--constraints", help="constraints file ([constraints]/[chip])")
-    op.add_argument("--topology", required=True)
-    op.add_argument("--profile")
-    op.add_argument("--out", help="audit JSON path (default: optimize_audit.json)")
-    op.set_defaults(func=cmd_optimize)
-    return parser
+def _usage(command: str | None = None) -> str:
+    """The text --help prints: every command, or one command's options."""
+    if command is None:
+        lines = [f"usage: oxsim {{{','.join(_COMMANDS)}}} --option value ...",
+                 "       oxsim --version", "",
+                 "Coherent optical crossbar accelerator simulator", "", "commands:"]
+        lines += [f"  {name:<10}{entry[0]}" for name, entry in _COMMANDS.items()]
+        lines += ["", "oxsim COMMAND --help lists a command's options."]
+    else:
+        summary, _, options, required = _COMMANDS[command]
+        lines = [f"usage: oxsim {command} --option value ...", "", summary, "",
+                 "options (each --opt value or --opt=value, at most once):"]
+        lines += [f"  {name:<15}{text}{' (required)' if name in required else ''}"
+                  for name, text in options.items()]
+    return "\n".join(lines)
+
+
+def parse_args(argv: list[str]):
+    """The namespace of a command line: `func` and one field per option of
+    its command, None where not given. --version and --help return the text
+    to print instead. A usage error is a ConfigError that names the argument."""
+    if not argv:
+        raise ConfigError(f"missing command; expected one of {', '.join(_COMMANDS)}")
+    command, *words = argv
+    if command == "--version" and not words:
+        return f"oxsim {__version__}"
+    if command in _HELP and not words:
+        return _usage()
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r}; expected one of "
+                          f"{', '.join(_COMMANDS)}, or --version or --help alone")
+    _, func, options, required = _COMMANDS[command]
+    values = {}
+    words = iter(words)
+    for word in words:
+        if word in _HELP:
+            return _usage(command)
+        name, eq, value = word.partition("=")
+        if name not in options:
+            raise ConfigError(f"{command}: unknown option {name!r}; allowed: "
+                              f"{', '.join(options)}")
+        if name in values:
+            raise ConfigError(f"{command}: option {name} is given twice")
+        if not eq:
+            value = next(words, None)
+            if value is None or value.startswith("-"):
+                raise ConfigError(f"{command}: option {name} needs a value (write "
+                                  f"{name}=VALUE for one that starts with '-')")
+        values[name] = value
+    for name in required:
+        if name not in values:
+            raise ConfigError(f"{command}: option {name} is required")
+    return SimpleNamespace(func=func, **{name[2:]: values.get(name) for name in options})
 
 
 def main(argv=None) -> int:
     if isinstance(sys.stdout, io.TextIOWrapper):  # not when redirected to a StringIO
         # the summary is UTF-8, as every output file is, whatever the locale
         sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
-    args = build_parser().parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):  # --version or --help
+            print(args)
+            return EXIT_OK
         # a bad SOURCE_DATE_EPOCH fails before any evaluation or output
         args.timestamp = _deterministic_timestamp()
         return args.func(args)

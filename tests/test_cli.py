@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import hashlib
 import importlib.util
@@ -643,6 +644,176 @@ def test_malformed_ini_line_exits_1_naming_file_and_line(tmp_path, capsys, text,
     assert not out.exists()
 
 
+# --- the command line, against argparse as the oracle -------------------------
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI used before it had its own: the oracle of
+    `parse_args` on the command lines both accept."""
+    parser = argparse.ArgumentParser(
+        prog="oxsim",
+        description="Coherent optical crossbar accelerator simulator",
+    )
+    parser.add_argument("--version", action="version", version=f"oxsim {oxsim.__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    ev = sub.add_parser("evaluate", help="evaluate one configuration on a network")
+    ev.add_argument("--config", help="chip config file ([chip]/[tech] sections)")
+    ev.add_argument("--topology", required=True,
+                    help="topology CSV path or bundled name (resnet50_v15, toy3)")
+    ev.add_argument("--profile", help="calibration profile name or file")
+    ev.add_argument("--out", help="output directory (default: .)")
+    ev.set_defaults(func=oxsim.cli.cmd_evaluate)
+
+    sw = sub.add_parser("sweep", help="evaluate a Cartesian grid of configurations")
+    sw.add_argument("--grid", required=True, help="grid file ([grid]/[chip] sections)")
+    sw.add_argument("--topology", required=True)
+    sw.add_argument("--profile")
+    sw.add_argument("--out", help="output CSV path (default: sweep.csv)")
+    sw.set_defaults(func=oxsim.cli.cmd_sweep)
+
+    op = sub.add_parser("optimize", help="run the batch -> SRAM -> array flow")
+    op.add_argument("--constraints", help="constraints file ([constraints]/[chip])")
+    op.add_argument("--topology", required=True)
+    op.add_argument("--profile")
+    op.add_argument("--out", help="audit JSON path (default: optimize_audit.json)")
+    op.set_defaults(func=oxsim.cli.cmd_optimize)
+    return parser
+
+
+_OPTIONS = {
+    "evaluate": (["--config", "--profile", "--out"], ["--topology"]),
+    "sweep": (["--profile", "--out"], ["--grid", "--topology"]),
+    "optimize": (["--constraints", "--profile", "--out"], ["--topology"]),
+}
+# values that argparse, too, reads as values: `=`, spaces, non-ASCII text and
+# empty strings, but no leading `-`
+_VALUES = st.text(max_size=12).filter(
+    lambda value: not value.startswith("-")) | st.sampled_from(["", "=", "a=b", " -x", "café"])
+
+
+@st.composite
+def _command_lines(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    optional, required = _OPTIONS[command]
+    chosen = draw(st.permutations(required + draw(st.lists(st.sampled_from(optional),
+                                                          unique=True))))
+    argv = [command]
+    for name in chosen:
+        value = draw(_VALUES)
+        argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=_command_lines())
+@example(argv=["evaluate", "--topology=", "--out", ""])
+@example(argv=["sweep", "--out=a=b", "--grid", "=", "--topology", "a b"])
+@example(argv=["optimize", "--profile", "café", "--topology=toy3", "--constraints=c.ini"])
+# a value that starts with `-` is read after `=`
+@example(argv=["evaluate", "--topology=-toy3", "--out=--x"])
+def test_parse_args_reads_every_command_line_as_argparse_does(argv):
+    want = vars(build_parser().parse_args(argv))
+    del want["command"]
+    assert vars(oxsim.cli.parse_args(argv)) == want
+
+
+_USAGE = """\
+usage: oxsim {evaluate,sweep,optimize} --option value ...
+       oxsim --version
+
+Coherent optical crossbar accelerator simulator
+
+commands:
+  evaluate  evaluate one configuration on a network
+  sweep     evaluate a Cartesian grid of configurations
+  optimize  run the batch -> SRAM -> array flow
+
+oxsim COMMAND --help lists a command's options.
+"""
+
+_EVALUATE_USAGE = """\
+usage: oxsim evaluate --option value ...
+
+evaluate one configuration on a network
+
+options (each --opt value or --opt=value, at most once):
+  --config       chip config file ([chip]/[tech] sections)
+  --topology     topology CSV path or bundled name (resnet50_v15, toy3) (required)
+  --profile      calibration profile name or file
+  --out          output directory (default: .)
+"""
+
+
+@pytest.mark.parametrize("argv, printed", [
+    (["--version"], f"oxsim {oxsim.__version__}\n"),
+    (["--help"], _USAGE),
+    (["-h"], _USAGE),
+    (["evaluate", "--help"], _EVALUATE_USAGE),
+    (["evaluate", "--topology", "toy3", "-h"], _EVALUATE_USAGE),
+], ids=["version", "help", "h", "evaluate-help", "evaluate-h-after-an-option"])
+def test_version_and_help_print_and_return_0(tmp_path, monkeypatch, capsys, argv, printed):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert capsys.readouterr() == (printed, "")
+    assert not list(tmp_path.iterdir())
+
+
+def test_every_command_has_a_help_text(capsys):
+    for command in ("evaluate", "sweep", "optimize"):
+        assert main([command, "--help"]) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith(f"usage: oxsim {command} ")
+        assert all(f"  {name} " in printed for name in sum(_OPTIONS[command], []))
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([], "missing command"),
+    (["evalute", "--topology", "toy3"], "'evalute'"),
+    (["evaluate", "--topology", "toy3", "--bogus", "x"], "'--bogus'"),
+    (["evaluate", "--topo", "toy3"], "'--topo'"),
+    (["evaluate", "--topology=toy3", "toy3"], "'toy3'"),
+    (["evaluate", "--topology"], "--topology needs a value"),
+    (["evaluate", "--profile", "--topology", "toy3"], "--profile needs a value"),
+    (["evaluate", "--topology", "-toy3"], "--topology needs a value"),
+    (["evaluate", "--profile", "paper-default"], "--topology is required"),
+    (["sweep", "--topology", "toy3"], "--grid is required"),
+    (["evaluate", "--topology", "toy3", "--topology", "nope"], "--topology is given twice"),
+    (["evaluate", "--topology", "toy3", "--out=b"], "--out is given twice"),
+    (["--version", "evaluate"], "'--version'"),
+], ids=["no-command", "unknown-command", "unknown-option", "abbreviated-option",
+        "stray-value", "no-value-at-the-end", "no-value-before-an-option",
+        "value-starts-with-a-dash", "missing-required", "missing-required-grid",
+        "repeated-option", "repeated-option-both-spellings", "version-not-alone"])
+def test_usage_error_exits_1_naming_the_argument(tmp_path, argv, named):
+    out = tmp_path / "out"
+    argv = [*argv[:1], "--out", str(out), *argv[1:]] if argv else argv
+    src = Path(oxsim.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-m", "oxsim.cli", *argv], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 1, run.stderr
+    assert run.stdout == ""
+    assert run.stderr.startswith("config error: ") and run.stderr.count("\n") == 1, run.stderr
+    assert named in run.stderr
+    assert not out.exists() and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, printed", [
+    (["--version"], f"oxsim {oxsim.__version__}\n"),
+    (["evaluate", "--topology", "toy3", "--out", "ev"], "wrote ev/report.json and ev/report.csv\n"),
+], ids=["version", "evaluate"])
+def test_main_reads_sys_argv_as_the_console_script_calls_it(tmp_path, monkeypatch, capsys,
+                                                            argv, printed):
+    # the installed `oxsim` script calls main() with no argument
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["oxsim", *argv])
+    assert main() == 0
+    assert capsys.readouterr().out.endswith(printed)
+    if argv[0] == "evaluate":
+        assert sorted(p.name for p in (tmp_path / "ev").iterdir()) == ["report.csv",
+                                                                       "report.json"]
+
+
 # --- manifest digests from the builtin SHA-256 -------------------------------
 
 @settings(max_examples=300, deadline=None)
@@ -1045,20 +1216,18 @@ assert "json" not in set(sys.modules) - before
     ["sweep", "--grid", str(CONFIGS / "array_sweep.ini"), "--topology", "toy3"],
     ["optimize", "--constraints", str(CONFIGS / "optimize_default.ini"), "--topology", "toy3"],
 ], ids=["version", "evaluate", "sweep", "optimize"])
-def test_cli_commands_do_not_import_hashlib_or_configparser(tmp_path, argv):
+def test_cli_commands_do_not_import_hashlib_configparser_or_argparse(tmp_path, argv):
     # hashlib loads OpenSSL (~4 ms) and configparser compiles its regexes (~3 ms)
-    # at import; the snapshot lets a site hook preload them
+    # at import; argparse imports gettext, and building its parser loads locale
+    # (~4.5 ms together); the snapshot lets a site hook preload them
     src = Path(oxsim.__file__).resolve().parents[1]
     script = f"""
 import sys
 before = set(sys.modules)
 from oxsim.cli import main
-try:
-    code = main({argv!r})
-except SystemExit as exc:  # --version exits from argparse
-    code = exc.code
-assert code == 0, code
-loaded = {{"hashlib", "_hashlib", "configparser"}} & (set(sys.modules) - before)
+assert main({argv!r}) == 0
+unused = {{"hashlib", "_hashlib", "configparser", "argparse", "gettext", "locale"}}
+loaded = unused & (set(sys.modules) - before)
 assert not loaded, sorted(loaded)
 """
     run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
