@@ -6,8 +6,6 @@ output; each is written atomically (temp file + rename) as UTF-8 with a
 RunManifest; identical inputs give byte-identical files (SOURCE_DATE_EPOCH
 stamps a time).
 """
-from __future__ import annotations
-
 import io
 import math
 import os
@@ -69,10 +67,9 @@ def _finite(raw: str) -> float:
     return value
 
 
-# Field annotation (a string under `from __future__ import annotations`, which
-# NamedTuple wraps in a ForwardRef) -> parser of one INI value; an optional
-# field (`X | None`) parses as X. Fields of any other type cannot be set from a
-# file.
+# Field annotation, as `_section` spells it (a class by its name, any other
+# type by its repr) -> parser of one INI value; an optional field (`X | None`)
+# parses as X. Fields of any other type cannot be set from a file.
 _PARSERS = {
     "int": int,
     "float": _finite,
@@ -156,7 +153,7 @@ def _read_ini(path: Path, allowed_sections: set[str]) -> dict[str, dict[str, str
         raise ConfigError(f"config file not found: {path}")
     try:
         # a leading byte-order mark is dropped, as the topology loader drops it
-        text = path.read_text(encoding="utf-8-sig")
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     sections = _parse_ini(text, path)
@@ -179,8 +176,9 @@ def _section(sections: dict, section: str, cls, source) -> dict:
     where = f"{source} [{section}]"
     # a checked type's annotations live on the NamedTuple of its fields
     fields_cls = next(c for c in cls.__mro__ if "_fields" in vars(c))
-    kinds = {name: ref.__forward_arg__.removesuffix(" | None")
-             for name, ref in fields_cls.__annotations__.items()}
+    # `type(t) is type`, not isinstance: 3.10 counts `tuple[int, ...]` as a type
+    kinds = {name: (t.__name__ if type(t) is type else repr(t)).removesuffix(" | None")
+             for name, t in fields_cls.__annotations__.items()}
     kinds = {name: kind for name, kind in kinds.items() if kind in _PARSERS}
     out = {}
     for key, raw in sections.get(section, {}).items():
@@ -206,13 +204,21 @@ def _chip(sections: dict, source) -> ChipConfig:
     return _build(f"{source} [chip]", ChipConfig, **_section(sections, "chip", ChipConfig, source))
 
 
+def _path(option: str, value: str) -> Path:
+    """The path an option gives; an empty value, which Path reads as the
+    working directory, is a ConfigError that names the option."""
+    if not value:
+        raise ConfigError(f"option {option} is empty")
+    return Path(value)
+
+
 def load_profile(spec: str | None) -> CalibrationProfile:
     """A built-in profile name, or a profile file with [profile]/[overrides]."""
-    if not spec:
+    if spec is None:
         return get_profile("paper-default")
     if spec in builtin_profiles():
         return get_profile(spec)
-    path = Path(spec)
+    path = _path("--profile", spec)
     if not path.exists():
         raise ConfigError(
             f"profile {spec!r} is neither a built-in "
@@ -233,8 +239,8 @@ def load_run_inputs(config_path: str | None, profile_spec: str | None):
     """Resolve (ChipConfig, TechParams, hashes) from CLI arguments."""
     profile = load_profile(profile_spec)
     tech = apply_profile(default_tech_params(), profile)
-    if config_path:
-        path = Path(config_path)
+    if config_path is not None:
+        path = _path("--config", config_path)
         sections = _read_ini(path, {"chip", "tech"})
         cfg = _chip(sections, path)
         where = f"{path} [tech]"
@@ -282,11 +288,12 @@ def _manifest(command: str, config_hash: str, profile: str, topology: Path,
 
 
 def _topology(spec: str) -> tuple[list, Path]:
-    path = topology_path(spec)
+    path = topology_path(_path("--topology", spec))
     return load_topology(path), path
 
 
 def cmd_evaluate(args) -> int:
+    out_dir = Path(".") if args.out is None else _path("--out", args.out)
     cfg, tech, profile, config_hash = load_run_inputs(args.config, args.profile)
     layers, topo_path = _topology(args.topology)
     try:
@@ -297,7 +304,6 @@ def cmd_evaluate(args) -> int:
         raise EvaluationError(str(exc)) from exc
 
     manifest = _manifest("evaluate", config_hash, profile.name, topo_path, args.timestamp)
-    out_dir = Path(args.out or ".")
     _write_out(out_dir / "report.json", dump_json(json_payload(cfg, report, manifest._asdict())))
     _write_out(out_dir / "report.csv", csv_text([flat_row(cfg, report)], manifest))
     print(
@@ -324,15 +330,15 @@ def _over_chip(path: Path, section: str, cls):
 
 def cmd_sweep(args) -> int:
     this = sys.modules[__name__]
+    out_path = Path("sweep.csv") if args.out is None else _path("--out", args.out)
     _, tech, profile, _ = load_run_inputs(None, args.profile)
-    grid_path = Path(args.grid)
+    grid_path = _path("--grid", args.grid)
     grid = _over_chip(grid_path, "grid", this.SweepGrid)
     layers, topo_path = _topology(args.topology)
     results = this.sweep(grid, layers, tech)
     manifest = _manifest("sweep", _sha256_file(grid_path), profile.name, topo_path,
                          args.timestamp)
     rows = [flat_row(cfg, report) for cfg, report in results]
-    out_path = Path(args.out or "sweep.csv")
     _write_out(out_path, csv_text(rows, manifest))
     print(f"evaluated {len(rows)} configs; wrote {out_path}")
     return EXIT_OK
@@ -340,9 +346,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_optimize(args) -> int:
     this = sys.modules[__name__]
+    out_path = Path("optimize_audit.json") if args.out is None else _path("--out", args.out)
     _, tech, profile, _ = load_run_inputs(None, args.profile)
-    if args.constraints:
-        cons_path = Path(args.constraints)
+    if args.constraints is not None:
+        cons_path = _path("--constraints", args.constraints)
         cons = _over_chip(cons_path, "constraints", this.Constraints)
         cons_hash = _sha256_file(cons_path)
     else:
@@ -352,7 +359,6 @@ def cmd_optimize(args) -> int:
 
     result = this.optimize(layers, tech, cons)
     manifest = _manifest("optimize", cons_hash, profile.name, topo_path, args.timestamp)
-    out_path = Path(args.out or "optimize_audit.json")
     _write_out(out_path, dump_json(audit_payload(result, manifest)))
     cfg = result.config
     print(

@@ -13,8 +13,6 @@ call keeps one `_Stages` memo that computes the mapping (kept on its
 per distinct value of the fields each one reads; every score equals
 evaluating its point on its own.
 """
-from __future__ import annotations
-
 import itertools
 import math
 import warnings

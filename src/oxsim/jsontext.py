@@ -1,11 +1,10 @@
 """Indented, key-sorted JSON text through `json`'s C encoder.
 
+Below Python 3.13 the encoder is built from `_json` directly, so no process
+loads the `json` package, which imports its decoder and compiles its regexes.
 `reports.dump_json` imports this module on first use, so that a process that
-writes no JSON (a sweep) neither compiles it nor loads `json`.
+writes no JSON (a sweep) does not compile it.
 """
-from __future__ import annotations
-
-import json
 import sys
 from itertools import chain
 
@@ -23,18 +22,22 @@ def dumps(payload: dict) -> str:
     row boundaries are re-indented by replacing it. Other containers recurse.
     """
     if sys.version_info >= (3, 13):  # its C encoder takes `indent` itself
+        import json
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
-    key = json.encoder.encode_basestring_ascii
+    from _json import encode_basestring_ascii as key, make_encoder
     encoders = {}
 
+    def default(value):  # what `json.JSONEncoder.default` raises
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
     def flat(value, depth: int) -> str:
-        # one C-encoder call whose items are separated by a newline and `depth` indents
+        # one C-encoder call whose items are separated by a newline and `depth` indents,
+        # built with the arguments `JSONEncoder(sort_keys=True, allow_nan=False)` passes
         if depth not in encoders:
-            encoders[depth] = json.JSONEncoder(
-                sort_keys=True, allow_nan=False,
-                separators=(",\n" + "  " * depth, ": ")).encode
-        return encoders[depth](value)
+            encoders[depth] = make_encoder({}, default, key, None, ": ",
+                                           ",\n" + "  " * depth, True, False, False)
+        return "".join(encoders[depth](value, 0))
 
     def scalars(types: set) -> bool:
         return not any(issubclass(t, (dict, list, tuple)) for t in types)

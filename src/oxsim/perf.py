@@ -22,8 +22,6 @@ Rate-specified electronics (ADC, TIA, thermal tuning, laser) are charged
 only while a core is actively computing: per-inference energy is then
 independent of core count, and the dual core buys latency, not efficiency.
 """
-from __future__ import annotations
-
 import math
 import operator
 from functools import reduce

@@ -3,8 +3,6 @@
 Keys, columns and manifest fields are versioned via SCHEMA_VERSION; any change
 to them must bump it.
 """
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .perf import AREA_CATEGORIES, ENERGY_CATEGORIES, PerfReport
@@ -136,7 +134,8 @@ def audit_payload(result, manifest: RunManifest) -> dict:
 
 
 def dump_json(payload: dict) -> str:
-    """`json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\\n"`."""
-    from .jsontext import dumps  # here, so that a sweep never compiles it nor loads json
+    """`json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\\n"`, written
+    without loading `json` below Python 3.13 (`oxsim.jsontext`)."""
+    from .jsontext import dumps  # here, so that a sweep never compiles it
 
     return dumps(payload)

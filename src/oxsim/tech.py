@@ -6,8 +6,6 @@ audited source. Named CalibrationProfile overlays adjust the handful of
 constants that are under-specified or mutually inconsistent at the system
 level; the stock constants are never edited in place.
 """
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .errors import Checked, ConfigError

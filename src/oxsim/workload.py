@@ -40,9 +40,6 @@ columns it is built from, with their sums:
                 input_write_bits, dram_read_bits, dram_write_bits,
                 ifmap_resident, output_forwarded
 """
-from __future__ import annotations
-
-import csv
 from bisect import bisect_right
 from typing import NamedTuple
 from importlib import resources
@@ -370,19 +367,21 @@ def _residency(fixed: dict, ifmap_bits: list[int], fits: set[int]) -> tuple[dict
 
 
 def parse_topology(path) -> list[LayerSpec]:
-    """Load LayerSpecs from a UTF-8 CSV whose first non-blank row is TOPOLOGY_COLUMNS."""
+    """Load LayerSpecs from a UTF-8 CSV whose first non-blank row is TOPOLOGY_COLUMNS.
+    Cells are not quoted: a row is its line split at each `,`."""
     path = Path(path)
     if not path.exists():
         raise TopologyError(f"topology file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")  # drop a leading BOM
     except (OSError, UnicodeDecodeError) as exc:
         raise TopologyError(f"cannot read topology file {path}: {exc}") from exc
     layers: list[LayerSpec] = []
     header_seen = False
-    reader = csv.reader(text.splitlines())
-    for lineno, row in enumerate(reader, start=1):
-        cells = [c.strip() for c in row]
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if '"' in line:
+            raise TopologyError(f'{path}:{lineno}: the line holds a ", but cells are not quoted')
+        cells = [c.strip() for c in line.split(",")]
         while cells and cells[-1] == "":
             cells.pop()
         if not cells:

@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 
 import oxsim
 import oxsim.cli
-from oxsim.cli import _atomic_write, _over_chip, _parse_ini, _sha256_file, load_run_inputs, main
+from oxsim.cli import (_atomic_write, _over_chip, _parse_ini, _section, _sha256_file,
+                        load_run_inputs, main)
 from oxsim.dse import MAX_SRAM_STEPS, Constraints, SweepGrid, sweep
 from oxsim.errors import ConfigError
 from oxsim.reports import CSV_COLUMNS, RunManifest, flat_row
 from oxsim.reports import csv_text as _csv_text
+from oxsim.tech import CalibrationProfile, TechParams
 from oxsim.workload import ChipConfig, load_topology, topology_path
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -542,6 +544,22 @@ def test_input_file_with_a_byte_order_mark_reads_as_without_it(tmp_path, command
     assert outputs[b""] == outputs[b"\xef\xbb\xbf"]
 
 
+@pytest.mark.parametrize("cls, settable", [
+    (ChipConfig, set(ChipConfig._fields)),
+    (TechParams, set(TechParams._fields)),
+    (CalibrationProfile, {"name"}),
+    (SweepGrid, {key for key, _ in SweepGrid._AXES}),
+    (Constraints, set(Constraints._fields) - {"template"}),
+], ids=["chip", "tech", "profile", "grid", "constraints"])
+def test_every_record_field_of_a_parsed_type_is_settable_from_a_file(cls, settable):
+    # `_section` reads each field's type from its annotation; one that `_PARSERS`
+    # stops recognising fails here, and not as an "unknown key" at run time
+    with pytest.raises(ConfigError, match="unknown key 'no_such_key'; allowed: ") as info:
+        _section({"s": {"no_such_key": "1"}}, "s", cls, "f.ini")
+    assert set(str(info.value).split("allowed: ")[1].split(", ")) == settable
+    assert set(_section({"s": dict.fromkeys(settable, "1")}, "s", cls, "f.ini")) == settable
+
+
 # --- the INI reader, against configparser as the oracle ------------------------
 
 def _configparser_sections(text):
@@ -796,6 +814,29 @@ def test_usage_error_exits_1_naming_the_argument(tmp_path, argv, named):
     assert run.stderr.startswith("config error: ") and run.stderr.count("\n") == 1, run.stderr
     assert named in run.stderr
     assert not out.exists() and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["evaluate", "--topology", "toy3", "--config="], "--config"),
+    (["evaluate", "--topology", "toy3", "--profile", ""], "--profile"),
+    (["evaluate", "--topology", "toy3", "--out", ""], "--out"),
+    (["evaluate", "--topology="], "--topology"),
+    (["sweep", "--topology", "toy3", "--grid="], "--grid"),
+    (["sweep", "--grid", str(CONFIGS / "array_sweep.ini"), "--topology", "toy3", "--out="],
+     "--out"),
+    (["optimize", "--topology", "toy3", "--constraints="], "--constraints"),
+    (["optimize", "--topology", "toy3", "--out", ""], "--out"),
+], ids=["config", "profile", "evaluate-out", "topology", "grid", "sweep-out", "constraints",
+        "optimize-out"])
+def test_empty_option_value_exits_1_naming_the_option(tmp_path, monkeypatch, capsys,
+                                                      argv, option):
+    # Path("") is the working directory: an empty value must not stand for a
+    # default, a directory to read, or the directory to write into
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: option {option} is empty\n"
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, printed", [
@@ -1216,17 +1257,24 @@ assert "json" not in set(sys.modules) - before
     ["sweep", "--grid", str(CONFIGS / "array_sweep.ini"), "--topology", "toy3"],
     ["optimize", "--constraints", str(CONFIGS / "optimize_default.ini"), "--topology", "toy3"],
 ], ids=["version", "evaluate", "sweep", "optimize"])
-def test_cli_commands_do_not_import_hashlib_configparser_or_argparse(tmp_path, argv):
+def test_cli_commands_do_not_import_unused_standard_modules(tmp_path, argv):
     # hashlib loads OpenSSL (~4 ms) and configparser compiles its regexes (~3 ms)
     # at import; argparse imports gettext, and building its parser loads locale
-    # (~4.5 ms together); the snapshot lets a site hook preload them
+    # (~4.5 ms together); the json package loads its decoder and compiles its
+    # regexes (~3 ms), and jsontext needs it only from 3.13, where its C encoder
+    # indents; csv (~1 ms), the utf_8_sig codec and __future__ (whose string
+    # annotations NamedTuple compiles into ForwardRefs) are not needed at all;
+    # the snapshot lets a site hook preload any of them
     src = Path(oxsim.__file__).resolve().parents[1]
     script = f"""
 import sys
 before = set(sys.modules)
 from oxsim.cli import main
 assert main({argv!r}) == 0
-unused = {{"hashlib", "_hashlib", "configparser", "argparse", "gettext", "locale"}}
+unused = {{"hashlib", "_hashlib", "configparser", "argparse", "gettext", "locale",
+           "csv", "_csv", "__future__", "encodings.utf_8_sig"}}
+if sys.version_info < (3, 13):
+    unused |= {{"json", "json.decoder"}}
 loaded = unused & (set(sys.modules) - before)
 assert not loaded, sorted(loaded)
 """

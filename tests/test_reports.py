@@ -78,6 +78,21 @@ def test_dump_json_rejects_non_finite_numbers(value):
         dump_json({"metrics": {"area_mm2": value}})
 
 
+@pytest.mark.parametrize("payload", [
+    {"a": {1, 2}},
+    {"a": {"b": 1, "c": b"x"}},
+    {"rows": [{"a": 1}, {"b": object()}]},
+    {"a": [{"b": [1, frozenset()]}, 2]},
+], ids=["set", "bytes-in-a-flat-dict", "object-in-a-row", "frozenset-deep"])
+def test_dump_json_raises_the_type_error_of_json_dumps(payload):
+    # the C encoder gets a `default` that raises what `json.JSONEncoder.default` raises
+    with pytest.raises(TypeError) as want:
+        _reference(payload)
+    with pytest.raises(TypeError) as got:
+        dump_json(payload)
+    assert str(got.value) == str(want.value)
+
+
 def _reference(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 

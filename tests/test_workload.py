@@ -2,7 +2,9 @@ import csv
 from bisect import bisect_right
 import importlib.util
 import math
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from oxsim import (
     parse_topology,
 )
 from oxsim.reports import json_payload
-from oxsim.workload import MB_BITS, Network, RuntimeStats
+from oxsim.workload import MB_BITS, TOPOLOGY_COLUMNS, Network, RuntimeStats
 
 HEADER = "name,ifmap_h,ifmap_w,channels,filter_h,filter_w,num_filters,stride\n"
 
@@ -106,6 +108,113 @@ def test_parse_takes_the_first_non_blank_row_as_the_header(tmp_path):
     p = tmp_path / "net.csv"
     p.write_text("\n  \n" + HEADER + "c,8,8,2,3,3,4,1\n")
     assert parse_topology(p) == [LayerSpec("c", 8, 8, 2, 3, 3, 4, 1)]
+
+
+def _csv_parse_topology(path) -> list[LayerSpec]:
+    """The topology reader as it was through `csv.reader`: the oracle of
+    `parse_topology` on text that holds no `"`."""
+    path = Path(path)
+    text = path.read_text(encoding="utf-8-sig")
+    layers = []
+    header_seen = False
+    for lineno, row in enumerate(csv.reader(text.splitlines()), start=1):
+        cells = [c.strip() for c in row]
+        while cells and cells[-1] == "":
+            cells.pop()
+        if not cells:
+            continue
+        if not header_seen:
+            if cells != TOPOLOGY_COLUMNS:
+                raise TopologyError(f"{path}:{lineno}: the header must be "
+                                    f"{','.join(TOPOLOGY_COLUMNS)}, got {','.join(cells)}")
+            header_seen = True
+            continue
+        if len(cells) != len(TOPOLOGY_COLUMNS):
+            raise TopologyError(
+                f"{path}:{lineno}: expected {len(TOPOLOGY_COLUMNS)} columns "
+                f"({','.join(TOPOLOGY_COLUMNS)}), got {len(cells)}"
+            )
+        try:
+            dims = [int(c) for c in cells[1:]]
+        except ValueError as exc:
+            raise TopologyError(f"{path}:{lineno}: non-integer field: {exc}") from exc
+        try:
+            layers.append(LayerSpec(cells[0], *dims))
+        except ValueError as exc:
+            raise TopologyError(f"{path}:{lineno}: {exc}") from exc
+    if not layers:
+        raise TopologyError(f"topology file {path} contains no layers")
+    return layers
+
+
+# quote-free cells: padded names and dimensions that fit, and junk: empty
+# cells, commas, dimensions too small for their filter and text that is no integer
+_NAMES = st.sampled_from(["c", " conv 1 ", "caf\u00e9", "\t", "x\u00a0"])
+_FITS = st.sampled_from(["8", " 8", "8 ", "\t4", "4\u00a0"])
+_SMALL = st.sampled_from(["1", " 2 ", "+1", "\u00a01"])
+_JUNK = st.sampled_from(["", " ", "0", "-1", "x", "1_0", "9", ","])
+_BLANKS = st.sampled_from(["", " ", "\t", ",", " , ,", "\u00a0"])
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "\f", "\x85", "\x0b", "\u2028"])
+
+
+@st.composite
+def _topology_row(draw):
+    # name, ifmap_h, ifmap_w, channels, filter_h, filter_w, num_filters, stride
+    cells = [draw(_NAMES), draw(_FITS), draw(_FITS), draw(_SMALL), draw(_SMALL),
+             draw(_SMALL), draw(_SMALL), draw(_SMALL)]
+    # mostly none, else one or two junk cells, each in place of a cell or added
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(cells)))
+        cells[i:i + draw(st.integers(0, 1))] = [draw(_JUNK)]
+    return ",".join(cells)
+
+
+@st.composite
+def _topology_texts(draw):
+    """Quote-free topology text: blank and whitespace-only lines, a header
+    with trailing commas, rows of about eight cells, any line ends, a BOM."""
+    header = ",".join(TOPOLOGY_COLUMNS) + draw(st.sampled_from(["", ",", ", ,", ",x"]))
+    lines = draw(st.lists(_BLANKS, max_size=2))
+    lines += [header] if draw(st.integers(0, 5)) else []
+    lines += draw(st.lists(_topology_row() | _BLANKS, min_size=1, max_size=5))
+    text = "".join(line + draw(_LINE_ENDS) for line in lines)
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_topology_texts())
+def test_topology_reader_reads_quote_free_text_as_csv_did(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("topo") / "net.csv"
+    path.write_bytes(text.encode())
+    try:
+        want = _csv_parse_topology(path)
+    except TopologyError as exc:
+        with pytest.raises(TopologyError) as info:
+            parse_topology(path)
+        assert str(info.value) == str(exc)
+    else:
+        assert parse_topology(path) == want
+
+
+@pytest.mark.parametrize("row", [
+    "c,8,8,2\x00,3,3,4,1",  # csv refuses a NUL byte before Python 3.11
+    "c,8," + "x" * 140_000 + ",2,3,3,4,1",  # over csv's field size limit of 131,072
+    "c,8,8,2,3,3,4,1," + "x" * 140_000,
+    '"c",8,8,2,3,3,4,1',
+    'c,8,8,2,3,3,4,1,"',
+], ids=["nul", "long-cell", "long-trailing-cell", "quoted-cell", "quote"])
+def test_malformed_topology_row_exits_2_naming_file_and_line(tmp_path, row):
+    path = tmp_path / "net.csv"
+    path.write_text(HEADER + "ok,8,8,2,3,3,4,1\n" + row + "\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-m", "oxsim.cli", "evaluate", "--topology",
+                          str(path), "--out", str(tmp_path / "out")],
+                         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith(f"topology error: {path}:3: "), run.stderr[:300]
+    assert "Traceback" not in run.stderr and run.stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_every_shipped_and_perfbench_topology_loads(tmp_path, monkeypatch):
