@@ -50,6 +50,8 @@ class SweepGrid(Checked, _SweepGridFields):
              ("input_sram_mb", "sram_input_mb"), ("cores", "cores"))
 
     def _check(self) -> None:
+        if not isinstance(self.template, ChipConfig):
+            raise ConfigError(f"template must be a ChipConfig, got {type(self.template).__name__}")
         # Every ChipConfig check reads one field, so a value that passes on
         # the template passes at every grid point.
         for key, name in self._AXES:
@@ -67,12 +69,19 @@ class SweepGrid(Checked, _SweepGridFields):
                     raise ConfigError(f"{key} = {v}: {exc}") from exc
 
     def configs(self) -> list[ChipConfig]:
-        """Every grid point, in lexicographic order; with no axis swept, the template."""
-        axes = [(name, getattr(self, key)) for key, name in self._AXES
-                if getattr(self, key) is not None]
-        names = [name for name, _ in axes]
-        return [self.template.with_(**dict(zip(names, combo)))
-                for combo in itertools.product(*(vals for _, vals in axes))]
+        """Every grid point, in lexicographic order; with no axis swept, the template.
+
+        Points skip `ChipConfig`'s check, which reads one field at a time: the
+        template passed it, and `_check` ran it on each axis value over the template.
+        """
+        axes = [(ChipConfig._fields.index(name), values) for key, name in self._AXES
+                if (values := getattr(self, key)) is not None]
+        point, points = list(self.template), []
+        for combo in itertools.product(*[values for _, values in axes]):
+            for (i, _), value in zip(axes, combo):
+                point[i] = value
+            points.append(tuple.__new__(ChipConfig, point))
+        return points
 
 
 class _Stages:
@@ -159,6 +168,8 @@ class Constraints(Checked, _ConstraintsFields):
     __slots__ = ()
 
     def _check(self) -> None:
+        if not isinstance(self.template, ChipConfig):
+            raise ConfigError(f"template must be a ChipConfig, got {type(self.template).__name__}")
         if self.template.cores != 2:
             raise ConfigError(f"template cores must be 2: the optimizer designs a "
                               f"dual-core chip, got cores = {self.template.cores}")

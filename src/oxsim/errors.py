@@ -31,7 +31,8 @@ class Checked:
     Use as `class T(Checked, _TFields)` with `__slots__ = ()`, where
     `_TFields` is the NamedTuple of T's fields. NamedTuple's `_make`, and so
     `_replace`, would build the tuple without calling `__new__`; here both
-    go through it, so no instance skips the check.
+    go through it. Only `SweepGrid.configs` builds instances without it, and that is
+    exact: every `ChipConfig` check reads one field, and `SweepGrid` checks each value.
     """
 
     __slots__ = ()

@@ -283,16 +283,5 @@ def roll_up(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, budget: Lo
         raise EvaluationError(f"IPS/W is {ips_per_w}, not a finite number: power "
                               f"({power} W) is too small for the model")
 
-    return PerfReport(
-        ips=ips,
-        ips_per_w=ips_per_w,
-        power_w=power,
-        area_mm2=area_total,
-        energy_total_j=energy_total,
-        energy_j=energy,
-        power_by_w=power_by,
-        area_by_mm2=area,
-        timeline=timeline,
-        stats=stats,
-        budget=budget,
-    )
+    return PerfReport(ips, ips_per_w, power, area_total, energy_total, energy, power_by, area,
+                      timeline, stats, budget)

@@ -45,19 +45,17 @@ CSV_COLUMNS = (
 
 
 def flat_row(cfg: ChipConfig, report: PerfReport) -> list:
-    """One CSV row, its values in `CSV_COLUMNS` order: config axes plus every
-    scalar the report carries."""
+    """One CSV row in `CSV_COLUMNS` order: the config, every scalar of the report, and
+    the breakdowns' values, which `energy_model`, `area_model` and `roll_up` key in order."""
     c, tl, budget = report.stats.total, report.timeline, report.budget
-    energy, power, area = report.energy_j, report.power_by_w, report.area_by_mm2
     return [SCHEMA_VERSION, *cfg,
             report.ips, report.ips_per_w, report.power_w, report.area_mm2,
             report.energy_total_j, tl.t_total, tl.t_compute, tl.t_program_exposed,
             c.compute_cycles, c.programming_events, c.cells_programmed,
             c.sram_read_bits, c.sram_write_bits, c.dram_read_bits, c.dram_write_bits,
             budget.laser_wallplug_power_w, budget.worst_path_db,
-            *[energy[cat] for cat in ENERGY_CATEGORIES],
-            *[power[cat] for cat in ENERGY_CATEGORIES],
-            *[area[cat] for cat in AREA_CATEGORIES]]
+            *report.energy_j.values(), *report.power_by_w.values(),
+            *report.area_by_mm2.values()]
 
 
 def csv_text(rows: list[list], manifest: RunManifest) -> str:

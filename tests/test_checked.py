@@ -21,7 +21,7 @@ from oxsim.tech import (
     default_tech_params,
     get_profile,
 )
-from oxsim.workload import ChipConfig, LayerSpec
+from oxsim.workload import ChipConfig, LayerSpec, _ChipConfigFields
 
 
 def _rejects(exc_type, message, build):
@@ -125,6 +125,25 @@ def test_sweep_grid_rejects_a_repeated_axis_value(template, key):
     message = f"{key} lists {value} more than once"
     values = (other, value, value)
     _each_path(ConfigError, message, SweepGrid, SweepGrid(template=template), key, values)
+
+
+# none of these ran ChipConfig's check, not even the NamedTuple of its fields
+_NOT_CHIP_CONFIGS = [_ChipConfigFields(rows=0, cores=2), (0,) * len(ChipConfig._fields),
+                     None, ChipConfig()._asdict()]
+
+
+@pytest.mark.parametrize("template", _NOT_CHIP_CONFIGS,
+                         ids=["fields-rows-0", "tuple", "None", "dict"])
+@pytest.mark.parametrize("cls", [SweepGrid, Constraints])
+def test_a_template_that_is_not_a_chip_config_is_rejected(cls, template):
+    # a grid point copies the template's unswept fields without checking them
+    message = f"template must be a ChipConfig, got {type(template).__name__}"
+    builds = [lambda: cls(template=template),
+              lambda: cls(template=ChipConfig())._replace(template=template)]
+    if cls is SweepGrid:  # and before any axis value is checked over it
+        builds.append(lambda: SweepGrid(template=template, rows=(8,)))
+    for build in builds:
+        _rejects(ConfigError, message, build)
 
 
 # --- TechParams and CalibrationProfile ----------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 from bisect import bisect_right
 
 import pytest
@@ -274,6 +275,37 @@ def test_stages_report_and_evaluate_agree_or_fail_alike(topology, configs, profi
     for cfg in configs:
         direct = _report_or_error(lambda: evaluate(layers, cfg, tech), cfg)
         assert _report_or_error(lambda: stages.report(cfg), cfg) == direct
+
+
+def _configs_by_with(grid):
+    """`grid`'s points, each built through the checked `ChipConfig.with_`: the
+    oracle of `SweepGrid.configs`, which builds them positionally."""
+    axes = [(name, getattr(grid, key)) for key, name in grid._AXES
+            if getattr(grid, key) is not None]
+    names = [name for name, _ in axes]
+    return [grid.template.with_(**dict(zip(names, combo)))
+            for combo in itertools.product(*(vals for _, vals in axes))]
+
+
+def _drawn_axis(strategy):
+    return st.none() | st.lists(strategy, min_size=1, max_size=3, unique=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(template=st.builds(ChipConfig, **_CHIP_FIELDS),
+       rows=_drawn_axis(_CHIP_FIELDS["rows"]), cols=_drawn_axis(_CHIP_FIELDS["cols"]),
+       batch=_drawn_axis(_CHIP_FIELDS["batch"]), cores=_drawn_axis(_CHIP_FIELDS["cores"]),
+       sram=_drawn_axis(_CHIP_FIELDS["sram_input_mb"] | st.integers(1, 10**6)))
+def test_grid_points_equal_checked_copies_of_the_template(template, rows, cols, batch, cores,
+                                                          sram):
+    # every axis may be left out, so grids with no axis swept are drawn too
+    grid = SweepGrid(template=template, rows=rows, cols=cols, batch=batch,
+                     input_sram_mb=sram, cores=cores)
+    points = grid.configs()
+    assert points == _configs_by_with(grid)
+    for p in points:
+        assert type(p) is ChipConfig
+        assert p == ChipConfig(*p)  # each point passes the checked constructor
 
 
 # --- batch hiding -------------------------------------------------------------

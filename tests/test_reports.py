@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oxsim import ChipConfig, evaluate
-from oxsim.perf import AREA_CATEGORIES, ENERGY_CATEGORIES
+from oxsim import (
+    ChipConfig,
+    apply_profile,
+    default_tech_params,
+    evaluate,
+    get_profile,
+    load_topology,
+)
+from oxsim.perf import AREA_CATEGORIES, ENERGY_CATEGORIES, area_model, energy_model
 from oxsim.reports import (
     CONFIG_COLUMNS,
     CSV_COLUMNS,
@@ -53,6 +60,28 @@ def test_flat_row_puts_each_value_under_its_column(toy_layers, tech_calibrated):
     assert list(row) == list(want)
     for name, value in want.items():
         assert row[name] == value and type(row[name]) is type(value), name
+
+
+# drawn through a lambda, so that the fields not named keep their defaults
+_CONFIGS = st.builds(lambda **fields: ChipConfig(**fields),
+                     rows=st.integers(1, 512), cols=st.integers(1, 512),
+                     cores=st.sampled_from([1, 2]), batch=st.integers(1, 512),
+                     b_in=st.integers(1, 16), b_out=st.integers(1, 16),
+                     sram_input_mb=st.floats(1e-3, 1e4))
+
+
+@pytest.mark.parametrize("profile", ["paper-default", "paper-consistent"])
+@settings(max_examples=50, deadline=None)
+@given(topology=st.sampled_from(["toy3", "resnet50_v15"]), cfg=_CONFIGS)
+def test_breakdowns_are_keyed_in_category_order(profile, topology, cfg):
+    # flat_row reads the breakdowns' values in their own order, under columns
+    # named in category order
+    tech = apply_profile(default_tech_params(), get_profile(profile))
+    report = evaluate(load_topology(topology), cfg, tech)
+    energy = energy_model(report.stats, report.timeline, cfg, tech, report.budget)
+    assert tuple(energy) == tuple(report.energy_j) == ENERGY_CATEGORIES
+    assert tuple(report.power_by_w) == ENERGY_CATEGORIES
+    assert tuple(area_model(cfg, tech)) == tuple(report.area_by_mm2) == AREA_CATEGORIES
 
 
 def test_json_payload_round_trips(toy_layers, tech_calibrated):
