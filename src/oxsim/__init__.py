@@ -38,8 +38,9 @@ from .perf import (
     timeline_dual_core,
 )
 
-_DSE_NAMES = ("SweepGrid", "Constraints", "OptimizationResult",
-              "sweep", "find_min_hiding_batch", "size_sram", "pick_array_size", "optimize")
+_GRID_NAMES = ("SweepGrid", "sweep")
+_DSE_NAMES = ("Constraints", "OptimizationResult",
+              "find_min_hiding_batch", "size_sram", "pick_array_size", "optimize")
 
 __all__ = [
     "__version__",
@@ -53,19 +54,29 @@ __all__ = [
     "parse_topology", "load_topology", "bundled_topology_path", "network_runtime",
     "Timeline", "PerfReport", "timeline_dual_core",
     "energy_model", "area_model", "evaluate",
-    *_DSE_NAMES,
+    *_GRID_NAMES, *_DSE_NAMES,
 ]
 
 
 def __getattr__(name: str):
-    # Two modules are exported but not imported above; each loads on first use
-    # of one of its names. The design-space search (`dse`) is compiled only by
-    # `sweep`, `optimize` and their callers, never by `oxsim evaluate`; the
-    # numpy-backed functional model (`photonics`) by no CLI command at all.
-    if name in _DSE_NAMES:
+    # Three modules are exported but not imported above; each loads on first
+    # use of one of its names. The sweep (`grid`) is compiled only by `oxsim
+    # sweep`, `optimize` and their callers, the optimizer (`dse`) only by
+    # `oxsim optimize` and its callers, and the numpy-backed functional model
+    # (`photonics`) by no CLI command at all; numpy is an optional extra.
+    if name in _GRID_NAMES:
+        from . import grid as module
+    elif name in _DSE_NAMES:
         from . import dse as module
     elif name in __all__:
-        from . import photonics as module
+        try:
+            from . import photonics as module
+        except ModuleNotFoundError as exc:
+            if exc.name != "numpy":
+                raise
+            raise ImportError(f"oxsim.{name} is part of the functional model, which needs "
+                              f"numpy: install it with the extra, pip install "
+                              f"'oxsim[functional]'") from exc
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(module, name)

@@ -46,18 +46,22 @@ EXIT_TOPOLOGY = 2
 EXIT_EVAL = 3
 EXIT_INFEASIBLE = 4
 
-# `dse` is imported on first use, so `evaluate` never compiles it. Its names
-# stay attributes of this module, which `cmd_sweep` and `cmd_optimize` look
-# up on the module object, so a wrapper set on it (perfbench --trace 1) is
-# the function that runs.
-_DSE_NAMES = ("Constraints", "SweepGrid", "optimize", "sweep")
+# `grid` and `dse` are imported on first use, so `evaluate` compiles neither
+# and `sweep` only `grid`. Their names stay attributes of this module, which
+# `cmd_sweep` and `cmd_optimize` look up on the module object, so a wrapper
+# set on it (perfbench --trace 1) is the function that runs.
+_GRID_NAMES = ("SweepGrid", "sweep")
+_DSE_NAMES = ("Constraints", "optimize")
 
 
 def __getattr__(name: str):
-    if name in _DSE_NAMES:
-        from . import dse
-        return getattr(dse, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _GRID_NAMES:
+        from . import grid as module
+    elif name in _DSE_NAMES:
+        from . import dse as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
 
 
 def _finite(raw: str) -> float:

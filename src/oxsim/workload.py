@@ -34,8 +34,12 @@ changes. The `Network` keeps each `RuntimeStats` per mapping key (tiling
 key, residency pattern), so a repeat call returns the same object, and the
 columns it is built from, with their sums:
 
+    per array key (rows, cols, b_w):
+                row_tiles, col_tiles, programming_events, cells_programmed,
+                weight_bits, and the compute cycles of one image
     per tiling key (rows, cols, batch, b_in, b_w, b_out, b_acc):
-                every column but those below
+                vectors_per_tile, compute_cycles, input_read_bits,
+                output_bits, acc_bits (batch-scaled)
     per residency key (cols, b_w, batch, b_in, b_out, residency pattern):
                 input_write_bits, dram_read_bits, dram_write_bits,
                 ifmap_resident, output_forwarded
@@ -166,7 +170,8 @@ class Network(tuple):
     arithmetic over them. It keeps each `RuntimeStats` in `_runtimes`, per
     tiling key plus residency pattern; the columns that do not read input
     SRAM in `_tilings`, per tiling key (rows, cols, batch, b_in, b_w, b_out,
-    b_acc); and the residency, input-write and DRAM columns in
+    b_acc), of which the batch-free ones in `_arrays`, per (rows, cols,
+    b_w); and the residency, input-write and DRAM columns in
     `_residencies`, per (cols, b_w, batch, b_in, b_out, residency pattern).
     `breakpoints` keeps the residency breakpoints per (batch, b_in, b_out).
     `RuntimeStats` of one Network share those lists.
@@ -191,6 +196,7 @@ class Network(tuple):
         net.outputs = [p * f for p, f in zip(net.pixels, net.filters)]
         net._runtimes = {}
         net._tilings = {}
+        net._arrays = {}
         net._breakpoints = {}
         net._residencies = {}
         return net
@@ -317,31 +323,43 @@ def network_runtime(layers, cfg: ChipConfig) -> RuntimeStats:
 
 
 def _tiling(net: Network, cfg: ChipConfig) -> tuple[dict, dict, list[int]]:
-    """The columns that do not read input SRAM, their sums, and the ifmap bits."""
-    rows, cols, batch = cfg.rows, cfg.cols, cfg.batch
-    cells_per_event, input_bits_per_cycle = rows * cols, rows * cfg.b_in
+    """The columns that do not read input SRAM, their sums, and the ifmap bits.
+
+    Only the batch-scaled columns are built here, from the batch-free ones
+    that `_array_tiling` keeps per (rows, cols, b_w); the sums of compute
+    cycles and input reads are exact integer products of the batch and the
+    per-image sum.
+    """
+    array = (cfg.rows, cfg.cols, cfg.b_w)
+    if array not in net._arrays:
+        net._arrays[array] = _array_tiling(net, cfg)
+    columns, sums, image_cycles = net._arrays[array]
+    batch, (ifmap_bits, output_bits) = cfg.batch, _io_columns(net, cfg)
+    read_scale, acc_scale = batch * cfg.rows * cfg.b_in, batch * cfg.cols * cfg.b_acc
+    # partial sums go through the accumulator only when the window is row-tiled
+    acc_bits = [c * acc_scale if r > 1 else 0 for c, r in zip(image_cycles, columns["row_tiles"])]
+    fixed = dict(columns, vectors_per_tile=[p * batch for p in net.pixels],
+                 compute_cycles=[c * batch for c in image_cycles],
+                 input_read_bits=[c * read_scale for c in image_cycles],
+                 output_bits=output_bits, acc_bits=acc_bits)
+    sums = dict(sums, compute_cycles=batch * sums["image_cycles"], acc_bits=sum(acc_bits),
+                input_read_bits=read_scale * sums["image_cycles"], output_bits=sum(output_bits))
+    return fixed, sums, ifmap_bits
+
+
+def _array_tiling(net: Network, cfg: ChipConfig) -> tuple[dict, dict, list[int]]:
+    """The batch-free tiling columns, their sums, and the compute cycles of one image."""
+    rows, cols = cfg.rows, cfg.cols
     row_tiles = [-(-w // rows) for w in net.windows]
     col_tiles = [-(-f // cols) for f in net.filters]
     events = [r * c for r, c in zip(row_tiles, col_tiles)]
-    vectors = [p * batch for p in net.pixels]
-    cycles = [e * v for e, v in zip(events, vectors)]
-    # partial sums go through the accumulator only when the window is row-tiled
-    acc_bits_per_cycle = cols * cfg.b_acc
-    ifmap_bits, output_bits = _io_columns(net, cfg)
-    fixed = dict(
-        row_tiles=row_tiles,
-        col_tiles=col_tiles,
-        vectors_per_tile=vectors,
-        programming_events=events,
-        compute_cycles=cycles,
-        cells_programmed=[e * cells_per_event for e in events],
-        input_read_bits=[c * input_bits_per_cycle for c in cycles],
-        weight_bits=[w * cfg.b_w for w in net.weights],
-        output_bits=output_bits,
-        acc_bits=[c * acc_bits_per_cycle if r > 1 else 0
-                  for c, r in zip(cycles, row_tiles)],
-    )
-    return fixed, {n: sum(c) for n, c in fixed.items()}, ifmap_bits
+    cells, weight_bits = [e * (rows * cols) for e in events], [w * cfg.b_w for w in net.weights]
+    image_cycles = [e * p for e, p in zip(events, net.pixels)]
+    columns = dict(row_tiles=row_tiles, col_tiles=col_tiles, programming_events=events,
+                   cells_programmed=cells, weight_bits=weight_bits)
+    sums = dict(programming_events=sum(events), cells_programmed=sum(cells),
+                weight_bits=sum(weight_bits), image_cycles=sum(image_cycles))
+    return columns, sums, image_cycles
 
 
 def _residency(fixed: dict, ifmap_bits: list[int], fits: set[int]) -> tuple[dict, dict]:

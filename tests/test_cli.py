@@ -1165,6 +1165,54 @@ assert "numpy" not in sys.modules, sorted(m for m in sys.modules if "numpy" in m
     assert (tmp_path / "audit.json").exists()
 
 
+def test_commands_run_without_numpy_and_the_functional_model_names_its_extra(tmp_path):
+    # numpy is the optional `functional` extra: with it made unimportable, as
+    # where it is not installed, every command writes the same outputs
+    src = Path(oxsim.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    commands = [
+        ["--version"],
+        ["evaluate", "--config", str(CONFIGS / "headline.ini"), "--topology", "toy3",
+         "--out", "eval"],
+        ["sweep", "--grid", str(CONFIGS / "array_sweep.ini"), "--topology", "toy3",
+         "--out", "sweep.csv"],
+        ["optimize", "--topology", "toy3", "--out", "audit.json"],
+    ]
+    outputs = []
+    for block in ("", "sys.modules['numpy'] = None; "):
+        prelude = f"import sys; {block}from oxsim.cli import main; sys.exit(main(sys.argv[1:]))"
+        cwd = tmp_path / str(len(outputs))
+        cwd.mkdir()
+        printed = []
+        for argv in commands:
+            run = subprocess.run([sys.executable, "-c", prelude, *argv], cwd=cwd, env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            printed.append(run.stdout)
+        files = {p.relative_to(cwd): p.read_bytes() for p in sorted(cwd.rglob("*"))
+                 if p.is_file()}
+        assert len(files) == 4  # report.json, report.csv, sweep.csv, audit.json
+        outputs.append((printed, files))
+    assert outputs[1] == outputs[0]
+
+    script = """
+import sys
+sys.modules["numpy"] = None
+import oxsim
+assert oxsim.evaluate and oxsim.sweep and oxsim.optimize
+try:
+    oxsim.crossbar_mvm
+except ImportError as exc:
+    print(exc)
+else:
+    raise AssertionError("crossbar_mvm resolved without numpy")
+"""
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "needs numpy" in run.stdout and "oxsim[functional]" in run.stdout
+
+
 _DEFAULT_CHIP_REPR = (
     "ChipConfig(rows=32, cols=32, clock_hz=10000000000.0, cores=2, batch=32, b_in=6, "
     "b_w=6, b_out=6, b_acc=24, sram_input_mb=26.3, sram_filter_mb=0.75, "
@@ -1214,9 +1262,14 @@ def test_package_exports_resolve_and_functional_model_loads_on_first_use():
                  "find_min_hiding_batch", "size_sram", "pick_array_size", "optimize"):
         assert name in oxsim.__all__
         assert getattr(oxsim, name) is getattr(oxsim.dse, name)
-    # cli resolves these from dse on first use (see test_only_sweep_and_optimize_import_dse)
-    assert oxsim.cli.sweep is oxsim.dse.sweep
+    for name in ("SweepGrid", "sweep"):
+        assert getattr(oxsim, name) is getattr(oxsim.grid, name)
+    # cli resolves these from grid and dse on first use (see
+    # test_each_command_imports_only_its_oxsim_modules)
+    assert oxsim.cli.sweep is oxsim.dse.sweep is oxsim.grid.sweep
+    assert oxsim.cli.SweepGrid is oxsim.grid.SweepGrid
     assert oxsim.cli.optimize is oxsim.dse.optimize
+    assert oxsim.cli.Constraints is oxsim.dse.Constraints
     for module in (oxsim, oxsim.cli):
         with pytest.raises(AttributeError, match="no_such_name"):
             module.no_such_name
@@ -1285,16 +1338,16 @@ assert not loaded, sorted(loaded)
 
 
 # the oxsim modules each process loads, keyed by its command: every command
-# loads the CLI's own set, sweep and optimize add dse, and the commands that
-# write JSON add jsontext
+# loads the CLI's own set, sweep adds grid, optimize adds grid and dse, and
+# the commands that write JSON add jsontext
 _PACKAGE_IMPORTS = {"oxsim", "oxsim.errors", "oxsim.tech", "oxsim.workload", "oxsim.perf"}
 _CLI_IMPORTS = _PACKAGE_IMPORTS | {"oxsim.reports"}
 _IMPORTS = {
     "import oxsim": _PACKAGE_IMPORTS,
     "--version": _CLI_IMPORTS,
     "evaluate": _CLI_IMPORTS | {"oxsim.jsontext"},
-    "sweep": _CLI_IMPORTS | {"oxsim.dse"},
-    "optimize": _CLI_IMPORTS | {"oxsim.dse", "oxsim.jsontext"},
+    "sweep": _CLI_IMPORTS | {"oxsim.grid"},
+    "optimize": _CLI_IMPORTS | {"oxsim.grid", "oxsim.dse", "oxsim.jsontext"},
 }
 
 
@@ -1303,11 +1356,12 @@ _IMPORTS = {
     (["-m", "oxsim.cli", "--version"], False),
     (["-m", "oxsim.cli", "evaluate", "--topology", "toy3"], False),
     (["-m", "oxsim.cli", "sweep", "--grid", str(CONFIGS / "array_sweep.ini"),
-      "--topology", "toy3"], True),
+      "--topology", "toy3"], False),
     (["-m", "oxsim.cli", "optimize", "--topology", "toy3"], True),
 ])
-def test_only_sweep_and_optimize_import_dse(tmp_path, argv, loads_dse):
-    # compiling dse.py costs every process that imports it a few ms; evaluate never calls it
+def test_each_command_imports_only_its_oxsim_modules(tmp_path, argv, loads_dse):
+    # compiling a module costs every process that imports it; evaluate calls
+    # neither grid nor dse, and sweep never runs the optimizer in dse
     src = Path(oxsim.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     run = subprocess.run([sys.executable, "-X", "importtime", *argv],
@@ -1323,24 +1377,43 @@ def test_only_sweep_and_optimize_import_dse(tmp_path, argv, loads_dse):
     assert "numpy" not in imported and "oxsim.photonics" not in imported
 
 
-@pytest.mark.filterwarnings("ignore:no candidate batch hides programming")
-def test_perfbench_tracer_records_the_sweep_and_optimize_spans(tmp_path):
-    # cli resolves sweep and optimize on its module object, so the tracer's
-    # wrappers are what run, and --trace 1 reports the dse layers
+def _perfbench_tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    tracer = tracing.Tracer()
+    return tracing.Tracer()
+
+
+def test_perfbench_tracer_records_every_sweep_mapping_and_timeline(tmp_path):
+    # cli resolves sweep on its module object and the stage memo looks up
+    # its mapping and timeline on perf, so the tracer's wrappers are what run
+    # and --trace 1 counts every mapping of a sweep
+    tracer = _perfbench_tracer()
+    grid_path = CONFIGS / "array_sweep.ini"
+    with tracer.installed():
+        assert main(["sweep", "--grid", str(grid_path), "--topology", "toy3",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+    names = [span[0] for span in tracer.spans]
+    assert names.count("dse.sweep") == 1
+    configs = _over_chip(grid_path, "grid", SweepGrid).configs()
+    timelines = {(c.rows, c.cols, c.batch, c.cores, c.clock_hz) for c in configs}
+    # each point maps once for its report, and each distinct timeline once more
+    assert names.count("workload.network_runtime") == len(configs) + len(timelines)
+    assert names.count("perf.timeline") == len(timelines) > 0
+    # the tracer counts the layers each mapping covers as len(stats.layers): toy3 has 3
+    assert {span[4] for span in tracer.spans if span[0] == "workload.network_runtime"} == {3}
+
+
+@pytest.mark.filterwarnings("ignore:no candidate batch hides programming")
+def test_perfbench_tracer_records_the_optimize_spans(tmp_path):
+    tracer = _perfbench_tracer()
     audit = tmp_path / "audit.json"
     with tracer.installed():
-        assert main(["sweep", "--grid", str(CONFIGS / "array_sweep.ini"), "--topology", "toy3",
-                     "--out", str(tmp_path / "sweep.csv")]) == 0
         assert main(["optimize", "--topology", "toy3", "--out", str(audit)]) == 0
     spans = {span[0]: span for span in tracer.spans}
-    assert "dse.sweep" in spans
     rows = sum(len(step["candidates"]) for step in json.loads(audit.read_text())["steps"])
     assert spans["dse.optimize"][4] == rows > 0
-    # the tracer counts the layers each mapping covers as len(stats.layers): toy3 has 3
+    assert "dse.size_sram" in spans and "perf.timeline" in spans
     assert {span[4] for span in tracer.spans if span[0] == "workload.network_runtime"} == {3}
 

@@ -98,7 +98,7 @@ def test_sweep_memo_equals_evaluate_at_every_point(topology, rows, cols, batch, 
 
     make_timeline = perf.make_timeline
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dse, "network_runtime", counting_runtime)
+        mp.setattr(perf, "network_runtime", counting_runtime)
         mp.setattr(perf, "make_timeline", counting_timeline)
         results = sweep(grid, layers, tech)
 
@@ -180,7 +180,7 @@ def test_sweep_builds_each_residency_column_set_and_area_once(resnet_layers, tec
 
     residency = workload._residency
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dse, "network_runtime", counting_runtime)
+        mp.setattr(perf, "network_runtime", counting_runtime)
         mp.setattr(workload, "_residency", counting_residency)
         mp.setattr(perf, "area_model", counting_area)
         results = sweep(grid, resnet_layers, tech_calibrated)
@@ -193,6 +193,38 @@ def test_sweep_builds_each_residency_column_set_and_area_once(resnet_layers, tec
         for c in configs}
     assert len(areas) == len(set(areas)) == len(
         {(c.rows, c.cols, c.cores, c.sram_input_mb) for c in configs}) < len(configs)
+    assert [cfg for cfg, _ in results] == configs
+    for cfg, report in results:
+        assert flat_row(cfg, report) == flat_row(cfg, evaluate(resnet_layers, cfg,
+                                                               tech_calibrated))
+
+
+def test_sweep_builds_each_array_tiling_once(resnet_layers, tech_calibrated):
+    # the batch-free tiling columns are built once per (rows, cols, b_w) and
+    # the batch-scaled ones once per tiling key
+    grid = SweepGrid(template=ChipConfig(), rows=(32, 128), cols=(64, 128),
+                     batch=(8, 64), input_sram_mb=(0.5, 64.0), cores=(1, 2))
+    arrays, tilings = [], []
+
+    def counting_array_tiling(net, cfg):
+        arrays.append((cfg.rows, cfg.cols, cfg.b_w))
+        return array_tiling(net, cfg)
+
+    def counting_tiling(net, cfg):
+        tilings.append((cfg.rows, cfg.cols, cfg.batch, cfg.b_in, cfg.b_w, cfg.b_out, cfg.b_acc))
+        return tiling(net, cfg)
+
+    array_tiling, tiling = workload._array_tiling, workload._tiling
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workload, "_array_tiling", counting_array_tiling)
+        mp.setattr(workload, "_tiling", counting_tiling)
+        results = sweep(grid, resnet_layers, tech_calibrated)
+
+    configs = grid.configs()
+    assert len(arrays) == len(set(arrays)) == len(
+        {(c.rows, c.cols, c.b_w) for c in configs}) == 4
+    assert len(tilings) == len(set(tilings)) == len(
+        {(c.rows, c.cols, c.batch, c.b_in, c.b_w, c.b_out, c.b_acc) for c in configs}) == 8
     assert [cfg for cfg, _ in results] == configs
     for cfg, report in results:
         assert flat_row(cfg, report) == flat_row(cfg, evaluate(resnet_layers, cfg,
@@ -544,16 +576,16 @@ def test_optimize_reproducible(toy_layers, tech_calibrated):
 
 
 def test_optimize_maps_and_times_each_distinct_input_once(resnet_layers, tech_calibrated):
-    mapped, mapped_outside, timed = [], [], []
+    mapped, evaluated, timed = [], [], []
 
     def counting_runtime(layers_, cfg):
         stats = network_runtime(layers_, cfg)
         mapped.append((cfg, stats))
         return stats
 
-    def counting_perf_runtime(layers_, cfg):
-        mapped_outside.append(cfg)
-        return network_runtime(layers_, cfg)
+    def counting_evaluate(layers_, cfg, tech_):
+        evaluated.append(cfg)
+        return evaluate(layers_, cfg, tech_)
 
     def counting(timeline_fn):
         def timeline(stats, cfg, tech_):
@@ -562,13 +594,17 @@ def test_optimize_maps_and_times_each_distinct_input_once(resnet_layers, tech_ca
         return timeline
 
     with pytest.MonkeyPatch.context() as mp:
+        # size_sram maps through dse's name, the stage memo through perf's
         mp.setattr(dse, "network_runtime", counting_runtime)
-        mp.setattr(perf, "network_runtime", counting_perf_runtime)
+        mp.setattr(perf, "network_runtime", counting_runtime)
+        mp.setattr(perf, "evaluate", counting_evaluate)
+        mp.setattr(dse, "evaluate", counting_evaluate)
         mp.setattr(perf, "make_timeline", counting(perf.make_timeline))
         mp.setattr(dse, "timeline_dual_core", counting(dse.timeline_dual_core))
         res = optimize(resnet_layers, tech_calibrated, Constraints())
 
-    assert mapped_outside == []
+    # every score comes from the stage memo, none from a whole evaluation
+    assert evaluated == []
 
     def key(c):
         return (c.rows, c.cols, c.b_w, c.b_acc, c.batch, c.b_in, c.b_out,

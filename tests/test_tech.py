@@ -9,8 +9,8 @@ from oxsim import (
     default_tech_params,
     get_profile,
 )
-from oxsim.perf import area_model, energy_model, loss_budget, make_timeline
-from oxsim.tech import FIELD_UNITS, TechParams
+from oxsim.perf import area_model, energy_model, float_sum, loss_budget, make_timeline
+from oxsim.tech import FIELD_UNITS, PAPER_CONSISTENT_NOTES, TechParams
 from oxsim.workload import network_runtime
 
 # stock constants, straight from the measured-component sources
@@ -176,3 +176,31 @@ def test_each_constant_feeds_exactly_one_category(toy_layers):
         want_a = AREA_CATEGORY_OF.get(name)
         assert e_changed == ({want_e} if want_e else set()), name
         assert a_changed == ({want_a} if want_a else set()), name
+
+
+def test_crossing_loss_note_states_what_the_stated_loss_gives():
+    # paper-default keeps the stated 1.8 dB per junction
+    note = PAPER_CONSISTENT_NOTES["loss_mmi_crossing_db"]
+    tech = default_tech_params()
+    assert tech.loss_mmi_crossing_db == 1.8 and "1.8 dB/junction" in note
+    small, large = (loss_budget(ChipConfig(rows=n, cols=n), tech) for n in (16, 32))
+    figures = [f"{large.worst_path_db:.1f} dB", f"{large.laser_wallplug_power_w:,.0f} W",
+               f"{small.worst_path_db:.1f} dB", f"{small.laser_wallplug_power_w * 1e3:.2f} mW"]
+    assert figures == ["149.5 dB", "1,885 W", "85.4 dB", "0.37 mW"]
+    assert all(figure in note for figure in figures)
+
+
+def test_pitch_note_states_the_photonic_array_share_of_area(headline_config):
+    note = PAPER_CONSISTENT_NOTES["unit_cell_pitch_um"]
+    consistent = apply_profile(default_tech_params(), get_profile("paper-consistent"))
+    assert (consistent.unit_cell_pitch_um, TechParams().unit_cell_pitch_um) == (15.0, 50.0)
+
+    def shares(tech):
+        area = area_model(headline_config, tech)
+        assert max(area, key=area.get) == ("sram" if tech is consistent else "photonic_array")
+        return {k: f"{100 * v / float_sum(area.values()):.1f}%" for k, v in area.items()}
+
+    at_15, at_50 = shares(consistent), shares(default_tech_params())
+    figures = [at_15["photonic_array"], at_15["sram"], at_15["adc"], at_50["photonic_array"]]
+    assert figures == ["20.7%", "36.1%", "34.2%", "74.4%"]
+    assert all(figure in note for figure in figures)
