@@ -47,22 +47,17 @@ EXIT_TOPOLOGY = 2
 EXIT_EVAL = 3
 EXIT_INFEASIBLE = 4
 
-# `grid` and `dse` are imported on first use, so `evaluate` compiles neither
-# and `sweep` only `grid`. Their names stay attributes of this module, which
-# `cmd_sweep` and `cmd_optimize` look up on the module object, so a wrapper
-# set on it (perfbench --trace 1) is the function that runs.
-_GRID_NAMES = ("SweepGrid", "sweep")
-_DSE_NAMES = ("Constraints", "optimize")
+# The package loads `grid` and `dse` on first use of these names, so
+# `evaluate` compiles neither and `sweep` only `grid`. They stay attributes of
+# this module, which `cmd_sweep` and `cmd_optimize` look up on the module
+# object, so a wrapper set on it (perfbench --trace 1) is the function that runs.
+_PACKAGE_NAMES = ("SweepGrid", "sweep", "Constraints", "optimize")
 
 
 def __getattr__(name: str):
-    if name in _GRID_NAMES:
-        from . import grid as module
-    elif name in _DSE_NAMES:
-        from . import dse as module
-    else:
+    if name not in _PACKAGE_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(module, name)
+    return getattr(sys.modules[__package__], name)
 
 
 def _finite(raw: str) -> float:
@@ -499,8 +494,8 @@ def run() -> None:
       `sys.exit` raises SystemExit;
     - a run makes cyclic garbage once, not per point: its one mapping memo
       (a `Network` and the `RuntimeStats` that refer back to it), which
-      lives for the whole run anyway, and the closures of one JSON encoding;
-      reference counting frees everything else.
+      lives for the whole run anyway; reference counting frees everything
+      else.
     """
     gc.disable()
     code = main()

@@ -9,8 +9,7 @@ while the chosen array breaks its premise, for at most `MAX_PASSES` passes.
 
 Every step of one `optimize` scores its configs through one `grid._Stages`
 memo, the one `sweep` uses; every score equals evaluating its point on its
-own. `SweepGrid` and `sweep` live in `grid` and are bound here too, for
-callers that import them from `dse`; `oxsim sweep` loads `grid` alone.
+own. `SweepGrid` and `sweep` live in `grid`; `oxsim sweep` loads `grid` alone.
 """
 import math
 import warnings
@@ -18,7 +17,7 @@ from bisect import bisect_right
 from typing import NamedTuple
 
 from .errors import Checked, ConfigError, EvaluationError, InfeasibleError
-from .grid import SweepGrid, _Stages, sweep  # noqa: F401
+from .grid import _Stages
 from .perf import PerfReport, area_model, float_sum
 # unused here; perfbench/tracing.py's BOUNDARIES wraps these dse names (--trace 1)
 from .perf import evaluate, timeline_dual_core  # noqa: F401

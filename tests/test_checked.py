@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oxsim.dse import Constraints, SweepGrid
+from oxsim.dse import Constraints
 from oxsim.errors import ConfigError
+from oxsim.grid import SweepGrid
 from oxsim.tech import (
     CalibrationProfile,
     TechParams,

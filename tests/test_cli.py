@@ -19,8 +19,9 @@ import oxsim
 import oxsim.cli
 from oxsim.cli import (_atomic_write, _over_chip, _parse_ini, _section, _sha256_file,
                         load_run_inputs, main)
-from oxsim.dse import MAX_SRAM_STEPS, Constraints, SweepGrid, sweep
+from oxsim.dse import MAX_SRAM_STEPS, Constraints
 from oxsim.errors import ConfigError
+from oxsim.grid import SweepGrid, sweep
 from oxsim.reports import CSV_COLUMNS, RunManifest, flat_row
 from oxsim.reports import csv_text as _csv_text
 from oxsim.tech import CalibrationProfile, TechParams
@@ -1358,21 +1359,50 @@ def test_package_exports_resolve_and_functional_model_loads_on_first_use():
         assert getattr(oxsim, name) is not None
     assert oxsim.crossbar_mvm is oxsim.photonics.crossbar_mvm
     assert oxsim.loss_budget is oxsim.perf.loss_budget
-    for name in ("SweepGrid", "Constraints", "OptimizationResult", "sweep",
-                 "find_min_hiding_batch", "size_sram", "pick_array_size", "optimize"):
+    for name in ("Constraints", "OptimizationResult", "find_min_hiding_batch", "size_sram",
+                 "pick_array_size", "optimize"):
         assert name in oxsim.__all__
         assert getattr(oxsim, name) is getattr(oxsim.dse, name)
     for name in ("SweepGrid", "sweep"):
+        assert name in oxsim.__all__
         assert getattr(oxsim, name) is getattr(oxsim.grid, name)
-    # cli resolves these from grid and dse on first use (see
+    # cli resolves these through the package on first use (see
     # test_each_command_imports_only_its_oxsim_modules)
-    assert oxsim.cli.sweep is oxsim.dse.sweep is oxsim.grid.sweep
+    assert oxsim.cli.sweep is oxsim.grid.sweep
     assert oxsim.cli.SweepGrid is oxsim.grid.SweepGrid
     assert oxsim.cli.optimize is oxsim.dse.optimize
     assert oxsim.cli.Constraints is oxsim.dse.Constraints
     for module in (oxsim, oxsim.cli):
         with pytest.raises(AttributeError, match="no_such_name"):
             module.no_such_name
+
+
+def test_package_name_table_lists_each_name_once_under_its_defining_module():
+    listed = [name for names in oxsim._NAMES.values() for name in names]
+    assert len(listed) == len(set(listed))
+    assert oxsim.__all__ == ["__version__", *listed]
+    for module_name, names in oxsim._NAMES.items():
+        module = importlib.import_module(f"oxsim.{module_name}")
+        for name in names:
+            assert getattr(oxsim, name) is getattr(module, name), name
+            assert getattr(module, name).__module__ == module.__name__, name
+    assert set(oxsim.__all__) | set(oxsim._NAMES) <= set(dir(oxsim))
+
+
+def test_bare_package_import_loads_no_module_until_one_is_used():
+    src = Path(oxsim.__file__).resolve().parents[1]
+    script = """
+import sys
+import oxsim
+assert [m for m in sys.modules if m.startswith("oxsim.")] == []
+for name in oxsim._NAMES:
+    assert getattr(oxsim, name) is sys.modules["oxsim." + name], name
+assert oxsim.ChipConfig is oxsim.workload.ChipConfig
+"""
+    run = subprocess.run([sys.executable, "-c", script],
+                         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_every_perfbench_trace_boundary_resolves():
@@ -1437,13 +1467,13 @@ assert not loaded, sorted(loaded)
     assert run.returncode == 0, run.stderr
 
 
-# the oxsim modules each process loads, keyed by its command: every command
-# loads the CLI's own set, sweep adds grid, optimize adds grid and dse, and
-# the commands that write JSON add jsontext
-_PACKAGE_IMPORTS = {"oxsim", "oxsim.errors", "oxsim.tech", "oxsim.workload", "oxsim.perf"}
-_CLI_IMPORTS = _PACKAGE_IMPORTS | {"oxsim.reports"}
+# the oxsim modules each process loads, keyed by its command: `import oxsim`
+# loads the package alone, every command loads the CLI's own set, sweep adds
+# grid, optimize adds grid and dse, and the commands that write JSON add jsontext
+_CLI_IMPORTS = {"oxsim", "oxsim.errors", "oxsim.tech", "oxsim.workload", "oxsim.perf",
+                "oxsim.reports"}
 _IMPORTS = {
-    "import oxsim": _PACKAGE_IMPORTS,
+    "import oxsim": {"oxsim"},
     "--version": _CLI_IMPORTS,
     "evaluate": _CLI_IMPORTS | {"oxsim.jsontext"},
     "sweep": _CLI_IMPORTS | {"oxsim.grid"},
@@ -1469,7 +1499,7 @@ def test_each_command_imports_only_its_oxsim_modules(tmp_path, argv, loads_dse):
     assert run.returncode == 0, run.stderr
     imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
                 if line.startswith("import time:")}
-    assert "oxsim.workload" in imported  # the trace was read
+    assert "oxsim" in imported  # the trace was read
     assert ("oxsim.dse" in imported) is loads_dse
     command = argv[1] if argv[0] == "-c" else argv[2]
     assert {m for m in imported if m.split(".")[0] == "oxsim"} == _IMPORTS[command]

@@ -598,9 +598,7 @@ def test_optimize_maps_and_times_each_distinct_input_once(resnet_layers, tech_ca
         mp.setattr(dse, "network_runtime", counting_runtime)
         mp.setattr(perf, "network_runtime", counting_runtime)
         mp.setattr(perf, "evaluate", counting_evaluate)
-        mp.setattr(dse, "evaluate", counting_evaluate)
         mp.setattr(perf, "make_timeline", counting(perf.make_timeline))
-        mp.setattr(dse, "timeline_dual_core", counting(dse.timeline_dual_core))
         res = optimize(resnet_layers, tech_calibrated, Constraints())
 
     # every score comes from the stage memo, none from a whole evaluation

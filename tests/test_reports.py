@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -120,6 +121,39 @@ def test_dump_json_raises_the_type_error_of_json_dumps(payload):
     with pytest.raises(TypeError) as got:
         dump_json(payload)
     assert str(got.value) == str(want.value)
+
+
+def test_dump_json_writes_a_payload_mended_after_a_failed_write():
+    # the encoders outlive a call; a failed one must not leave the payload's
+    # containers marked as being encoded, which would read as a cycle
+    row = {"b": object()}
+    payload = {"rows": [{"a": 1}, row], "nested": {"c": [row]}}
+    with pytest.raises(TypeError):
+        dump_json(payload)
+    row["b"] = 2
+    assert dump_json(payload) == _reference(payload)
+
+
+def test_dump_json_leaves_no_cyclic_garbage():
+    # a CLI process runs with the collector off, so garbage that only a
+    # collection frees would stay until exit
+    payload = {"rows": [{"a": 1.5, "b": "x"}, {"a": 2, "b": None}],
+               "nested": {"c": [1, [2, {"d": True}]], "e": {}}}
+    dump_json(payload)  # builds the encoders of every depth it needs
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        counts = []
+        for _ in range(3):
+            for _ in range(50):
+                dump_json(payload)
+            counts.append(len(gc.get_objects()))
+        assert counts == [counts[0]] * 3
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _reference(payload) -> str:
