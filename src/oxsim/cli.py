@@ -16,8 +16,8 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
-from . import __version__
-from .errors import ConfigError, EvaluationError, InfeasibleError, OxsimError, TopologyError
+from . import __version__, workload
+from .errors import ConfigError, EvaluationError, OxsimError
 from .perf import evaluate
 from .reports import RunManifest, audit_payload, csv_text, dump_json, flat_row, json_payload
 from .tech import (
@@ -29,7 +29,7 @@ from .tech import (
     default_tech_params,
     get_profile,
 )
-from .workload import ChipConfig, load_topology, topology_path
+from .workload import ChipConfig, topology_path
 
 # The manifest digests come from the builtin SHA-256, so a run does not load
 # OpenSSL, as hashlib does at import, to hash two small files.
@@ -40,12 +40,6 @@ except ImportError:
         from _sha256 import sha256
     except ImportError:  # an interpreter built without it
         from hashlib import sha256
-
-EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_TOPOLOGY = 2
-EXIT_EVAL = 3
-EXIT_INFEASIBLE = 4
 
 # The package loads `grid` and `dse` on first use of these names, so
 # `evaluate` compiles neither and `sweep` only `grid`. They stay attributes of
@@ -148,22 +142,26 @@ def _parse_ini(text: str, source) -> dict[str, dict[str, str]]:
             for name, keys in sections.items()}
 
 
-def _read_ini(path: Path, allowed_sections: set[str]) -> dict[str, dict[str, str]]:
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+def _read_ini(path: Path, allowed_sections: set[str], missing: str | None = None):
+    """(the {section: {key: value}} of INI file `path`, the SHA-256 of the
+    bytes they were parsed from). A file that cannot be read or decoded is a
+    ConfigError that names it; `missing` replaces the message for an absent one."""
     try:
-        # a leading byte-order mark is dropped, as the topology loader drops it
-        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
+        data = path.read_bytes()
+        # universal newlines, as text mode reads
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except FileNotFoundError:
+        raise ConfigError(missing or f"config file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    sections = _parse_ini(text, path)
+    sections = _parse_ini(text.removeprefix("\ufeff"), path)  # drop a BOM, as topologies do
     for section in sections:
         if section not in allowed_sections:
             raise ConfigError(
                 f"{path}: unknown section [{section}]; allowed: "
                 f"{', '.join(sorted(allowed_sections))}"
             )
-    return sections
+    return sections, sha256(data).hexdigest()
 
 
 def _section(sections: dict, section: str, cls, source) -> dict:
@@ -216,16 +214,18 @@ def load_profile(spec: str | None) -> CalibrationProfile:
     """A built-in profile name, or a profile file with [profile]/[overrides]."""
     if spec is None:
         return get_profile("paper-default")
-    if spec in builtin_profiles():
+    builtin_names = sorted(builtin_profiles())
+    if spec in builtin_names:
         return get_profile(spec)
     path = _path("--profile", spec)
-    if not path.exists():
-        raise ConfigError(
-            f"profile {spec!r} is neither a built-in "
-            f"({', '.join(sorted(builtin_profiles()))}) nor a file"
-        )
-    sections = _read_ini(path, {"profile", "overrides", "notes"})
+    sections, _ = _read_ini(path, {"profile", "overrides", "notes"},
+                            f"profile {spec!r} is neither a built-in ({', '.join(builtin_names)}) "
+                            f"nor a file")
     name = _section(sections, "profile", CalibrationProfile, path).get("name", path.stem)
+    # a report names its profile, so a file may not pass for a built-in
+    if name in builtin_names:
+        raise ConfigError(f"{path} [profile]: name {name!r} is a built-in profile's; "
+                          f"a profile file must have a name of its own")
     # the name is checked alone first, so an error about it names [profile]
     _build(f"{path} [profile]", CalibrationProfile, name=name)
     return _build(
@@ -236,20 +236,17 @@ def load_profile(spec: str | None) -> CalibrationProfile:
 
 
 def load_run_inputs(config_path: str | None, profile_spec: str | None):
-    """Resolve (ChipConfig, TechParams, hashes) from CLI arguments."""
+    """Resolve (ChipConfig, TechParams, profile, config digest) from CLI arguments."""
     profile = load_profile(profile_spec)
     tech = apply_profile(default_tech_params(), profile)
-    if config_path is not None:
-        path = _path("--config", config_path)
-        sections = _read_ini(path, {"chip", "tech"})
-        cfg = _chip(sections, path)
-        where = f"{path} [tech]"
-        tech = _build(where, apply_overrides, tech,
-                      _section(sections, "tech", TechParams, path), source=where)
-        config_hash = _sha256_file(path)
-    else:
+    if config_path is None:
         cfg = ChipConfig()
-        config_hash = _sha256_text(repr(cfg))
+        return cfg, tech, profile, _sha256_text(repr(cfg))
+    path = _path("--config", config_path)
+    sections, config_hash = _read_ini(path, {"chip", "tech"})
+    cfg = _chip(sections, path)
+    tech = _build(f"{path} [tech]", apply_overrides, tech,
+                  _section(sections, "tech", TechParams, path))
     return cfg, tech, profile, config_hash
 
 
@@ -289,7 +286,8 @@ def _manifest(command: str, config_hash: str, profile: str, topology: Path,
 
 def _topology(spec: str) -> tuple[list, Path]:
     path = topology_path(_path("--topology", spec))
-    return load_topology(path), path
+    # looked up on the module, so a wrapper set on it (perfbench --trace 1) runs
+    return workload.parse_topology(path), path
 
 
 def cmd_evaluate(args) -> int:
@@ -313,48 +311,47 @@ def cmd_evaluate(args) -> int:
         f"profile={profile.name})"
     )
     print(f"wrote {out_dir / 'report.json'} and {out_dir / 'report.csv'}")
-    return EXIT_OK
+    return 0
 
 
-def _over_chip(path: Path, section: str, cls):
-    """A SweepGrid or Constraints: one section over a [chip] template.
+def _over_chip(option: str, value: str | None, section: str, cls):
+    """(a SweepGrid or Constraints, its manifest digest): one section over a
+    [chip] template, from the file that `option` names, or `cls()` hashed by
+    its repr when the option is absent.
 
     The template is first checked by `cls` alone (every other field at its
     default), so an error about the template names [chip].
     """
-    sections = _read_ini(path, {section, "chip"})
+    if value is None:
+        record = cls()
+        return record, _sha256_text(repr(record))
+    path = _path(option, value)
+    sections, digest = _read_ini(path, {section, "chip"})
     template, fields = _chip(sections, path), _section(sections, section, cls, path)
     _build(f"{path} [chip]", cls, template=template)
-    return _build(f"{path} [{section}]", cls, template=template, **fields)
+    return _build(f"{path} [{section}]", cls, template=template, **fields), digest
 
 
 def cmd_sweep(args) -> int:
     this = sys.modules[__name__]
     out_path = Path("sweep.csv") if args.out is None else _path("--out", args.out)
     _, tech, profile, _ = load_run_inputs(None, args.profile)
-    grid_path = _path("--grid", args.grid)
-    grid = _over_chip(grid_path, "grid", this.SweepGrid)
+    grid, grid_hash = _over_chip("--grid", args.grid, "grid", this.SweepGrid)
     layers, topo_path = _topology(args.topology)
     results = this.sweep(grid, layers, tech)
-    manifest = _manifest("sweep", _sha256_file(grid_path), profile.name, topo_path,
-                         args.timestamp)
+    manifest = _manifest("sweep", grid_hash, profile.name, topo_path, args.timestamp)
     rows = [flat_row(cfg, report) for cfg, report in results]
     _write_out(out_path, csv_text(rows, manifest))
     print(f"evaluated {len(rows)} configs; wrote {out_path}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_optimize(args) -> int:
     this = sys.modules[__name__]
     out_path = Path("optimize_audit.json") if args.out is None else _path("--out", args.out)
     _, tech, profile, _ = load_run_inputs(None, args.profile)
-    if args.constraints is not None:
-        cons_path = _path("--constraints", args.constraints)
-        cons = _over_chip(cons_path, "constraints", this.Constraints)
-        cons_hash = _sha256_file(cons_path)
-    else:
-        cons = this.Constraints()
-        cons_hash = _sha256_text(repr(cons))
+    cons, cons_hash = _over_chip("--constraints", args.constraints, "constraints",
+                                 this.Constraints)
     layers, topo_path = _topology(args.topology)
 
     result = this.optimize(layers, tech, cons)
@@ -370,7 +367,7 @@ def cmd_optimize(args) -> int:
         f"power_w={result.report.power_w:.3f} area_mm2={result.report.area_mm2:.2f}"
     )
     print(f"wrote {out_path}")
-    return EXIT_OK
+    return 0
 
 
 _TOPOLOGY_HELP = "topology CSV path or bundled name (resnet50_v15, toy3)"
@@ -463,22 +460,13 @@ def main(argv=None) -> int:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if isinstance(args, str):  # --version or --help
             print(args)
-            return EXIT_OK
+            return 0
         # a bad SOURCE_DATE_EPOCH fails before any evaluation or output
         args.timestamp = _deterministic_timestamp()
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except TopologyError as exc:
-        print(f"topology error: {exc}", file=sys.stderr)
-        return EXIT_TOPOLOGY
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except EvaluationError as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return EXIT_EVAL
+    except OxsimError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def run() -> None:

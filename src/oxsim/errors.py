@@ -1,28 +1,37 @@
 """Exception types shared across the simulator, and the mixin of checked records.
 
-Each maps to a CLI exit code (see cli.py): ConfigError -> 1,
+Each error class carries the CLI's exit code for it and the label that starts
+its one stderr line, which `cli.main` prints: ConfigError -> 1,
 TopologyError -> 2, EvaluationError -> 3, InfeasibleError -> 4.
 """
 
 
 class OxsimError(Exception):
-    """Base class for all simulator errors."""
+    """Base class for all simulator errors; each subclass sets `exit_code` and `label`."""
 
 
 class ConfigError(OxsimError):
     """Bad configuration: unknown key, invalid value, unreadable file."""
 
+    exit_code, label = 1, "config error"
+
 
 class TopologyError(OxsimError):
     """Bad network topology file: missing, malformed row, invalid dims."""
+
+    exit_code, label = 2, "topology error"
 
 
 class EvaluationError(OxsimError):
     """A model evaluation failed; message names the offending config."""
 
+    exit_code, label = 3, "evaluation error"
+
 
 class InfeasibleError(OxsimError):
     """An optimization constraint cannot be met; message names the step."""
+
+    exit_code, label = 4, "infeasible"
 
 
 class Checked:

@@ -153,9 +153,9 @@ def apply_profile(base: TechParams, profile: CalibrationProfile) -> TechParams:
     return base._replace(**profile.overrides)
 
 
-def apply_overrides(base: TechParams, overrides: dict[str, float], source: str = "config") -> TechParams:
+def apply_overrides(base: TechParams, overrides: dict[str, float]) -> TechParams:
     """Apply loose key=value overrides (e.g. from a config file section)."""
-    return apply_profile(base, CalibrationProfile(name=source, overrides=dict(overrides)))
+    return apply_profile(base, CalibrationProfile(name="config", overrides=dict(overrides)))
 
 
 # The stated per-junction crossing loss makes a 128-column path lose >200 dB,

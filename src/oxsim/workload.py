@@ -44,6 +44,7 @@ columns it is built from, with their sums:
                 input_write_bits, dram_read_bits, dram_write_bits,
                 ifmap_resident, output_forwarded
 """
+import os
 from bisect import bisect_right
 from typing import NamedTuple
 from importlib import resources
@@ -388,10 +389,10 @@ def parse_topology(path) -> list[LayerSpec]:
     """Load LayerSpecs from a UTF-8 CSV whose first non-blank row is TOPOLOGY_COLUMNS.
     Cells are not quoted: a row is its line split at each `,`."""
     path = Path(path)
-    if not path.exists():
-        raise TopologyError(f"topology file not found: {path}")
     try:
         text = path.read_text(encoding="utf-8").removeprefix("\ufeff")  # drop a leading BOM
+    except FileNotFoundError:
+        raise TopologyError(f"topology file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise TopologyError(f"cannot read topology file {path}: {exc}") from exc
     layers: list[LayerSpec] = []
@@ -431,20 +432,19 @@ def parse_topology(path) -> list[LayerSpec]:
 
 def bundled_topology_path(name: str) -> Path:
     """Path of a topology shipped with the package (e.g. 'resnet50_v15')."""
-    base = resources.files("oxsim") / "topologies" / f"{name}.csv"
-    if not base.is_file():
-        available = sorted(
-            p.name[:-4] for p in (resources.files("oxsim") / "topologies").iterdir()
-            if p.name.endswith(".csv")
-        )
-        raise TopologyError(f"no bundled topology {name!r}; available: {', '.join(available)}")
-    return Path(str(base))
+    bundled = {p.name[:-4]: p for p in (resources.files("oxsim") / "topologies").iterdir()
+               if p.name.endswith(".csv")}
+    if name not in bundled:
+        raise TopologyError(f"no bundled topology {name!r}; "
+                            f"available: {', '.join(sorted(bundled))}")
+    return Path(str(bundled[name]))
 
 
 def topology_path(name_or_path) -> Path:
-    """An existing topology path as given, otherwise the bundled fixture of that name."""
+    """The path as given if anything is there, otherwise the bundled fixture of that
+    name; `os.path.exists` reads a path it cannot stat (too long, say) as absent."""
     p = Path(name_or_path)
-    return p if p.exists() else bundled_topology_path(str(name_or_path))
+    return p if os.path.exists(p) else bundled_topology_path(str(name_or_path))
 
 
 def load_topology(name_or_path) -> list[LayerSpec]:

@@ -195,8 +195,8 @@ def test_calibration_profile_rejects_an_unknown_parameter(key):
     message = f"profile 'p' overrides unknown tech parameter {key!r}"
     _each_path(ConfigError, message, CalibrationProfile, CalibrationProfile("p"),
                "overrides", {key: 1.0})
-    _rejects(ConfigError, f"profile 'cfg' overrides unknown tech parameter {key!r}",
-             lambda: apply_overrides(default_tech_params(), {key: 1.0}, source="cfg"))
+    _rejects(ConfigError, f"profile 'config' overrides unknown tech parameter {key!r}",
+             lambda: apply_overrides(default_tech_params(), {key: 1.0}))
 
 
 def test_profiles_with_default_overrides_and_notes_do_not_share_a_dict():

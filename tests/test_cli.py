@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import oxsim
 import oxsim.cli
-from oxsim.cli import (_atomic_write, _over_chip, _parse_ini, _section, _sha256_file,
-                        load_run_inputs, main)
+from oxsim.cli import (_atomic_write, _over_chip, _parse_ini, _read_ini, _section,
+                        _sha256_file, load_run_inputs, main)
 from oxsim.dse import MAX_SRAM_STEPS, Constraints
 from oxsim.errors import ConfigError
 from oxsim.grid import SweepGrid, sweep
@@ -193,6 +193,23 @@ def test_a_default_section_exits_1_naming_the_file(tmp_path, capsys, command, fl
     assert not out.exists()
 
 
+@pytest.mark.parametrize("file_name, text", [
+    ("paper-default.ini", "[overrides]\ne_dram_per_bit = 1e-12\n"),
+    ("cal.ini", "[profile]\nname = paper-consistent\n"),
+], ids=["file-stem", "name-key"])
+def test_profile_file_named_as_a_builtin_exits_1_naming_it(tmp_path, capsys, file_name, text):
+    # its manifest would read as the built-in's, with other constants behind it
+    prof = tmp_path / file_name
+    prof.write_text(text)
+    out = tmp_path / "out"
+    rc = main(["evaluate", "--topology", "toy3", "--profile", str(prof), "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {prof} [profile]: name 'paper-")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_profile_file_bad_field_exits_1(tmp_path, capsys):
     prof = tmp_path / "cal.ini"
     prof.write_text("[overrides]\nnot_a_field = 1\n")
@@ -208,6 +225,26 @@ def test_tech_section_override(tmp_path):
     rc = main(["evaluate", "--config", str(p), "--topology", "toy3",
                "--out", str(tmp_path / "o")])
     assert rc == 0
+
+
+@pytest.mark.parametrize("tech", ["", "\n[tech]\ne_dram_per_bit = 1e-11\n"],
+                         ids=["chip-only", "tech-section"])
+@pytest.mark.parametrize("name", ["tab\there.ini", "new\nline.ini"], ids=["tab", "newline"])
+def test_config_path_with_a_control_character_writes_what_a_plain_name_does(tmp_path, name,
+                                                                             tech):
+    # the path names the file in errors only, never a profile in the report
+    outputs = {}
+    for file_name in ("plain.ini", name):
+        run_dir = tmp_path / f"run{len(outputs)}"
+        run_dir.mkdir()
+        path = run_dir / file_name
+        path.write_text(CONFIG_HEADLINE + tech)
+        out = run_dir / "out"
+        assert main(["evaluate", "--config", str(path), "--topology", "toy3",
+                     "--out", str(out)]) == 0
+        outputs[file_name] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert list(outputs["plain.ini"]) == ["report.csv", "report.json"]
+    assert outputs["plain.ini"] == outputs[name]
 
 
 def test_sweep_grid_rows(tmp_path):
@@ -245,7 +282,8 @@ def test_sweep_csv_cells_round_trip_the_flat_rows(tmp_path):
     assert header == CSV_COLUMNS
 
     _, tech, _, _ = load_run_inputs(None, str(prof))
-    results = sweep(_over_chip(grid, "grid", SweepGrid), load_topology("toy3"), tech)
+    results = sweep(_over_chip("--grid", str(grid), "grid", SweepGrid)[0], load_topology("toy3"),
+                    tech)
     rows = [dict(zip(CSV_COLUMNS, flat_row(cfg, report))) for cfg, report in results]
     assert len(cells) == len(rows) == 4
     negative_zeros = 0
@@ -497,19 +535,31 @@ def test_loader_rejects_bad_key_or_value(tmp_path, capsys, command, flag, text, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, flag, body, code", [
-    ("evaluate", "--topology",
+# (command, input option, its exit code, a body holding a Latin-1 byte, which
+# does not decode as UTF-8)
+_INPUT_OPTIONS = [
+    ("evaluate", "--topology", 2,
      b"name,ifmap_h,ifmap_w,channels,filter_h,filter_w,num_filters,stride\n"
-     b"caf\xe9,8,8,3,3,3,16,1\n", 2),
-    ("evaluate", "--config", b"[chip]\n# caf\xe9\nrows = 32\n", 1),
-    ("evaluate", "--profile", b"[profile]\n# caf\xe9\nname = p\n", 1),
-    ("sweep", "--grid", b"[grid]\n# caf\xe9\nrows = 8 16\n", 1),
-    ("optimize", "--constraints", b"[constraints]\n# caf\xe9\narea_cap_mm2 = 30\n", 1),
-], ids=["topology", "config", "profile", "grid", "constraints"])
-def test_input_file_that_is_not_utf8_exits_naming_it(tmp_path, command, flag, body, code):
-    # a Latin-1 byte does not decode as UTF-8
-    path = tmp_path / "input.txt"
-    path.write_bytes(body)
+     b"caf\xe9,8,8,3,3,3,16,1\n"),
+    ("evaluate", "--config", 1, b"[chip]\n# caf\xe9\nrows = 32\n"),
+    ("evaluate", "--profile", 1, b"[profile]\n# caf\xe9\nname = p\n"),
+    ("sweep", "--grid", 1, b"[grid]\n# caf\xe9\nrows = 8 16\n"),
+    ("optimize", "--constraints", 1, b"[constraints]\n# caf\xe9\narea_cap_mm2 = 30\n"),
+]
+# a path that cannot be read, as a file name next to input.txt -> its test id
+_UNREADABLE = {"a" * 300: "long-name", "input.txt/x": "through-a-file", "missing.txt": "missing"}
+
+
+@pytest.mark.parametrize("command, flag, code, body, name", [
+    *[pytest.param(command, flag, code, body, "input.txt", id=flag[2:])
+      for command, flag, code, body in _INPUT_OPTIONS],
+    *[pytest.param(command, flag, code, body, name, id=f"{flag[2:]}-{kind}")
+      for command, flag, code, body in _INPUT_OPTIONS for name, kind in _UNREADABLE.items()],
+])
+def test_input_file_that_is_not_utf8_exits_naming_it(tmp_path, command, flag, code, body, name):
+    # the same for a path that cannot be read: too long, through a file, or absent
+    (tmp_path / "input.txt").write_bytes(body)
+    path = tmp_path / name
     out = tmp_path / "out"
     argv = [command, flag, str(path), "--out", str(out)]
     if flag != "--topology":
@@ -544,6 +594,18 @@ def test_input_file_with_a_byte_order_mark_reads_as_without_it(tmp_path, command
         outputs[bom] = {f.name: f.read_text().replace(_sha(path), "<input sha256>")
                         for f in files}
     assert outputs[b""] == outputs[b"\xef\xbb\xbf"]
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_ini_file_reads_as_text_mode_reads_it_and_hashes_its_bytes(tmp_path, newline):
+    # one read gives the sections, parsed with universal newlines, and the digest
+    data = b"\xef\xbb\xbf" + GRID_SMALL.replace("\n", newline).encode()
+    path = tmp_path / "grid.ini"
+    path.write_bytes(data)
+    sections, digest = _read_ini(path, {"grid", "chip"})
+    assert sections == _parse_ini(path.read_text(encoding="utf-8-sig"), path)
+    assert sections["grid"] == {"rows": "8 16", "cols": "8 16"}
+    assert digest == hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("cls, settable", [
@@ -1526,7 +1588,7 @@ def test_perfbench_tracer_records_every_sweep_mapping_and_timeline(tmp_path):
                      "--out", str(tmp_path / "sweep.csv")]) == 0
     names = [span[0] for span in tracer.spans]
     assert names.count("dse.sweep") == 1
-    configs = _over_chip(grid_path, "grid", SweepGrid).configs()
+    configs = _over_chip("--grid", str(grid_path), "grid", SweepGrid)[0].configs()
     timelines = {(c.rows, c.cols, c.batch, c.cores, c.clock_hz) for c in configs}
     # each point maps once for its report, and each distinct timeline once more
     assert names.count("workload.network_runtime") == len(configs) + len(timelines)
