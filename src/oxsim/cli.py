@@ -32,14 +32,15 @@ from .tech import (
 from .workload import ChipConfig, topology_path
 
 # The manifest digests come from the builtin SHA-256, so a run does not load
-# OpenSSL, as hashlib does at import, to hash two small files.
+# OpenSSL, as hashlib does at import, to hash two small files. Its module is
+# chosen by version, so no process searches sys.path for one that cannot be there.
 try:
-    from _sha2 import sha256  # Python 3.12+
-except ImportError:
-    try:
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
         from _sha256 import sha256
-    except ImportError:  # an interpreter built without it
-        from hashlib import sha256
+except ImportError:  # an interpreter built without it
+    from hashlib import sha256
 
 # The package loads `grid` and `dse` on first use of these names, so
 # `evaluate` compiles neither and `sweep` only `grid`. They stay attributes of
@@ -165,18 +166,16 @@ def _read_ini(path: Path, allowed_sections: set[str], missing: str | None = None
 
 
 def _section(sections: dict, section: str, cls, source) -> dict:
-    """Keyword arguments for NamedTuple `cls` from one INI section.
+    """Keyword arguments for Record `cls` from one INI section.
 
-    Each key must name a field of `cls` whose annotation `_PARSERS` knows, and
-    its value must parse as that type; otherwise the ConfigError names the
-    file, the section and the key.
+    Each key must name a field of `cls` whose annotation, read from the
+    class's own annotations, `_PARSERS` knows, and its value must parse as
+    that type; otherwise the ConfigError names the file, the section and the key.
     """
     where = f"{source} [{section}]"
-    # a checked type's annotations live on the NamedTuple of its fields
-    fields_cls = next(c for c in cls.__mro__ if "_fields" in vars(c))
     # `type(t) is type`, not isinstance: 3.10 counts `tuple[int, ...]` as a type
     kinds = {name: (t.__name__ if type(t) is type else repr(t)).removesuffix(" | None")
-             for name, t in fields_cls.__annotations__.items()}
+             for name, t in cls.__annotations__.items()}
     kinds = {name: kind for name, kind in kinds.items() if kind in _PARSERS}
     out = {}
     for key, raw in sections.get(section, {}).items():
@@ -274,14 +273,8 @@ def _write_out(path: Path, text: str) -> None:
 
 def _manifest(command: str, config_hash: str, profile: str, topology: Path,
               timestamp: str) -> RunManifest:
-    return RunManifest(
-        tool_version=__version__,
-        command=command,
-        config_hash=config_hash,
-        profile=profile,
-        topology_hash=_sha256_file(topology),
-        timestamp=timestamp,
-    )
+    return RunManifest(__version__, command, config_hash, profile, _sha256_file(topology),
+                       timestamp)
 
 
 def _topology(spec: str) -> tuple[list, Path]:

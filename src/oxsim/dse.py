@@ -14,9 +14,8 @@ own. `SweepGrid` and `sweep` live in `grid`; `oxsim sweep` loads `grid` alone.
 import math
 import warnings
 from bisect import bisect_right
-from typing import NamedTuple
 
-from .errors import Checked, ConfigError, EvaluationError, InfeasibleError
+from .errors import ConfigError, EvaluationError, InfeasibleError, Record
 from .grid import _Stages
 from .perf import PerfReport, area_model, float_sum
 # unused here; perfbench/tracing.py's BOUNDARIES wraps these dse names (--trace 1)
@@ -24,7 +23,9 @@ from .perf import evaluate, timeline_dual_core  # noqa: F401
 from .workload import MB_BITS, ChipConfig, Network, network_runtime
 
 
-class _ConstraintsFields(NamedTuple):
+class Constraints(Record):
+    """Inputs to the optimizer, validated only here; defaults mirror the published axes."""
+
     area_cap_mm2: float = 100.0
     batch_candidates: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
     array_rows: tuple[int, ...] = (32, 64, 128, 256, 512)
@@ -33,12 +34,6 @@ class _ConstraintsFields(NamedTuple):
     hiding_eps: float = 0.01
     tie_tol: float = 0.02
     template: ChipConfig = ChipConfig()
-
-
-class Constraints(Checked, _ConstraintsFields):
-    """Inputs to the optimizer, validated only here; defaults mirror the published axes."""
-
-    __slots__ = ()
 
     def _check(self) -> None:
         if not isinstance(self.template, ChipConfig):
@@ -71,7 +66,7 @@ class Constraints(Checked, _ConstraintsFields):
         return sorted({(r, c) for r in self.array_rows for c in self.array_cols})
 
 
-class StepRecord(NamedTuple):
+class StepRecord(Record):
     """One optimizer step: its audit rows, its choice, and the template with it applied."""
 
     step: str
@@ -137,9 +132,9 @@ def size_sram(layers, template: ChipConfig, tech, cons: Constraints,
             f"input SRAM; even {step_mb} MB does not fit"
         )
     if max_units > MAX_SRAM_STEPS:
-        raise InfeasibleError(f"sram step: the area cap allows {max_units} steps of {step_mb} MB "
-                              f"at a_sram_per_mb = {tech.a_sram_per_mb} mm2/MB, more than "
-                              f"the {MAX_SRAM_STEPS} the scan visits")
+        raise InfeasibleError(f"sram step: the area cap allows {max_units:.6g} steps of "
+                              f"{step_mb} MB at a_sram_per_mb = {tech.a_sram_per_mb} mm2/MB, "
+                              f"more than the {MAX_SRAM_STEPS} the scan visits")
 
     # Only the SRAM term of `area_model` changes between candidates. Adding
     # the banks in `total_sram_mb`'s order and summing the same six terms in
@@ -198,7 +193,7 @@ def pick_array_size(layers, template: ChipConfig, tech, cons: Constraints,
                       template.with_(rows=rows, cols=cols))
 
 
-class OptimizationResult(NamedTuple):
+class OptimizationResult(Record):
     config: ChipConfig
     report: PerfReport
     steps: tuple[StepRecord, ...]

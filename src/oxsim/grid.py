@@ -8,31 +8,26 @@ scores its candidates through the same memo. An `oxsim sweep` process loads
 this module and not `dse`.
 """
 import itertools
-from typing import NamedTuple
 
 from . import perf
-from .errors import Checked, ConfigError, EvaluationError
+from .errors import ConfigError, EvaluationError, Record
 from .perf import PerfReport, Timeline, roll_up
 from .workload import ChipConfig, Network
 
 
-class _SweepGridFields(NamedTuple):
-    template: ChipConfig
-    rows: tuple[int, ...] | None = None
-    cols: tuple[int, ...] | None = None
-    batch: tuple[int, ...] | None = None
-    input_sram_mb: tuple[float, ...] | None = None
-    cores: tuple[int, ...] | None = None
-
-
-class SweepGrid(Checked, _SweepGridFields):
+class SweepGrid(Record):
     """Axis candidates swept against a fixed template config.
 
     An axis left as None is not swept; one given must list at least one value,
     and no value twice.
     """
 
-    __slots__ = ()
+    template: ChipConfig
+    rows: tuple[int, ...] | None = None
+    cols: tuple[int, ...] | None = None
+    batch: tuple[int, ...] | None = None
+    input_sram_mb: tuple[float, ...] | None = None
+    cores: tuple[int, ...] | None = None
 
     # (axis field, the ChipConfig field its values set)
     _AXES = (("rows", "rows"), ("cols", "cols"), ("batch", "batch"),

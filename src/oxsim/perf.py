@@ -25,9 +25,8 @@ independent of core count, and the dual core buys latency, not efficiency.
 import math
 import operator
 from functools import reduce
-from typing import NamedTuple
 
-from .errors import EvaluationError
+from .errors import EvaluationError, Record
 from .workload import ChipConfig, RuntimeStats, network_runtime
 
 ENERGY_CATEGORIES = (
@@ -53,7 +52,7 @@ AREA_CATEGORIES = (
 )
 
 
-class Timeline(NamedTuple):
+class Timeline(Record):
     """Where the wall-clock time of one batched network pass goes."""
 
     t_compute: float
@@ -114,18 +113,13 @@ def make_timeline(stats: RuntimeStats, cfg: ChipConfig, tech) -> Timeline:
 
     exposed_total = total - compute_total
     clk = cfg.clock_hz
-    return Timeline(
-        t_compute=_as_float(compute_total, "compute time in cycles") / clk,
-        t_program_exposed=_as_float(exposed_total, "exposed programming time in cycles") / clk,
-        t_total=_as_float(total, "batch latency in cycles") / clk,
-        compute_cycles=compute_total,
-        exposed_prog_cycles=exposed_total,
-        total_cycles=total,
-        prog_cycles_per_event=p,
-    )
+    return Timeline(_as_float(compute_total, "compute time in cycles") / clk,
+                    _as_float(exposed_total, "exposed programming time in cycles") / clk,
+                    _as_float(total, "batch latency in cycles") / clk,
+                    compute_total, exposed_total, total, p)
 
 
-class LossBudget(NamedTuple):
+class LossBudget(Record):
     """Worst-case optical path budget and the laser power it implies."""
 
     worst_path_db: float
@@ -168,13 +162,8 @@ def loss_budget(cfg, tech) -> LossBudget:
             f"the laser power needed to overcome it overflows a float"
         ) from exc
     optical = m * tech.p_rx_min_per_column * path_gain
-    return LossBudget(
-        worst_path_db=worst_path_db,
-        crossings_on_path=crossings,
-        waveguide_len_cm=waveguide_len_cm,
-        laser_optical_power_w=optical,
-        laser_wallplug_power_w=optical / tech.laser_wallplug_eff,
-    )
+    return LossBudget(worst_path_db, crossings, waveguide_len_cm, optical,
+                      optical / tech.laser_wallplug_eff)
 
 
 def energy_model(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, tech,
@@ -219,7 +208,7 @@ def area_model(cfg: ChipConfig, tech) -> dict[str, float]:
     }
 
 
-class PerfReport(NamedTuple):
+class PerfReport(Record):
     """Headline metrics plus the breakdowns they are built from."""
 
     ips: float

@@ -3,8 +3,7 @@
 Keys, columns and manifest fields are versioned via SCHEMA_VERSION; any change
 to them must bump it.
 """
-from typing import NamedTuple
-
+from .errors import Record
 from .perf import AREA_CATEGORIES, ENERGY_CATEGORIES, PerfReport
 from .workload import ChipConfig
 
@@ -25,7 +24,7 @@ PER_LAYER_COLUMNS = ("row_tiles", "col_tiles", "programming_events", "compute_cy
                      "ifmap_resident", "output_forwarded", "dram_read_bits", "dram_write_bits")
 
 
-class RunManifest(NamedTuple):
+class RunManifest(Record):
     tool_version: str
     command: str
     config_hash: str

@@ -6,9 +6,7 @@ audited source. Named CalibrationProfile overlays adjust the handful of
 constants that are under-specified or mutually inconsistent at the system
 level; the stock constants are never edited in place.
 """
-from typing import NamedTuple
-
-from .errors import Checked, ConfigError
+from .errors import ConfigError, Record
 
 # Unit of every TechParams field, keyed by field name. Checked by tests so
 # no constant can be added without declaring its unit.
@@ -40,7 +38,15 @@ FIELD_UNITS: dict[str, str] = {
 }
 
 
-class _TechParamsFields(NamedTuple):
+class TechParams(Record):
+    """Device constants. Field names carry the unit (see FIELD_UNITS).
+
+    Defaults are the published 45nm measurement-backed values; the two
+    fields that no measurement pins down (p_rx_min_per_column,
+    unit_cell_pitch_um) default to documented engineering estimates and
+    are flagged calibration-sensitive.
+    """
+
     # optical losses, laser facet to detector
     loss_grating_coupler_db: float = 2.0
     loss_splitter_tree_db: float = 0.8
@@ -79,18 +85,6 @@ class _TechParamsFields(NamedTuple):
     unit_cell_pitch_um: float = 50.0
     a_digital_overhead: float = 0.0
 
-
-class TechParams(Checked, _TechParamsFields):
-    """Device constants. Field names carry the unit (see FIELD_UNITS).
-
-    Defaults are the published 45nm measurement-backed values; the two
-    fields that no measurement pins down (p_rx_min_per_column,
-    unit_cell_pitch_um) default to documented engineering estimates and
-    are flagged calibration-sensitive.
-    """
-
-    __slots__ = ()
-
     def _check(self) -> None:
         for name, v in zip(self._fields, self):
             if not isinstance(v, (int, float)) or isinstance(v, bool):
@@ -109,16 +103,7 @@ class TechParams(Checked, _TechParamsFields):
                               f"got {self.rings_per_row_tx!r}")
 
 
-_TECH_FIELD_NAMES = frozenset(TechParams._fields)
-
-
-class _CalibrationProfileFields(NamedTuple):
-    name: str
-    overrides: dict[str, float]
-    notes: dict[str, str]
-
-
-class CalibrationProfile(Checked, _CalibrationProfileFields):
+class CalibrationProfile(Record):
     """Sparse named overlay on TechParams.
 
     `overrides` maps field name -> value; `notes` documents why each
@@ -126,7 +111,9 @@ class CalibrationProfile(Checked, _CalibrationProfileFields):
     must pass the same check as the TechParams field it replaces.
     """
 
-    __slots__ = ()
+    name: str
+    overrides: dict[str, float]
+    notes: dict[str, str]
 
     def __new__(cls, name: str, overrides: dict[str, float] | None = None,
                 notes: dict[str, str] | None = None) -> "CalibrationProfile":
@@ -138,7 +125,7 @@ class CalibrationProfile(Checked, _CalibrationProfileFields):
         if not self.name.isprintable():  # it goes on one report header line
             raise ConfigError(f"profile name {self.name!r} is not one printable line")
         for key in self.overrides:
-            if key not in _TECH_FIELD_NAMES:
+            if key not in TechParams._fields:
                 raise ConfigError(f"profile {self.name!r} overrides unknown tech parameter {key!r}")
         TechParams(**self.overrides)
 

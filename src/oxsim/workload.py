@@ -46,11 +46,10 @@ columns it is built from, with their sums:
 """
 import os
 from bisect import bisect_right
-from typing import NamedTuple
 from importlib import resources
 from pathlib import Path
 
-from .errors import Checked, ConfigError, TopologyError
+from .errors import ConfigError, Record, TopologyError
 
 MB_BITS = 8 * 2**20  # SRAM capacities are binary megabytes
 
@@ -66,7 +65,9 @@ TOPOLOGY_COLUMNS = [
 ]
 
 
-class _LayerSpecFields(NamedTuple):
+class LayerSpec(Record):
+    """Geometry of one convolutional layer (FC layers: 1x1 conv, 1x1 ifmap)."""
+
     name: str
     ifmap_h: int
     ifmap_w: int
@@ -75,12 +76,6 @@ class _LayerSpecFields(NamedTuple):
     filter_w: int
     num_filters: int
     stride: int
-
-
-class LayerSpec(Checked, _LayerSpecFields):
-    """Geometry of one convolutional layer (FC layers: 1x1 conv, 1x1 ifmap)."""
-
-    __slots__ = ()
 
     def _check(self) -> None:
         for f in ("ifmap_h", "ifmap_w", "channels", "filter_h", "filter_w",
@@ -108,7 +103,9 @@ class LayerSpec(Checked, _LayerSpecFields):
         return self.filter_h * self.filter_w * self.channels
 
 
-class _ChipConfigFields(NamedTuple):
+class ChipConfig(Record):
+    """One accelerator configuration under evaluation."""
+
     rows: int = 32
     cols: int = 32
     clock_hz: float = 1e10
@@ -122,12 +119,6 @@ class _ChipConfigFields(NamedTuple):
     sram_filter_mb: float = 0.75
     sram_output_mb: float = 0.75
     sram_acc_mb: float = 0.75
-
-
-class ChipConfig(Checked, _ChipConfigFields):
-    """One accelerator configuration under evaluation."""
-
-    __slots__ = ()
 
     def _check(self) -> None:
         for f in ("rows", "cols", "cores", "batch", "b_in", "b_w", "b_out", "b_acc"):
@@ -224,7 +215,7 @@ class Network(tuple):
         return layers if isinstance(layers, cls) else cls(layers)
 
 
-class Counts(NamedTuple):
+class Counts(Record):
     """Event and traffic counters; all integers, all additive.
 
     One field per count column of `RuntimeStats`, with its name and in its order.
@@ -258,7 +249,7 @@ class Counts(NamedTuple):
         return self.dram_read_bits + self.dram_write_bits
 
 
-class RuntimeStats(NamedTuple):
+class RuntimeStats(Record):
     """Counters of one network pass: one column per quantity, plus their sums.
 
     Entry i of each column belongs to `layers[i]`, named `layers.names[i]`.
@@ -317,9 +308,9 @@ def network_runtime(layers, cfg: ChipConfig) -> RuntimeStats:
         # the sizes that fit are the first `pattern` breakpoints
         net._residencies[residency] = _residency(fixed, ifmap_bits, set(breakpoints[:pattern]))
     columns, residency_sums = net._residencies[residency]
-    sums = {**sums, **residency_sums}
-    total = Counts(*[sums[name] for name in Counts._fields])
-    stats = net._runtimes[key] = RuntimeStats(layers=net, **fixed, **columns, total=total)
+    sums, columns = {**sums, **residency_sums}, {**fixed, **columns, "layers": net}
+    columns["total"] = Counts(*[sums[name] for name in Counts._fields])
+    stats = net._runtimes[key] = RuntimeStats(*[columns[name] for name in RuntimeStats._fields])
     return stats
 
 

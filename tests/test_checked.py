@@ -1,19 +1,28 @@
-"""Every checked record rejects each invalid field value, however it is built.
+"""Every record behaves as a namedtuple, and every checked record rejects each
+invalid field value, however it is built.
 
-`LayerSpec`, `ChipConfig`, `TechParams`, `CalibrationProfile`, `SweepGrid`
-and `Constraints` are NamedTuples whose checks run in `__new__`. The
-expected exception types and messages below are the checks' own; the
-constructor, `_make`, `_replace`, `ChipConfig.with_`, `apply_profile`,
-`apply_overrides` and a grid or constraints built over a template must all
-raise them.
+All 14 records are `Record`s; `collections.namedtuple` of the same fields and
+defaults is the oracle of their behaviour. `LayerSpec`, `ChipConfig`,
+`TechParams`, `CalibrationProfile`, `SweepGrid` and `Constraints` define a
+`_check` that runs in `__new__`. The expected exception types and messages
+below are the checks' own; the constructor, `_make`, `_replace`,
+`ChipConfig.with_`, `apply_profile`, `apply_overrides`, unpickling, copies
+and a grid or constraints built over a template must all raise them.
 """
+import collections
+import copy
+import pickle
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oxsim.dse import Constraints
-from oxsim.errors import ConfigError
+from oxsim.dse import Constraints, OptimizationResult, StepRecord
+from oxsim.errors import ConfigError, Record
 from oxsim.grid import SweepGrid
+from oxsim.perf import LossBudget, PerfReport, Timeline
+from oxsim.reports import RunManifest
 from oxsim.tech import (
     CalibrationProfile,
     TechParams,
@@ -22,7 +31,127 @@ from oxsim.tech import (
     default_tech_params,
     get_profile,
 )
-from oxsim.workload import ChipConfig, LayerSpec, _ChipConfigFields
+from oxsim.workload import ChipConfig, Counts, LayerSpec, RuntimeStats
+
+
+# --- every record behaves as the namedtuple of its fields ----------------------
+
+# a valid instance of each checked record; the others hold any values
+_CHECKED = {
+    LayerSpec: LayerSpec("conv", 8, 8, 3, 3, 3, 16, 1),
+    ChipConfig: ChipConfig(rows=64, batch=8),
+    TechParams: TechParams(p_tia=1e-3),
+    CalibrationProfile: CalibrationProfile("p", {"p_tia": 1e-3}, {"p_tia": "why"}),
+    SweepGrid: SweepGrid(ChipConfig(), rows=(8, 16), batch=(2,)),
+    Constraints: Constraints(tie_tol=0.05),
+}
+_RECORDS = [*_CHECKED, Counts, RuntimeStats, Timeline, LossBudget, PerfReport, RunManifest,
+            StepRecord, OptimizationResult]
+_VALUES = st.integers() | st.text(max_size=3) | st.none() | st.floats(allow_nan=False)
+
+
+def test_the_record_list_is_every_record_of_the_package():
+    # this module imports every module that defines a record
+    assert set(Record.__subclasses__()) == set(_RECORDS)
+    assert len(_RECORDS) == 14
+
+
+def _oracle(cls):
+    defaults = list(cls._field_defaults.values())
+    assert list(cls._field_defaults) == list(cls._fields[len(cls._fields) - len(defaults):])
+    return collections.namedtuple(cls.__name__, cls._fields, defaults=defaults)
+
+
+def _error(build):
+    """The type of the exception `build()` raises, or None."""
+    try:
+        build()
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(cls=st.sampled_from(_RECORDS), data=st.data())
+def test_every_record_behaves_as_the_namedtuple_of_its_fields(cls, data):
+    fields, oracle = cls._fields, _oracle(cls)
+    if cls in _CHECKED:
+        values = tuple(_CHECKED[cls])
+    else:
+        values = data.draw(st.tuples(*[_VALUES] * len(fields)), label="values")
+    want = oracle(*values)
+    record = cls(*values)
+    assert type(record) is cls and record == want == values and tuple(record) == values
+    assert repr(record) == repr(want)
+    assert _error(lambda: hash(record)) is _error(lambda: hash(values))
+    if _error(lambda: hash(values)) is None:
+        assert hash(record) == hash(want) == hash(values)
+    assert [getattr(record, f) for f in fields] == list(values)
+    assert (cls._fields, cls._field_defaults, cls.__match_args__) == (
+        oracle._fields, oracle._field_defaults, oracle.__match_args__)
+
+    # by keyword, by default, _make, _asdict and _replace
+    assert cls(**dict(zip(fields, values))) == want
+    required = len(fields) - len(cls._field_defaults)
+    assert cls(*values[:required]) == oracle(*values[:required])
+    assert type(cls._make(iter(values))) is cls and cls._make(values) == want
+    assert record._asdict() == want._asdict() and type(record._asdict()) is dict
+    field = data.draw(st.sampled_from(fields), label="field")
+    new = getattr(record, field) if cls in _CHECKED else data.draw(_VALUES, label="new")
+    changed = record._replace(**{field: new})
+    assert type(changed) is cls and changed == want._replace(**{field: new})
+
+    # pickle and copies rebuild through __new__, so each runs the check once
+    with mock.patch.object(cls, "_check", autospec=True, side_effect=cls._check) as check:
+        copies = [pickle.loads(pickle.dumps(record, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(record), copy.deepcopy(record)]
+    assert check.call_count == len(copies)
+    assert all(type(c) is cls and c == record for c in copies)
+
+    # immutable, with no instance __dict__
+    assert not hasattr(record, "__dict__")
+    for name in (field, "no_such_field"):
+        assert _error(lambda: setattr(record, name, new)) is AttributeError
+
+    # the oracle's exception type for a bad call
+    bad_calls = [
+        lambda c: c(*values, no_such_field=1),  # unknown
+        lambda c: c(*values, **{fields[0]: values[0]}),  # repeated
+        lambda c: c(*values, values[0]),  # one too many
+        lambda c: c._make(values[:-1]),
+        lambda c: c._make((*values, values[0])),
+        lambda c: c(*values)._replace(no_such_field=1),
+    ]
+    if required:
+        bad_calls.append(lambda c: c())  # missing
+    for call in bad_calls:
+        assert _error(lambda: call(cls)) is _error(lambda: call(oracle)) is not None
+
+
+# (a field, a value the check rejects, the exception it raises) of each checked record
+_INVALID = {
+    LayerSpec: ("stride", 0, ValueError),
+    ChipConfig: ("rows", 0, ConfigError),
+    TechParams: ("p_tia", -1.0, ConfigError),
+    CalibrationProfile: ("overrides", {"no_such_field": 1.0}, ConfigError),
+    SweepGrid: ("template", None, ConfigError),
+    Constraints: ("tie_tol", 2.0, ConfigError),
+}
+
+
+@pytest.mark.parametrize("cls", list(_CHECKED), ids=lambda cls: cls.__name__)
+def test_an_invalid_record_does_not_survive_a_pickle_copy_or_replace(cls):
+    # built around the check, as `SweepGrid.configs` builds grid points
+    field, value, exc_type = _INVALID[cls]
+    bad = tuple.__new__(cls, {**_CHECKED[cls]._asdict(), field: value}.values())
+    builds = [lambda: copy.copy(bad), lambda: copy.deepcopy(bad), lambda: bad._replace(),
+              lambda: cls._make(bad)]
+    builds += [lambda protocol=protocol: pickle.loads(pickle.dumps(bad, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for build in builds:
+        with pytest.raises(exc_type):
+            build()
 
 
 def _rejects(exc_type, message, build):
@@ -128,8 +257,10 @@ def test_sweep_grid_rejects_a_repeated_axis_value(template, key):
     _each_path(ConfigError, message, SweepGrid, SweepGrid(template=template), key, values)
 
 
-# none of these ran ChipConfig's check, not even the NamedTuple of its fields
-_NOT_CHIP_CONFIGS = [_ChipConfigFields(rows=0, cores=2), (0,) * len(ChipConfig._fields),
+# none of these ran ChipConfig's check, not even a namedtuple of its fields and defaults
+_CHIP_LOOK_ALIKE = collections.namedtuple("ChipConfig", ChipConfig._fields,
+                                          defaults=ChipConfig._field_defaults.values())
+_NOT_CHIP_CONFIGS = [_CHIP_LOOK_ALIKE(rows=0, cores=2), (0,) * len(ChipConfig._fields),
                      None, ChipConfig()._asdict()]
 
 

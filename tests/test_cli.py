@@ -435,18 +435,29 @@ def test_optimize_infeasible_exits_4(tmp_path, capsys):
     assert not (tmp_path / "audit.json").exists()  # no partial output
 
 
-def test_optimize_sram_scan_too_long_exits_4(tmp_path):
+@pytest.mark.parametrize("flag, text, named", [
     # at 1e-6 mm2/MB the area cap leaves about 364 million SRAM steps on toy3
-    prof = tmp_path / "prof.ini"
-    prof.write_text("[profile]\nname = tiny-sram\n\n[overrides]\na_sram_per_mb = 1e-6\n")
+    ("--profile", "[profile]\nname = tiny-sram\n\n[overrides]\na_sram_per_mb = 1e-6\n",
+     "a_sram_per_mb = 1e-06"),
+    # about 2e302 steps, whose exact count would print 303 digits
+    ("--constraints", "[constraints]\nsram_step_mb = 1e-300\n", "steps of 1e-300 MB"),
+    # just over the limit the count prints in full, never as the limit itself (1e+05)
+    ("--constraints", "[constraints]\nsram_step_mb = 0.0019987\n", "allows 100102 steps"),
+], ids=["tiny-sram-area", "tiny-step", "near-limit"])
+def test_optimize_sram_scan_too_long_exits_4(tmp_path, flag, text, named):
+    path = tmp_path / "input.ini"
+    path.write_text(text)
     out = tmp_path / "audit.json"
     env = {**os.environ, "PYTHONPATH": str(Path(oxsim.__file__).resolve().parents[1])}
     run = subprocess.run([sys.executable, "-m", "oxsim.cli", "optimize", "--topology", "toy3",
-                          "--profile", str(prof), "--out", str(out)],
+                          flag, str(path), "--out", str(out)],
                          env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 4, run.stderr
     assert f"more than the {MAX_SRAM_STEPS}" in run.stderr
-    assert "a_sram_per_mb = 1e-06" in run.stderr
+    assert named in run.stderr
+    # the error is one line that names the step, short enough to read
+    line = run.stderr.splitlines()[-1]
+    assert line.startswith("infeasible: sram step: ") and len(line) < 200, line
     assert not out.exists()
 
 
@@ -1507,9 +1518,10 @@ def test_cli_commands_do_not_import_unused_standard_modules(tmp_path, argv):
     # at import; argparse imports gettext, and building its parser loads locale
     # (~4.5 ms together); the json package loads its decoder and compiles its
     # regexes (~3 ms), and jsontext needs it only from 3.13, where its C encoder
-    # indents; csv (~1 ms), the utf_8_sig codec and __future__ (whose string
-    # annotations NamedTuple compiles into ForwardRefs) are not needed at all;
-    # the snapshot lets a site hook preload any of them
+    # indents; csv (~1 ms), the utf_8_sig codec and __future__ (whose
+    # `annotations` would turn the record field types that `cli._section` reads
+    # into strings) are not needed at all; the snapshot lets a site hook
+    # preload any of them
     src = Path(oxsim.__file__).resolve().parents[1]
     script = f"""
 import sys
@@ -1527,6 +1539,70 @@ assert not loaded, sorted(loaded)
                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def test_no_command_compiles_generated_code(tmp_path):
+    # every record shares one __new__; a typing.NamedTuple compiled one of its
+    # own at import, a `<string>` compile event. Module source compiles from
+    # its .py file. A first run loads the standard modules the commands use
+    # (some define namedtuples at import), so the count is what oxsim's own
+    # modules compile when imported again. Printing a warning compiles too.
+    src = Path(oxsim.__file__).resolve().parents[1]
+    script = f"""
+import sys
+out = {str(tmp_path)!r}
+commands = (["evaluate", "--topology", "toy3", "--out", out + "/ev"],
+            ["sweep", "--grid", {str(CONFIGS / "array_sweep.ini")!r}, "--topology", "toy3",
+             "--out", out + "/sweep.csv"],
+            ["optimize", "--topology", "toy3", "--out", out + "/audit.json"])
+from oxsim.cli import main
+for argv in commands:
+    assert main(argv) == 0
+for name in [m for m in sys.modules if m.split(".")[0] == "oxsim"]:
+    del sys.modules[name]
+compiled = []
+sys.addaudithook(lambda event, args: event == "compile"
+                 and not str(args[1]).endswith(".py") and compiled.append(args[1]))
+from oxsim.cli import main
+counts = [len(compiled)]
+for argv in commands:
+    assert main(argv) == 0
+    counts.append(len(compiled))
+print(counts, compiled)
+"""
+    run = subprocess.run([sys.executable, "-W", "ignore", "-c", script], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
+    assert (tmp_path / "audit.json").exists()
+
+
+def test_builtin_sha256_module_is_chosen_by_python_version():
+    # `_sha2` is the module from Python 3.12, `_sha256` before it; a search
+    # for the other one would scan sys.path in every process and fail
+    src = Path(oxsim.__file__).resolve().parents[1]
+    script = """
+import sys
+searched = []
+
+class Spy:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        searched.append(name)
+
+sys.meta_path.insert(0, Spy)
+import oxsim.cli
+print("_sha2" in searched, oxsim.cli.sha256.__module__)
+"""
+    run = subprocess.run([sys.executable, "-c", script],
+                         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    searched, module = run.stdout.split()
+    if sys.version_info < (3, 12):
+        assert searched == "False"
+    assert module == ("_sha2" if sys.version_info >= (3, 12) else "_sha256")
 
 
 # the oxsim modules each process loads, keyed by its command: `import oxsim`
