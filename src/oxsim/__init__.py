@@ -5,8 +5,9 @@ __version__ = "0.1.0"
 # module -> the public names it defines. `import oxsim` loads none of these
 # modules; each loads on first use of one of its names, or of its own name
 # (`oxsim.perf`). So a process compiles only what it uses: `oxsim evaluate`
-# neither `grid` nor `dse`, `oxsim sweep` not `dse`, and no command the
-# numpy-backed functional model (`photonics`); numpy is an optional extra.
+# neither `grid` nor `dse`, `oxsim sweep` not `dse`, `oxsim optimize` not
+# `grid`, and no command the numpy-backed functional model (`photonics`);
+# numpy is an optional extra.
 _NAMES = {
     "errors": ("OxsimError", "ConfigError", "TopologyError", "EvaluationError",
                "InfeasibleError"),

@@ -43,9 +43,10 @@ except ImportError:  # an interpreter built without it
     from hashlib import sha256
 
 # The package loads `grid` and `dse` on first use of these names, so
-# `evaluate` compiles neither and `sweep` only `grid`. They stay attributes of
-# this module, which `cmd_sweep` and `cmd_optimize` look up on the module
-# object, so a wrapper set on it (perfbench --trace 1) is the function that runs.
+# `evaluate` compiles neither, `sweep` only `grid` and `optimize` only `dse`.
+# They stay attributes of this module, which `cmd_sweep` and `cmd_optimize`
+# look up on the module object, so a wrapper set on it (perfbench --trace 1)
+# is the function that runs.
 _PACKAGE_NAMES = ("SweepGrid", "sweep", "Constraints", "optimize")
 
 

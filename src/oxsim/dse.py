@@ -7,17 +7,16 @@ best IPS/W, preferring the largest array among near-ties. The three steps
 share one signature and return one `StepRecord`; `optimize` re-runs a step
 while the chosen array breaks its premise, for at most `MAX_PASSES` passes.
 
-Every step of one `optimize` scores its configs through one `grid._Stages`
-memo, the one `sweep` uses; every score equals evaluating its point on its
-own. `SweepGrid` and `sweep` live in `grid`; `oxsim sweep` loads `grid` alone.
+Every step of one `optimize` scores its configs through one `perf._Stages`
+memo, the pipeline `evaluate` and `sweep` run; every score equals evaluating
+its point on its own. Only an `oxsim optimize` process loads this module.
 """
 import math
 import warnings
 from bisect import bisect_right
 
 from .errors import ConfigError, EvaluationError, InfeasibleError, Record
-from .grid import _Stages
-from .perf import PerfReport, area_model, float_sum
+from .perf import PerfReport, _Stages, area_model, float_sum
 # unused here; perfbench/tracing.py's BOUNDARIES wraps these dse names (--trace 1)
 from .perf import evaluate, timeline_dual_core  # noqa: F401
 from .workload import MB_BITS, ChipConfig, Network, network_runtime

@@ -1,18 +1,16 @@
-"""Design-space sweeps: a Cartesian grid of configs and the stage memo that scores them.
+"""Design-space sweeps: a Cartesian grid of configs, scored through `perf`'s stage memo.
 
-`sweep` evaluates every point of a `SweepGrid`. One `_Stages` memo computes
-the mapping (kept on its `Network`), timeline, loss budget, energy breakdown
-and area breakdown once per distinct value of the fields each one reads, so
-every report equals evaluating its point on its own. `dse`'s optimizer
-scores its candidates through the same memo. An `oxsim sweep` process loads
-this module and not `dse`.
+`sweep` evaluates every point of a `SweepGrid` through one `perf._Stages`,
+which computes the mapping, timeline, loss budget, energy breakdown and area
+breakdown once per distinct value of the fields each one reads, so every
+report equals evaluating its point on its own. Only an `oxsim sweep` process
+loads this module.
 """
 import itertools
 
-from . import perf
 from .errors import ConfigError, EvaluationError, Record
-from .perf import PerfReport, Timeline, roll_up
-from .workload import ChipConfig, Network
+from .perf import PerfReport, _Stages
+from .workload import ChipConfig
 
 
 class SweepGrid(Record):
@@ -66,53 +64,6 @@ class SweepGrid(Record):
                 point[i] = value
             points.append(tuple.__new__(ChipConfig, point))
         return points
-
-
-class _Stages:
-    """Memo of the evaluation stages of one run, for fixed layers and tech.
-
-    The layers are lifted into one `Network`, which keeps each mapping
-    (`network_runtime`) per mapping key. On top of it, `timeline(cfg)` reads
-    the tile streams, cores and clock: one per (array, batch, cores, clock).
-    `report(cfg)` equals `evaluate`: it builds the loss budget once per
-    array, the energy breakdown once per (mapping totals, array, b_in, b_out,
-    clock), the inputs `energy_model` reads, and the area breakdown once per
-    (array, cores, total SRAM), and passes them to `roll_up`, so only the
-    energy and area totals, power, IPS and their checks run per point.
-
-    Every stage, the mapping included, is looked up on `perf` at call time,
-    so a wrapper set on that module (a tracer's) sees every call.
-    """
-
-    def __init__(self, layers, tech) -> None:
-        self.layers, self.tech = Network.of(layers), tech
-        self._timelines: dict[tuple, Timeline] = {}
-        self._budgets: dict[tuple[int, int], perf.LossBudget] = {}
-        self._energies: dict[tuple, dict[str, float]] = {}
-        self._areas: dict[tuple, dict[str, float]] = {}
-
-    def timeline(self, cfg: ChipConfig) -> Timeline:
-        key = (cfg.rows, cfg.cols, cfg.batch, cfg.cores, cfg.clock_hz)
-        if key not in self._timelines:
-            stats = perf.network_runtime(self.layers, cfg)
-            self._timelines[key] = perf.make_timeline(stats, cfg, self.tech)
-        return self._timelines[key]
-
-    def report(self, cfg: ChipConfig) -> PerfReport:
-        stats = perf.network_runtime(self.layers, cfg)
-        timeline, tech = self.timeline(cfg), self.tech
-        array = (cfg.rows, cfg.cols)
-        if array not in self._budgets:
-            self._budgets[array] = perf.loss_budget(cfg, tech)
-        budget = self._budgets[array]
-        key = (stats.total, cfg.rows, cfg.cols, cfg.b_in, cfg.b_out, cfg.clock_hz)
-        if key not in self._energies:
-            self._energies[key] = perf.energy_model(stats, timeline, cfg, tech, budget)
-        # area reads the SRAM banks only through their total
-        area_key = (cfg.rows, cfg.cols, cfg.cores, cfg.total_sram_mb)
-        if area_key not in self._areas:
-            self._areas[area_key] = perf.area_model(cfg, tech)
-        return roll_up(stats, timeline, cfg, budget, self._energies[key], self._areas[area_key])
 
 
 def sweep(grid: SweepGrid, layers, tech) -> list[tuple[ChipConfig, PerfReport]]:

@@ -1,11 +1,10 @@
 """Indented, key-sorted JSON text through `json`'s C encoder.
 
-Below Python 3.13 the encoder is built from `_json` directly, so no process
-loads the `json` package, which imports its decoder and compiles its regexes.
-`reports.dump_json` imports this module on first use, so that a process that
-writes no JSON (a sweep) does not compile it.
+The encoder is built from `_json` directly, so no process loads the `json`
+package, which imports its decoder and compiles its regexes. `reports.dump_json`
+imports this module on first use, so that a process that writes no JSON (a
+sweep) does not compile it.
 """
-import sys
 from itertools import chain
 
 from _json import encode_basestring_ascii as _key, make_encoder as _make_encoder
@@ -22,16 +21,13 @@ def dumps(payload: dict) -> str:
     for byte, for a payload whose dicts have str keys and whose values are dicts,
     lists and JSON scalars.
 
-    Before Python 3.13, `indent` sends `json` to its pure-Python encoder. There the
-    C encoder, which then takes no indent, writes each scalar-only container, and
-    each list of non-empty scalar-only dicts, in one call, with a newline and the
-    items' indentation as its item separator. An encoded scalar never holds a raw
-    newline, so in such a list `},` followed by a newline only ends a row, and the
-    row boundaries are re-indented by replacing it. Other containers recurse.
+    The C encoder, built to take no indent (which it takes only from Python 3.13),
+    writes each scalar-only container, and each list of non-empty scalar-only
+    dicts, in one call, with a newline and the items' indentation as its item
+    separator. An encoded scalar never holds a raw newline, so in such a list `},`
+    followed by a newline only ends a row, and the row boundaries are re-indented
+    by replacing it. Other containers recurse.
     """
-    if sys.version_info >= (3, 13):  # its C encoder takes `indent` itself
-        import json
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     try:
         return _encode(payload, 0) + "\n"
     finally:

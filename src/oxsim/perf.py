@@ -1,8 +1,10 @@
 """Runtime counters -> time, energy, power, area, IPS, IPS/W.
 
 The worst-case optical loss budget of the array, which sizes the laser, is
-computed here too: `energy_model` takes it as an input, and `evaluate` (like
-`dse`'s memo) builds it and passes it in.
+computed here too, as an input of `energy_model`. `_Stages` runs the stages
+in order (map, time, budget the laser, price energy and area, roll up), each
+memoised on the config fields it reads: `evaluate` is a one-point memo, and
+`grid.sweep` and `dse.optimize` score every point through one.
 
 Timelines are computed in integer MAC cycles (programming time is rounded
 to whole cycles once, p) and converted to seconds at the end, so single- vs
@@ -27,7 +29,7 @@ import operator
 from functools import reduce
 
 from .errors import EvaluationError, Record
-from .workload import ChipConfig, RuntimeStats, network_runtime
+from .workload import ChipConfig, Network, RuntimeStats, network_runtime
 
 ENERGY_CATEGORIES = (
     "dram",
@@ -230,14 +232,56 @@ def float_sum(values) -> float:
     return reduce(operator.add, values, 0)
 
 
+class _Stages:
+    """Memo of the evaluation stages of one run, for fixed layers and tech.
+
+    The layers are lifted into one `Network`, which keeps each mapping
+    (`network_runtime`) per mapping key. On top of it, `timeline(cfg)` reads
+    the tile streams, cores and clock: one per (array, batch, cores, clock).
+    `report(cfg)` builds the loss budget once per array, the energy breakdown
+    once per (mapping totals, array, b_in, b_out, clock), the inputs
+    `energy_model` reads, and the area breakdown once per (array, cores,
+    total SRAM), and passes them to `roll_up`, so only the energy and area
+    totals, power, IPS and their checks run per point.
+
+    Every stage, the mapping included, is looked up on this module at call
+    time, so a wrapper set on it (a tracer's) sees every call.
+    """
+
+    def __init__(self, layers, tech) -> None:
+        self.layers, self.tech = Network.of(layers), tech
+        self._timelines: dict[tuple, Timeline] = {}
+        self._budgets: dict[tuple[int, int], LossBudget] = {}
+        self._energies: dict[tuple, dict[str, float]] = {}
+        self._areas: dict[tuple, dict[str, float]] = {}
+
+    def timeline(self, cfg: ChipConfig) -> Timeline:
+        key = (cfg.rows, cfg.cols, cfg.batch, cfg.cores, cfg.clock_hz)
+        if key not in self._timelines:
+            stats = network_runtime(self.layers, cfg)
+            self._timelines[key] = make_timeline(stats, cfg, self.tech)
+        return self._timelines[key]
+
+    def report(self, cfg: ChipConfig) -> PerfReport:
+        stats = network_runtime(self.layers, cfg)
+        timeline, tech = self.timeline(cfg), self.tech
+        array = (cfg.rows, cfg.cols)
+        if array not in self._budgets:
+            self._budgets[array] = loss_budget(cfg, tech)
+        budget = self._budgets[array]
+        key = (stats.total, cfg.rows, cfg.cols, cfg.b_in, cfg.b_out, cfg.clock_hz)
+        if key not in self._energies:
+            self._energies[key] = energy_model(stats, timeline, cfg, tech, budget)
+        # area reads the SRAM banks only through their total
+        area_key = (cfg.rows, cfg.cols, cfg.cores, cfg.total_sram_mb)
+        if area_key not in self._areas:
+            self._areas[area_key] = area_model(cfg, tech)
+        return roll_up(stats, timeline, cfg, budget, self._energies[key], self._areas[area_key])
+
+
 def evaluate(layers, cfg: ChipConfig, tech) -> PerfReport:
     """Full pipeline: map, time, budget the laser, price energy and area, roll up."""
-    stats = network_runtime(layers, cfg)
-    timeline = make_timeline(stats, cfg, tech)
-    budget = loss_budget(cfg, tech)
-    energy = energy_model(stats, timeline, cfg, tech, budget)
-    area = area_model(cfg, tech)
-    return roll_up(stats, timeline, cfg, budget, energy, area)
+    return _Stages(layers, tech).report(cfg)
 
 
 def roll_up(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, budget: LossBudget,
@@ -245,7 +289,7 @@ def roll_up(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, budget: Lo
     """Energy and area totals, power and IPS of a mapped, timed and priced config.
 
     `stats`, `timeline`, `budget`, `energy` (an `energy_model` breakdown) and
-    `area` (an `area_model` breakdown) must be those `evaluate` computes for
+    `area` (an `area_model` breakdown) must be those `_Stages` computes for
     `cfg`; the report keeps references to all of them, so reports may share
     them.
     """

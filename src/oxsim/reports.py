@@ -132,7 +132,7 @@ def audit_payload(result, manifest: RunManifest) -> dict:
 
 def dump_json(payload: dict) -> str:
     """`json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\\n"`, written
-    without loading `json` below Python 3.13 (`oxsim.jsontext`)."""
+    without loading `json` (`oxsim.jsontext`)."""
     from .jsontext import dumps  # here, so that a sweep never compiles it
 
     return dumps(payload)

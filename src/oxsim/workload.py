@@ -46,7 +46,6 @@ columns it is built from, with their sums:
 """
 import os
 from bisect import bisect_right
-from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError, Record, TopologyError
@@ -423,12 +422,12 @@ def parse_topology(path) -> list[LayerSpec]:
 
 def bundled_topology_path(name: str) -> Path:
     """Path of a topology shipped with the package (e.g. 'resnet50_v15')."""
-    bundled = {p.name[:-4]: p for p in (resources.files("oxsim") / "topologies").iterdir()
+    bundled = {p.name[:-4]: p for p in (Path(__file__).parent / "topologies").iterdir()
                if p.name.endswith(".csv")}
     if name not in bundled:
         raise TopologyError(f"no bundled topology {name!r}; "
                             f"available: {', '.join(sorted(bundled))}")
-    return Path(str(bundled[name]))
+    return bundled[name]
 
 
 def topology_path(name_or_path) -> Path:

@@ -1517,8 +1517,8 @@ def test_cli_commands_do_not_import_unused_standard_modules(tmp_path, argv):
     # hashlib loads OpenSSL (~4 ms) and configparser compiles its regexes (~3 ms)
     # at import; argparse imports gettext, and building its parser loads locale
     # (~4.5 ms together); the json package loads its decoder and compiles its
-    # regexes (~3 ms), and jsontext needs it only from 3.13, where its C encoder
-    # indents; csv (~1 ms), the utf_8_sig codec and __future__ (whose
+    # regexes (~3 ms), and jsontext builds its encoder from `_json` on every
+    # Python; csv (~1 ms), the utf_8_sig codec and __future__ (whose
     # `annotations` would turn the record field types that `cli._section` reads
     # into strings) are not needed at all; the snapshot lets a site hook
     # preload any of them
@@ -1529,9 +1529,7 @@ before = set(sys.modules)
 from oxsim.cli import main
 assert main({argv!r}) == 0
 unused = {{"hashlib", "_hashlib", "configparser", "argparse", "gettext", "locale",
-           "csv", "_csv", "__future__", "encodings.utf_8_sig"}}
-if sys.version_info < (3, 13):
-    unused |= {{"json", "json.decoder"}}
+           "csv", "_csv", "__future__", "encodings.utf_8_sig", "json", "json.decoder"}}
 loaded = unused & (set(sys.modules) - before)
 assert not loaded, sorted(loaded)
 """
@@ -1539,6 +1537,31 @@ assert not loaded, sorted(loaded)
                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def test_no_command_imports_importlib_resources_typing_or_zipfile(tmp_path):
+    # a site hook may preload these, so the interpreter runs without one (-S);
+    # bundled topologies are listed from the package directory, which is all
+    # `importlib.resources` gave a package installed as a directory
+    src = Path(oxsim.__file__).resolve().parents[1]
+    script = f"""
+import sys
+from oxsim.cli import main
+for argv in (["--version"],
+             ["evaluate", "--config", {str(CONFIGS / "headline.ini")!r}, "--topology", "toy3"],
+             ["sweep", "--grid", {str(CONFIGS / "array_sweep.ini")!r}, "--topology", "toy3"],
+             ["optimize", "--constraints", {str(CONFIGS / "optimize_default.ini")!r},
+              "--topology", "toy3"]):
+    assert main(argv) == 0, argv
+loaded = {{"importlib.resources", "typing", "zipfile"}} & set(sys.modules)
+assert not loaded, sorted(loaded)
+"""
+    run = subprocess.run([sys.executable, "-S", "-W", "ignore", "-c", script], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert {p.name for p in tmp_path.iterdir()} >= {"report.json", "sweep.csv",
+                                                    "optimize_audit.json"}
 
 
 def test_no_command_compiles_generated_code(tmp_path):
@@ -1607,7 +1630,7 @@ print("_sha2" in searched, oxsim.cli.sha256.__module__)
 
 # the oxsim modules each process loads, keyed by its command: `import oxsim`
 # loads the package alone, every command loads the CLI's own set, sweep adds
-# grid, optimize adds grid and dse, and the commands that write JSON add jsontext
+# grid, optimize adds dse, and the commands that write JSON add jsontext
 _CLI_IMPORTS = {"oxsim", "oxsim.errors", "oxsim.tech", "oxsim.workload", "oxsim.perf",
                 "oxsim.reports"}
 _IMPORTS = {
@@ -1615,7 +1638,7 @@ _IMPORTS = {
     "--version": _CLI_IMPORTS,
     "evaluate": _CLI_IMPORTS | {"oxsim.jsontext"},
     "sweep": _CLI_IMPORTS | {"oxsim.grid"},
-    "optimize": _CLI_IMPORTS | {"oxsim.grid", "oxsim.dse", "oxsim.jsontext"},
+    "optimize": _CLI_IMPORTS | {"oxsim.dse", "oxsim.jsontext"},
 }
 
 

@@ -265,6 +265,17 @@ def _tech_overrides(draw):
     return {field: draw(st.sampled_from(_TECH_BOUNDARY[field])) for field in fields}
 
 
+def _stage_sequence(layers, cfg, tech):
+    """The evaluation stages called in order with nothing memoised: the oracle
+    of how `perf._Stages` wires each stage's output into the next."""
+    stats = network_runtime(layers, cfg)
+    timeline = perf.make_timeline(stats, cfg, tech)
+    budget = perf.loss_budget(cfg, tech)
+    energy = perf.energy_model(stats, timeline, cfg, tech, budget)
+    area = perf.area_model(cfg, tech)
+    return perf.roll_up(stats, timeline, cfg, budget, energy, area)
+
+
 def _report_or_error(run, cfg):
     try:
         return flat_row(cfg, run())
@@ -299,13 +310,15 @@ def _chip_sequences(draw):
        overrides=_tech_overrides())
 def test_stages_report_and_evaluate_agree_or_fail_alike(topology, configs, profile, overrides):
     # the memo builds the loss budget and energy breakdown apart from roll_up,
-    # so its checks must still fail in evaluate's order, with its message;
-    # one memo reports the whole sequence, so later configs hit its entries
+    # so its checks must still fail in the plain sequence's order, with its
+    # message; one memo reports the whole sequence, so later configs hit its
+    # entries, and `evaluate` is a fresh one-point memo
     layers = load_topology(topology)
     tech = apply_profile(default_tech_params(), get_profile(profile))._replace(**overrides)
     stages = dse._Stages(layers, tech)
     for cfg in configs:
-        direct = _report_or_error(lambda: evaluate(layers, cfg, tech), cfg)
+        direct = _report_or_error(lambda: _stage_sequence(layers, cfg, tech), cfg)
+        assert _report_or_error(lambda: evaluate(layers, cfg, tech), cfg) == direct
         assert _report_or_error(lambda: stages.report(cfg), cfg) == direct
 
 
