@@ -18,7 +18,7 @@ _NAMES = {
     "workload": ("LayerSpec", "ChipConfig", "Counts", "RuntimeStats", "parse_topology",
                  "load_topology", "bundled_topology_path", "network_runtime"),
     "perf": ("LossBudget", "loss_budget", "Timeline", "PerfReport", "timeline_dual_core",
-             "energy_model", "area_model", "evaluate"),
+             "energy_model", "area_model", "Stages", "evaluate"),
     "grid": ("SweepGrid", "sweep"),
     "dse": ("Constraints", "OptimizationResult", "find_min_hiding_batch", "size_sram",
             "pick_array_size", "optimize"),

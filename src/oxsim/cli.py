@@ -349,6 +349,11 @@ def cmd_optimize(args) -> int:
     layers, topo_path = _topology(args.topology)
 
     result = this.optimize(layers, tech, cons)
+    timeline = result.report.timeline
+    if not cons.hides(timeline):
+        print(f"warning: batch {result.config.batch} leaves "
+              f"{timeline.t_program_exposed / timeline.t_total:.2%} of the batch time as "
+              f"exposed programming, over hiding_eps ({cons.hiding_eps:.2%})", file=sys.stderr)
     manifest = _manifest("optimize", cons_hash, profile.name, topo_path, args.timestamp)
     _write_out(out_path, dump_json(audit_payload(result, manifest)))
     cfg = result.config

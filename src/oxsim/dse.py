@@ -3,23 +3,24 @@
 The optimizer follows the observed trends: (1) smallest batch whose
 dual-core timeline leaves essentially no programming time exposed, (2) as
 much input SRAM as the chip-area cap allows, (3) the array size with the
-best IPS/W, preferring the largest array among near-ties. The three steps
-share one signature and return one `StepRecord`; `optimize` re-runs a step
+best IPS/W, preferring the largest array among near-ties. Each step is
+`step(stages, template, cons) -> StepRecord`; `optimize` re-runs a step
 while the chosen array breaks its premise, for at most `MAX_PASSES` passes.
 
-Every step of one `optimize` scores its configs through one `perf._Stages`
-memo, the pipeline `evaluate` and `sweep` run; every score equals evaluating
-its point on its own. Only an `oxsim optimize` process loads this module.
+`optimize` builds one `perf.Stages` memo, the pipeline `evaluate` and `sweep`
+run, and every step scores its configs through it, so every score equals
+evaluating its point on its own. A batch step that hides nothing chooses the
+largest batch, and its rows all read `"hidden": false`. Only an `oxsim
+optimize` process loads this module.
 """
 import math
-import warnings
 from bisect import bisect_right
 
 from .errors import ConfigError, EvaluationError, InfeasibleError, Record
-from .perf import PerfReport, _Stages, area_model, float_sum
+from .perf import PerfReport, Stages, Timeline, area_model, float_sum
 # unused here; perfbench/tracing.py's BOUNDARIES wraps these dse names (--trace 1)
 from .perf import evaluate, timeline_dual_core  # noqa: F401
-from .workload import MB_BITS, ChipConfig, Network, network_runtime
+from .workload import MB_BITS, ChipConfig, network_runtime
 
 
 class Constraints(Record):
@@ -64,6 +65,10 @@ class Constraints(Record):
     def array_candidates(self) -> list[tuple[int, int]]:
         return sorted({(r, c) for r in self.array_rows for c in self.array_cols})
 
+    def hides(self, timeline: Timeline) -> bool:
+        """Whether `timeline` exposes at most `hiding_eps` of its total as programming."""
+        return timeline.t_program_exposed <= self.hiding_eps * timeline.t_total
+
 
 class StepRecord(Record):
     """One optimizer step: its audit rows, its choice, and the template with it applied."""
@@ -74,10 +79,8 @@ class StepRecord(Record):
     config: ChipConfig
 
 
-def find_min_hiding_batch(layers, template: ChipConfig, tech, cons: Constraints,
-                          _stages: _Stages | None = None) -> StepRecord:
-    """Smallest batch whose dual-core exposed programming time is <= eps of total."""
-    stages = _stages or _Stages(layers, tech)
+def find_min_hiding_batch(stages: Stages, template: ChipConfig, cons: Constraints) -> StepRecord:
+    """Smallest batch whose dual-core timeline `cons` hides; the largest if none does."""
     audit = []
     for b in cons.batch_candidates:
         tl = stages.timeline(template.with_(batch=b, cores=2))
@@ -85,23 +88,16 @@ def find_min_hiding_batch(layers, template: ChipConfig, tech, cons: Constraints,
             "batch": b,
             "t_total_s": tl.t_total,
             "t_program_exposed_s": tl.t_program_exposed,
-            "hidden": tl.t_program_exposed <= cons.hiding_eps * tl.t_total,
+            "hidden": cons.hides(tl),
         })
-    best = next((row["batch"] for row in audit if row["hidden"]), None)
-    if best is None:
-        best = cons.batch_candidates[-1]
-        warnings.warn(
-            f"no candidate batch hides programming within {cons.hiding_eps:.0%} of "
-            f"total time; falling back to the largest ({best})"
-        )
+    best = next((row["batch"] for row in audit if row["hidden"]), cons.batch_candidates[-1])
     return StepRecord("batch", tuple(audit), {"batch": best}, template.with_(batch=best))
 
 
 MAX_SRAM_STEPS = 100_000  # bound of size_sram's grid scan; the shipped scan has 841 steps
 
 
-def size_sram(layers, template: ChipConfig, tech, cons: Constraints,
-              _stages: _Stages | None = None) -> StepRecord:
+def size_sram(stages: Stages, template: ChipConfig, cons: Constraints) -> StepRecord:
     """Largest input SRAM (on a step grid) that keeps total area under the cap.
 
     Also reports the critical input SRAM size: the smallest grid size at
@@ -113,6 +109,7 @@ def size_sram(layers, template: ChipConfig, tech, cons: Constraints,
     last mapped `dram_bits`. The result equals a scan that maps every
     candidate.
     """
+    net, tech = stages.layers, stages.tech
     if tech.a_sram_per_mb == 0:
         raise InfeasibleError("sram step: a_sram_per_mb is 0, so input SRAM takes no area "
                               "and the area cap cannot size it")
@@ -141,7 +138,6 @@ def size_sram(layers, template: ChipConfig, tech, cons: Constraints,
     # float_sum(area_model(cfg, tech).values()) without building a ChipConfig.
     _, *other_areas = first.values()
     t = template
-    net = _stages.layers if _stages else Network.of(layers)
     breakpoints = net.breakpoints(t)
     floor_bits = network_runtime(net, t.with_(sram_input_mb=1e9)).total.dram_bits
     candidates = []
@@ -164,15 +160,13 @@ def size_sram(layers, template: ChipConfig, tech, cons: Constraints,
                       template.with_(sram_input_mb=chosen))
 
 
-def pick_array_size(layers, template: ChipConfig, tech, cons: Constraints,
-                    _stages: _Stages | None = None) -> StepRecord:
+def pick_array_size(stages: Stages, template: ChipConfig, cons: Constraints) -> StepRecord:
     """Array size maximizing IPS/W; near-ties resolve to the largest array.
 
     A candidate whose evaluation fails (e.g. a loss budget that overflows) is
     unbuildable: its audit row carries the reason under "infeasible" and it
     is not scored. Only when no candidate is buildable does the step fail.
     """
-    stages = _stages or _Stages(layers, tech)
     audit, scored = [], []
     for r, c in cons.array_candidates():
         try:
@@ -218,10 +212,10 @@ def optimize(layers, tech, constraints: Constraints) -> OptimizationResult:
     the last pass's report is the result, and a config still over the cap
     fails.
 
-    Every step and every pass's report read one `_Stages` memo.
+    Every step and every pass's report read one `Stages` memo.
     """
     cons = constraints
-    stages = _Stages(layers, tech)
+    stages = Stages(layers, tech)
     steps: list[StepRecord] = []
     cfg = cons.template
     # looked up on the module at call time, so a tracer's wrappers see every step
@@ -229,12 +223,12 @@ def optimize(layers, tech, constraints: Constraints) -> OptimizationResult:
     for _ in range(MAX_PASSES):
         start = cfg
         for step in queue:
-            steps.append(step(layers, cfg, tech, cons, stages))
+            steps.append(step(stages, cfg, cons))
             cfg = steps[-1].config
         report = stages.report(cfg)
         over_cap = report.area_mm2 > cons.area_cap_mm2 + 1e-9
         queue = []
-        if report.timeline.t_program_exposed > cons.hiding_eps * report.timeline.t_total:
+        if not cons.hides(report.timeline):
             queue.append(find_min_hiding_batch)
         if over_cap:
             queue += [size_sram, pick_array_size]

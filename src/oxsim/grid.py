@@ -1,6 +1,6 @@
 """Design-space sweeps: a Cartesian grid of configs, scored through `perf`'s stage memo.
 
-`sweep` evaluates every point of a `SweepGrid` through one `perf._Stages`,
+`sweep` evaluates every point of a `SweepGrid` through one `perf.Stages`,
 which computes the mapping, timeline, loss budget, energy breakdown and area
 breakdown once per distinct value of the fields each one reads, so every
 report equals evaluating its point on its own. Only an `oxsim sweep` process
@@ -9,7 +9,7 @@ loads this module.
 import itertools
 
 from .errors import ConfigError, EvaluationError, Record
-from .perf import PerfReport, _Stages
+from .perf import PerfReport, Stages
 from .workload import ChipConfig
 
 
@@ -70,10 +70,10 @@ def sweep(grid: SweepGrid, layers, tech) -> list[tuple[ChipConfig, PerfReport]]:
     """Evaluate the full Cartesian grid in deterministic (lexicographic) order.
 
     Every report equals `evaluate(layers, cfg, tech)` at its point; one
-    `_Stages` memo lets points share each stage, so only `roll_up` (energy
+    `Stages` memo lets points share each stage, so only `roll_up` (energy
     and area totals, power, IPS and their checks) runs per point.
     """
-    stages = _Stages(layers, tech)
+    stages = Stages(layers, tech)
     results = []
     for cfg in grid.configs():
         try:

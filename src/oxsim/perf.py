@@ -1,10 +1,10 @@
 """Runtime counters -> time, energy, power, area, IPS, IPS/W.
 
 The worst-case optical loss budget of the array, which sizes the laser, is
-computed here too, as an input of `energy_model`. `_Stages` runs the stages
+computed here too, as an input of `energy_model`. `Stages` runs the stages
 in order (map, time, budget the laser, price energy and area, roll up), each
 memoised on the config fields it reads: `evaluate` is a one-point memo, and
-`grid.sweep` and `dse.optimize` score every point through one.
+`grid.sweep` and the `dse` steps score every point of a run through one.
 
 Timelines are computed in integer MAC cycles (programming time is rounded
 to whole cycles once, p) and converted to seconds at the end, so single- vs
@@ -232,7 +232,7 @@ def float_sum(values) -> float:
     return reduce(operator.add, values, 0)
 
 
-class _Stages:
+class Stages:
     """Memo of the evaluation stages of one run, for fixed layers and tech.
 
     The layers are lifted into one `Network`, which keeps each mapping
@@ -281,7 +281,7 @@ class _Stages:
 
 def evaluate(layers, cfg: ChipConfig, tech) -> PerfReport:
     """Full pipeline: map, time, budget the laser, price energy and area, roll up."""
-    return _Stages(layers, tech).report(cfg)
+    return Stages(layers, tech).report(cfg)
 
 
 def roll_up(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, budget: LossBudget,
@@ -289,7 +289,7 @@ def roll_up(stats: RuntimeStats, timeline: Timeline, cfg: ChipConfig, budget: Lo
     """Energy and area totals, power and IPS of a mapped, timed and priced config.
 
     `stats`, `timeline`, `budget`, `energy` (an `energy_model` breakdown) and
-    `area` (an `area_model` breakdown) must be those `_Stages` computes for
+    `area` (an `area_model` breakdown) must be those `Stages` computes for
     `cfg`; the report keeps references to all of them, so reports may share
     them.
     """

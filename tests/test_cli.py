@@ -937,7 +937,6 @@ def test_main_reads_sys_argv_as_the_console_script_calls_it(tmp_path, monkeypatc
     ["optimize", "--topology", "toy3", "--out", "audit.json"],
 ], ids=["evaluate", "sweep", "optimize"])
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-@pytest.mark.filterwarnings("ignore:no candidate batch hides programming")
 def test_main_leaves_the_garbage_collector_as_it_found_it(tmp_path, monkeypatch, argv,
                                                           enabled):
     # only run(), the process entry, switches the collector off and freezes
@@ -1156,7 +1155,6 @@ def test_count_too_large_for_a_float_exits_3_naming_it(tmp_path, capsys, command
 FREE_SRAM_PROFILE = "[profile]\nname = free-sram\n\n[overrides]\na_sram_per_mb = 0\n"
 
 
-@pytest.mark.filterwarnings("ignore:no candidate batch hides programming")
 def test_free_sram_cannot_be_sized_by_the_area_cap(tmp_path, capsys):
     prof = tmp_path / "free.ini"
     prof.write_text(FREE_SRAM_PROFILE)
@@ -1174,7 +1172,6 @@ def test_free_sram_cannot_be_sized_by_the_area_cap(tmp_path, capsys):
                  "--out", str(tmp_path / "sweep.csv")]) == 0
 
 
-@pytest.mark.filterwarnings("ignore:no candidate batch hides programming")
 def test_sram_too_cheap_to_count_exits_4_naming_it(tmp_path, capsys):
     # the headroom over a subnormal SRAM area is an infinite number of steps
     prof = tmp_path / "tiny.ini"
@@ -1264,6 +1261,40 @@ def test_shipped_optimize_audit_is_pinned(tmp_path, monkeypatch, profile, digest
     assert _sha(out) == digest
 
 
+def test_optimize_that_hides_nothing_writes_one_warning_line(tmp_path):
+    # no toy3 batch hides programming, so the run ends at the largest batch
+    # and says so in one line, not in a Python warning with its source path
+    out = tmp_path / "audit.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(oxsim.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-m", "oxsim.cli", "optimize", "--topology", "toy3",
+                          "--out", str(out)], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: batch 256 "), run.stderr
+    assert "UserWarning" not in run.stderr and ".py:" not in run.stderr
+    audit = json.loads(out.read_text())
+    batch_steps = [s for s in audit["steps"] if s["step"] == "batch"]
+    assert not any(row["hidden"] for s in batch_steps for row in s["candidates"])
+
+
+@pytest.mark.parametrize("profile", ["paper-consistent", "paper-default"])
+def test_shipped_optimize_writes_no_warning(tmp_path, capsys, profile):
+    rc = main(["optimize", "--constraints", str(CONFIGS / "optimize_default.ini"),
+               "--topology", "resnet50_v15", "--profile", profile,
+               "--out", str(tmp_path / "audit.json")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_each_optimize_run_that_hides_nothing_warns(tmp_path, capsys):
+    # a Python warning is shown once per process; this line once per run
+    for _ in range(2):
+        assert main(["optimize", "--topology", "toy3", "--out", str(tmp_path / "a.json")]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("warning: batch 256 ") for line in lines)
+
+
 @pytest.mark.parametrize("profile, digests", [
     ("paper-consistent", {
         "report.json": "f27607cb69f4f606d2a4edb932e7caf77c285d612dd6ecf228622cd1274eb5f0",
@@ -1307,7 +1338,6 @@ def test_zero_power_evaluate_exits_3_naming_power(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:no candidate batch hides programming")
 def test_zero_power_optimize_exits_4(tmp_path, capsys):
     prof = tmp_path / "zero.ini"
     prof.write_text(ZERO_POWER_PROFILE)
@@ -1696,7 +1726,6 @@ def test_perfbench_tracer_records_every_sweep_mapping_and_timeline(tmp_path):
     assert {span[4] for span in tracer.spans if span[0] == "workload.network_runtime"} == {3}
 
 
-@pytest.mark.filterwarnings("ignore:no candidate batch hides programming")
 def test_perfbench_tracer_records_the_optimize_spans(tmp_path):
     tracer = _perfbench_tracer()
     audit = tmp_path / "audit.json"

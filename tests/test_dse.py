@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from bisect import bisect_right
 
 import pytest
@@ -12,6 +13,7 @@ from oxsim import (
     EvaluationError,
     InfeasibleError,
     LayerSpec,
+    Stages,
     SweepGrid,
     TechParams,
     apply_profile,
@@ -233,7 +235,7 @@ def test_sweep_builds_each_array_tiling_once(resnet_layers, tech_calibrated):
 
 def test_stages_key_each_energy_breakdown_by_the_clock(toy_layers, tech_default):
     # no grid axis sets the clock, so one memo is given both clocks directly
-    stages = dse._Stages(toy_layers, tech_default)
+    stages = dse.Stages(toy_layers, tech_default)
     for clock_hz in (1e10, 5e9, 1e10):
         cfg = ChipConfig(rows=8, cols=8, batch=2, clock_hz=clock_hz)
         assert flat_row(cfg, stages.report(cfg)) == flat_row(
@@ -267,7 +269,7 @@ def _tech_overrides(draw):
 
 def _stage_sequence(layers, cfg, tech):
     """The evaluation stages called in order with nothing memoised: the oracle
-    of how `perf._Stages` wires each stage's output into the next."""
+    of how `perf.Stages` wires each stage's output into the next."""
     stats = network_runtime(layers, cfg)
     timeline = perf.make_timeline(stats, cfg, tech)
     budget = perf.loss_budget(cfg, tech)
@@ -315,7 +317,7 @@ def test_stages_report_and_evaluate_agree_or_fail_alike(topology, configs, profi
     # entries, and `evaluate` is a fresh one-point memo
     layers = load_topology(topology)
     tech = apply_profile(default_tech_params(), get_profile(profile))._replace(**overrides)
-    stages = dse._Stages(layers, tech)
+    stages = dse.Stages(layers, tech)
     for cfg in configs:
         direct = _report_or_error(lambda: _stage_sequence(layers, cfg, tech), cfg)
         assert _report_or_error(lambda: evaluate(layers, cfg, tech), cfg) == direct
@@ -365,14 +367,14 @@ def test_min_batch_when_already_hidden(tech_default):
     layers = [_stream_layer(1600, 200)]
     tpl = ChipConfig(rows=1, cols=1, cores=2, batch=1)
     cons = Constraints(batch_candidates=(1, 2, 4))
-    assert find_min_hiding_batch(layers, tpl, tech_default, cons).chosen == {"batch": 1}
+    assert find_min_hiding_batch(Stages(layers, tech_default), tpl, cons).chosen == {"batch": 1}
 
 
 def test_min_batch_crosses_programming_time(tech_default):
     # 500 cycles/tile at batch 1 -> 50 ns < 100 ns; batch 2 reaches 100 ns
     layers = [_stream_layer(500, 400)]
     tpl = ChipConfig(rows=1, cols=1, cores=2, batch=1)
-    record = find_min_hiding_batch(layers, tpl, tech_default,
+    record = find_min_hiding_batch(Stages(layers, tech_default), tpl,
                                    Constraints(batch_candidates=(1, 2, 4, 8)))
     assert record.chosen == {"batch": 2}
     assert record.config == tpl.with_(batch=2)
@@ -384,18 +386,22 @@ def test_min_batch_crosses_programming_time(tech_default):
         assert tl.t_program_exposed <= 0.01 * tl.t_total
 
 
-def test_min_batch_falls_back_with_warning(tech_default):
+def test_min_batch_falls_back_to_the_largest_as_data(tech_default):
     layers = [_stream_layer(8, 40)]  # hopeless: 0.8 ns/tile
     tpl = ChipConfig(rows=1, cols=1, cores=2, batch=1)
-    with pytest.warns(UserWarning, match="falling back"):
-        record = find_min_hiding_batch(layers, tpl, tech_default,
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record = find_min_hiding_batch(Stages(layers, tech_default), tpl,
                                        Constraints(batch_candidates=(1, 2)))
+    # the audit rows record the fallback: no batch hides, so the largest is chosen
+    assert [row["hidden"] for row in record.candidates] == [False, False]
     assert record.chosen == {"batch": 2}
 
 
 def test_resnet_hiding_batch_is_32(resnet_layers, tech_calibrated, headline_config):
     # the default candidates are the published batch axis, 1 to 256
-    record = find_min_hiding_batch(resnet_layers, headline_config, tech_calibrated, Constraints())
+    record = find_min_hiding_batch(Stages(resnet_layers, tech_calibrated), headline_config,
+                                   Constraints())
     assert record.chosen == {"batch": 32}
 
 
@@ -405,7 +411,7 @@ def test_size_sram_one_unit_fits(toy_layers, tech_default):
     tpl = ChipConfig(rows=8, cols=8, cores=2, batch=1)
     fixed = sum(area_model(tpl.with_(sram_input_mb=1.0), tech_default).values()) \
         - 1.0 * tech_default.a_sram_per_mb
-    plan = size_sram(toy_layers, tpl, tech_default, Constraints(area_cap_mm2=fixed + 0.45))
+    plan = size_sram(Stages(toy_layers, tech_default), tpl, Constraints(area_cap_mm2=fixed + 0.45))
     assert plan.chosen["input_sram_mb"] == 1.0
     assert plan.config == tpl.with_(sram_input_mb=1.0)
 
@@ -413,13 +419,13 @@ def test_size_sram_one_unit_fits(toy_layers, tech_default):
 def test_size_sram_cap_below_fixed_area(toy_layers, tech_default):
     tpl = ChipConfig(rows=128, cols=128, cores=2, batch=1)
     with pytest.raises(InfeasibleError, match="sram"):
-        size_sram(toy_layers, tpl, tech_default, Constraints(area_cap_mm2=1.0))
+        size_sram(Stages(toy_layers, tech_default), tpl, Constraints(area_cap_mm2=1.0))
 
 
 def test_size_sram_respects_cap(resnet_layers, tech_calibrated):
     tpl = ChipConfig(rows=128, cols=128, cores=2, batch=32)
     cap = 100.0
-    plan = size_sram(resnet_layers, tpl, tech_calibrated, Constraints(area_cap_mm2=cap))
+    plan = size_sram(Stages(resnet_layers, tech_calibrated), tpl, Constraints(area_cap_mm2=cap))
     chosen = plan.chosen["input_sram_mb"]
     area = sum(area_model(tpl.with_(sram_input_mb=chosen), tech_calibrated).values())
     assert area <= cap + 1e-9
@@ -429,7 +435,8 @@ def test_size_sram_respects_cap(resnet_layers, tech_calibrated):
 
 def test_size_sram_critical_size_matches_traffic_scan(resnet_layers, tech_calibrated):
     tpl = ChipConfig(rows=128, cols=128, cores=2, batch=4)
-    plan = size_sram(resnet_layers, tpl, tech_calibrated, Constraints(area_cap_mm2=60.0))
+    plan = size_sram(Stages(resnet_layers, tech_calibrated), tpl,
+                     Constraints(area_cap_mm2=60.0))
     # oracle: scan the step grid for where DRAM traffic bottoms out
     floor = network_runtime(resnet_layers, tpl.with_(sram_input_mb=4096)).total.dram_bits
     critical = None
@@ -484,7 +491,7 @@ def test_size_sram_memo_equals_scan_of_every_candidate(
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dse, "network_runtime", counting_runtime)
-        plan = size_sram(layers, tpl, tech_calibrated,
+        plan = size_sram(Stages(layers, tech_calibrated), tpl,
                          Constraints(area_cap_mm2=cap, sram_step_mb=step_mb))
 
     candidates, critical = _scan_every_candidate(
@@ -504,7 +511,8 @@ def test_size_sram_memo_counts_a_capacity_equal_to_a_breakpoint_as_resident(tech
     tpl = ChipConfig(rows=1, cols=1, cores=2, batch=1, b_in=8, b_out=8)
     assert Network.of(layers).breakpoints(tpl) == [8 * 2**20, 16 * 2**20]
     cap = sum(area_model(tpl.with_(sram_input_mb=2.0), tech_default).values())
-    plan = size_sram(layers, tpl, tech_default, Constraints(area_cap_mm2=cap, sram_step_mb=0.5))
+    plan = size_sram(Stages(layers, tech_default), tpl,
+                     Constraints(area_cap_mm2=cap, sram_step_mb=0.5))
     assert plan.candidates == _scan_every_candidate(layers, tpl, tech_default, 4, 0.5)[0]
     assert plan.chosen["critical_input_sram_mb"] == 1.0
 
@@ -514,7 +522,7 @@ def test_size_sram_memo_counts_a_capacity_equal_to_a_breakpoint_as_resident(tech
 def test_pick_array_single_candidate(toy_layers, tech_default):
     tpl = ChipConfig(rows=8, cols=8, cores=2, batch=2)
     cons = Constraints(array_rows=(16,), array_cols=(8,))
-    record = pick_array_size(toy_layers, tpl, tech_default, cons)
+    record = pick_array_size(Stages(toy_layers, tech_default), tpl, cons)
     assert record.chosen == {"rows": 16, "cols": 8}
     assert record.config == tpl.with_(rows=16, cols=8)
 
@@ -523,11 +531,13 @@ def test_pick_array_tie_resolves_to_largest(toy_layers, tech_default):
     tpl = ChipConfig(rows=8, cols=8, cores=2, batch=2)
     # with a 99.9% tolerance everything ties; the largest array must win
     cons = Constraints(array_rows=(8, 16), array_cols=(8, 16), tie_tol=0.999)
-    assert pick_array_size(toy_layers, tpl, tech_default, cons).chosen == {"rows": 16, "cols": 16}
+    stages = Stages(toy_layers, tech_default)
+    assert pick_array_size(stages, tpl, cons).chosen == {"rows": 16, "cols": 16}
 
 
 def test_pick_array_resnet_calibrated(resnet_layers, tech_calibrated, headline_config):
-    record = pick_array_size(resnet_layers, headline_config, tech_calibrated, Constraints())
+    record = pick_array_size(Stages(resnet_layers, tech_calibrated), headline_config,
+                             Constraints())
     assert record.chosen == {"rows": 128, "cols": 128}
 
 
@@ -648,13 +658,13 @@ def test_optimize_judges_each_pass_on_one_report_and_returns_the_last(
     # candidates, each pass then ends with one report of its config, and
     # nothing is evaluated after the loop
     reports = []
-    real_report = dse._Stages.report
+    real_report = dse.Stages.report
 
     def recording(self, cfg):
         reports.append(real_report(self, cfg))
         return reports[-1]
 
-    monkeypatch.setattr(dse._Stages, "report", recording)
+    monkeypatch.setattr(dse.Stages, "report", recording)
     res = optimize(resnet_layers, tech_calibrated, Constraints())
     assert [s.step for s in res.steps] == ["batch", "sram", "array", "sram", "array"]
     scored = sum("ips" in row for s in res.steps if s.step == "array" for row in s.candidates)
@@ -662,7 +672,6 @@ def test_optimize_judges_each_pass_on_one_report_and_returns_the_last(
     assert res.report is reports[-1]
 
 
-@pytest.mark.filterwarnings("ignore:no candidate batch hides programming")
 @settings(max_examples=40, deadline=None)
 @given(cap=st.floats(5.0, 150.0), step=st.floats(0.1, 2.0),
        batches=st.lists(st.integers(1, 256), min_size=1, max_size=5, unique=True).map(sorted),
@@ -685,3 +694,54 @@ def test_optimize_result_meets_its_own_constraints(toy_layers, cap, step, batche
     assert last["batch"]["batch"] == cfg.batch
     assert last["sram"]["input_sram_mb"] == cfg.sram_input_mb
     assert (last["array"]["rows"], last["array"]["cols"]) == (cfg.rows, cfg.cols)
+    # programming is hidden, or the last batch step found no batch that hides it
+    batch_rows = [s.candidates for s in res.steps if s.step == "batch"][-1]
+    assert cons.hides(res.report.timeline) or not any(row["hidden"] for row in batch_rows)
+
+
+_SIZES = st.lists(st.sampled_from([8, 32, 128, 1024]), min_size=1, max_size=3,
+                  unique=True).map(tuple)
+
+
+@st.composite
+def _step_inputs(draw):
+    """Constraints over a drawn template, from small pools, so that two draws
+    share many configs (and so memo entries)."""
+    template = ChipConfig(rows=draw(st.sampled_from([8, 128, 512])),
+                          cols=draw(st.sampled_from([8, 128, 512])), cores=2,
+                          batch=draw(st.sampled_from([1, 8, 32])),
+                          b_in=draw(st.sampled_from([4, 6])), b_w=draw(st.sampled_from([4, 6])),
+                          b_out=draw(st.sampled_from([6, 8])),
+                          sram_input_mb=draw(st.sampled_from([0.5, 4.0, 32.0])))
+    batches = draw(st.lists(st.sampled_from([1, 2, 4, 8, 16, 32, 64, 128, 256]), min_size=1,
+                            max_size=4, unique=True))
+    return Constraints(area_cap_mm2=draw(st.floats(1.0, 150.0)),
+                       batch_candidates=tuple(sorted(batches)),
+                       array_rows=draw(_SIZES), array_cols=draw(_SIZES),
+                       sram_step_mb=draw(st.sampled_from([0.25, 0.5, 1.5])),
+                       hiding_eps=draw(st.sampled_from([0.0, 0.01, 0.1])),
+                       tie_tol=draw(st.sampled_from([0.0, 0.02, 0.5])), template=template)
+
+
+def _step_or_error(step, stages, cons):
+    try:
+        return step(stages, cons.template, cons)
+    except Exception as exc:  # a step must fail alike through either memo
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("topology", ["toy3", "resnet50_v15"])
+@settings(max_examples=40, deadline=None)
+@given(first=_step_inputs(), second=_step_inputs(),
+       profile=st.sampled_from(["paper-default", "paper-consistent"]))
+def test_a_warm_stages_memo_gives_each_step_the_answer_of_a_fresh_one(topology, first, second,
+                                                                     profile):
+    layers = load_topology(topology)
+    tech = apply_profile(default_tech_params(), get_profile(profile))
+    steps = (find_min_hiding_batch, size_sram, pick_array_size)
+    warm = Stages(layers, tech)
+    for step in steps:
+        _step_or_error(step, warm, first)
+    for step in steps:
+        assert _step_or_error(step, warm, second) == _step_or_error(step, Stages(layers, tech),
+                                                                    second)
