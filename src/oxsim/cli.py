@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
-from . import __version__, workload
+from . import __version__
 from .errors import ConfigError, EvaluationError, OxsimError
 from .perf import evaluate
 from .reports import RunManifest, audit_payload, csv_text, dump_json, flat_row, json_payload
@@ -29,7 +29,7 @@ from .tech import (
     default_tech_params,
     get_profile,
 )
-from .workload import ChipConfig, topology_path
+from .workload import ChipConfig, load_topology, read_input
 
 # The manifest digests come from the builtin SHA-256, so a run does not load
 # OpenSSL, as hashlib does at import, to hash two small files. Its module is
@@ -89,10 +89,6 @@ def _deterministic_timestamp() -> str:
                       f"since 1970 that falls in the years 1 to 9999")
 
 
-def _sha256_file(path: Path) -> str:
-    return sha256(path.read_bytes()).hexdigest()
-
-
 def _sha256_text(text: str) -> str:
     return sha256(text.encode()).hexdigest()
 
@@ -149,14 +145,10 @@ def _read_ini(path: Path, allowed_sections: set[str], missing: str | None = None
     bytes they were parsed from). A file that cannot be read or decoded is a
     ConfigError that names it; `missing` replaces the message for an absent one."""
     try:
-        data = path.read_bytes()
-        # universal newlines, as text mode reads
-        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        text, data = read_input(path, ConfigError)
     except FileNotFoundError:
         raise ConfigError(missing or f"config file not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    sections = _parse_ini(text.removeprefix("\ufeff"), path)  # drop a BOM, as topologies do
+    sections = _parse_ini(text, path)
     for section in sections:
         if section not in allowed_sections:
             raise ConfigError(
@@ -272,22 +264,16 @@ def _write_out(path: Path, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _manifest(command: str, config_hash: str, profile: str, topology: Path,
-              timestamp: str) -> RunManifest:
-    return RunManifest(__version__, command, config_hash, profile, _sha256_file(topology),
-                       timestamp)
-
-
-def _topology(spec: str) -> tuple[list, Path]:
-    path = topology_path(_path("--topology", spec))
-    # looked up on the module, so a wrapper set on it (perfbench --trace 1) runs
-    return workload.parse_topology(path), path
+def _topology(spec: str) -> tuple[list, str]:
+    """(the layers of `--topology`, the SHA-256 of the bytes they were parsed from)."""
+    layers, data = load_topology(_path("--topology", spec))
+    return layers, sha256(data).hexdigest()
 
 
 def cmd_evaluate(args) -> int:
     out_dir = Path(".") if args.out is None else _path("--out", args.out)
     cfg, tech, profile, config_hash = load_run_inputs(args.config, args.profile)
-    layers, topo_path = _topology(args.topology)
+    layers, topology_hash = _topology(args.topology)
     try:
         report = evaluate(layers, cfg, tech)
     except OxsimError:
@@ -295,7 +281,8 @@ def cmd_evaluate(args) -> int:
     except Exception as exc:
         raise EvaluationError(str(exc)) from exc
 
-    manifest = _manifest("evaluate", config_hash, profile.name, topo_path, args.timestamp)
+    manifest = RunManifest(__version__, "evaluate", config_hash, profile.name, topology_hash,
+                           args.timestamp)
     _write_out(out_dir / "report.json", dump_json(json_payload(cfg, report, manifest._asdict())))
     _write_out(out_dir / "report.csv", csv_text([flat_row(cfg, report)], manifest))
     print(
@@ -331,9 +318,10 @@ def cmd_sweep(args) -> int:
     out_path = Path("sweep.csv") if args.out is None else _path("--out", args.out)
     _, tech, profile, _ = load_run_inputs(None, args.profile)
     grid, grid_hash = _over_chip("--grid", args.grid, "grid", this.SweepGrid)
-    layers, topo_path = _topology(args.topology)
+    layers, topology_hash = _topology(args.topology)
     results = this.sweep(grid, layers, tech)
-    manifest = _manifest("sweep", grid_hash, profile.name, topo_path, args.timestamp)
+    manifest = RunManifest(__version__, "sweep", grid_hash, profile.name, topology_hash,
+                           args.timestamp)
     rows = [flat_row(cfg, report) for cfg, report in results]
     _write_out(out_path, csv_text(rows, manifest))
     print(f"evaluated {len(rows)} configs; wrote {out_path}")
@@ -346,7 +334,7 @@ def cmd_optimize(args) -> int:
     _, tech, profile, _ = load_run_inputs(None, args.profile)
     cons, cons_hash = _over_chip("--constraints", args.constraints, "constraints",
                                  this.Constraints)
-    layers, topo_path = _topology(args.topology)
+    layers, topology_hash = _topology(args.topology)
 
     result = this.optimize(layers, tech, cons)
     timeline = result.report.timeline
@@ -354,7 +342,8 @@ def cmd_optimize(args) -> int:
         print(f"warning: batch {result.config.batch} leaves "
               f"{timeline.t_program_exposed / timeline.t_total:.2%} of the batch time as "
               f"exposed programming, over hiding_eps ({cons.hiding_eps:.2%})", file=sys.stderr)
-    manifest = _manifest("optimize", cons_hash, profile.name, topo_path, args.timestamp)
+    manifest = RunManifest(__version__, "optimize", cons_hash, profile.name, topology_hash,
+                           args.timestamp)
     _write_out(out_path, dump_json(audit_payload(result, manifest)))
     cfg = result.config
     print(

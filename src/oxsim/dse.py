@@ -101,7 +101,8 @@ def size_sram(stages: Stages, template: ChipConfig, cons: Constraints) -> StepRe
     """Largest input SRAM (on a step grid) that keeps total area under the cap.
 
     Also reports the critical input SRAM size: the smallest grid size at
-    which total DRAM traffic bottoms out (growing SRAM further buys nothing).
+    which total DRAM traffic bottoms out at the all-resident mapping's
+    (growing SRAM further buys nothing), or None if no grid size reaches it.
 
     Every grid size is a candidate with its area and DRAM traffic, but the
     network is mapped only where the residency pattern
@@ -139,7 +140,7 @@ def size_sram(stages: Stages, template: ChipConfig, cons: Constraints) -> StepRe
     _, *other_areas = first.values()
     t = template
     breakpoints = net.breakpoints(t)
-    floor_bits = network_runtime(net, t.with_(sram_input_mb=1e9)).total.dram_bits
+    floor_bits = network_runtime(net, t.with_(sram_input_mb=math.inf)).total.dram_bits
     candidates = []
     critical: float | None = None
     pattern = None

@@ -44,7 +44,6 @@ columns it is built from, with their sums:
                 input_write_bits, dram_read_bits, dram_write_bits,
                 ifmap_resident, output_forwarded
 """
-import os
 from bisect import bisect_right
 from pathlib import Path
 
@@ -375,21 +374,29 @@ def _residency(fixed: dict, ifmap_bits: list[int], fits: set[int]) -> tuple[dict
     return {**columns, "ifmap_resident": resident, "output_forwarded": forwarded}, sums
 
 
-def parse_topology(path) -> list[LayerSpec]:
-    """Load LayerSpecs from a UTF-8 CSV whose first non-blank row is TOPOLOGY_COLUMNS.
-    Cells are not quoted: a row is its line split at each `,`."""
-    path = Path(path)
+def read_input(path: Path, error) -> tuple[str, bytes]:
+    """(text, bytes) of input file `path`, read once: the bytes decoded as
+    UTF-8 with universal newlines, as text mode reads, less a leading
+    byte-order mark. A file that cannot be read or decoded raises `error`
+    naming it; an absent one stays a FileNotFoundError, which each caller words."""
     try:
-        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")  # drop a leading BOM
+        data = path.read_bytes()
+        text = data.decode("utf-8")
     except FileNotFoundError:
-        raise TopologyError(f"topology file not found: {path}") from None
+        raise
     except (OSError, UnicodeDecodeError) as exc:
-        raise TopologyError(f"cannot read topology file {path}: {exc}") from exc
+        raise error(f"{path}: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n").removeprefix("\ufeff"), data
+
+
+def parse_topology(text: str, source) -> list[LayerSpec]:
+    """LayerSpecs of CSV text whose first non-blank row is TOPOLOGY_COLUMNS; an
+    error names `source`. Cells are not quoted: a row is its line split at each `,`."""
     layers: list[LayerSpec] = []
     header_seen = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         if '"' in line:
-            raise TopologyError(f'{path}:{lineno}: the line holds a ", but cells are not quoted')
+            raise TopologyError(f'{source}:{lineno}: the line holds a ", but cells are not quoted')
         cells = [c.strip() for c in line.split(",")]
         while cells and cells[-1] == "":
             cells.pop()
@@ -397,26 +404,26 @@ def parse_topology(path) -> list[LayerSpec]:
             continue
         if not header_seen:
             if cells != TOPOLOGY_COLUMNS:
-                raise TopologyError(f"{path}:{lineno}: the header must be "
+                raise TopologyError(f"{source}:{lineno}: the header must be "
                                     f"{','.join(TOPOLOGY_COLUMNS)}, got {','.join(cells)}")
             header_seen = True
             continue
         if len(cells) != len(TOPOLOGY_COLUMNS):
             raise TopologyError(
-                f"{path}:{lineno}: expected {len(TOPOLOGY_COLUMNS)} columns "
+                f"{source}:{lineno}: expected {len(TOPOLOGY_COLUMNS)} columns "
                 f"({','.join(TOPOLOGY_COLUMNS)}), got {len(cells)}"
             )
         name = cells[0]
         try:
             dims = [int(c) for c in cells[1:]]
         except ValueError as exc:
-            raise TopologyError(f"{path}:{lineno}: non-integer field: {exc}") from exc
+            raise TopologyError(f"{source}:{lineno}: non-integer field: {exc}") from exc
         try:
             layers.append(LayerSpec(name, *dims))
         except ValueError as exc:
-            raise TopologyError(f"{path}:{lineno}: {exc}") from exc
+            raise TopologyError(f"{source}:{lineno}: {exc}") from exc
     if not layers:
-        raise TopologyError(f"topology file {path} contains no layers")
+        raise TopologyError(f"topology file {source} contains no layers")
     return layers
 
 
@@ -430,13 +437,13 @@ def bundled_topology_path(name: str) -> Path:
     return bundled[name]
 
 
-def topology_path(name_or_path) -> Path:
-    """The path as given if anything is there, otherwise the bundled fixture of that
-    name; `os.path.exists` reads a path it cannot stat (too long, say) as absent."""
-    p = Path(name_or_path)
-    return p if os.path.exists(p) else bundled_topology_path(str(name_or_path))
-
-
-def load_topology(name_or_path) -> list[LayerSpec]:
-    """Load a topology from a path, falling back to bundled fixtures by name."""
-    return parse_topology(topology_path(name_or_path))
+def load_topology(name_or_path) -> tuple[list[LayerSpec], bytes]:
+    """(the layers of a topology file, the bytes they were parsed from); a path
+    with nothing there is taken as the name of a bundled fixture."""
+    path = Path(name_or_path)
+    try:
+        text, data = read_input(path, TopologyError)
+    except FileNotFoundError:
+        path = bundled_topology_path(str(name_or_path))
+        text, data = read_input(path, TopologyError)
+    return parse_topology(text, path), data

@@ -21,12 +21,12 @@ def tech_calibrated():
 
 @pytest.fixture(scope="session")
 def resnet_layers():
-    return load_topology("resnet50_v15")
+    return load_topology("resnet50_v15")[0]
 
 
 @pytest.fixture(scope="session")
 def toy_layers():
-    return load_topology("toy3")
+    return load_topology("toy3")[0]
 
 
 @pytest.fixture

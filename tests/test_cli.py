@@ -18,14 +18,14 @@ from hypothesis import strategies as st
 import oxsim
 import oxsim.cli
 from oxsim.cli import (_atomic_write, _over_chip, _parse_ini, _read_ini, _section,
-                        _sha256_file, load_run_inputs, main)
+                        load_run_inputs, main)
 from oxsim.dse import MAX_SRAM_STEPS, Constraints
 from oxsim.errors import ConfigError
 from oxsim.grid import SweepGrid, sweep
 from oxsim.reports import CSV_COLUMNS, RunManifest, flat_row
 from oxsim.reports import csv_text as _csv_text
 from oxsim.tech import CalibrationProfile, TechParams
-from oxsim.workload import ChipConfig, load_topology, topology_path
+from oxsim.workload import ChipConfig, bundled_topology_path, load_topology
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -282,8 +282,8 @@ def test_sweep_csv_cells_round_trip_the_flat_rows(tmp_path):
     assert header == CSV_COLUMNS
 
     _, tech, _, _ = load_run_inputs(None, str(prof))
-    results = sweep(_over_chip("--grid", str(grid), "grid", SweepGrid)[0], load_topology("toy3"),
-                    tech)
+    results = sweep(_over_chip("--grid", str(grid), "grid", SweepGrid)[0],
+                    load_topology("toy3")[0], tech)
     rows = [dict(zip(CSV_COLUMNS, flat_row(cfg, report))) for cfg, report in results]
     assert len(cells) == len(rows) == 4
     negative_zeros = 0
@@ -1039,9 +1039,7 @@ def test_builtin_sha256_matches_hashlib(data):
 def test_manifest_digests_match_hashlib_for_every_shipped_input(tmp_path):
     # the builtin module, not the hashlib fallback, on every CI Python
     assert oxsim.cli.sha256.__module__ in ("_sha2", "_sha256")
-    topologies = {name: topology_path(name) for name in ("resnet50_v15", "toy3")}
-    for path in [*sorted(CONFIGS.glob("*.ini")), *topologies.values()]:
-        assert _sha256_file(path) == _sha(path), path
+    topologies = {name: bundled_topology_path(name) for name in ("resnet50_v15", "toy3")}
     for name, path in topologies.items():
         out = tmp_path / name
         assert main(["evaluate", "--config", str(CONFIGS / "headline.ini"), "--topology", name,
@@ -1049,6 +1047,75 @@ def test_manifest_digests_match_hashlib_for_every_shipped_input(tmp_path):
         manifest = json.loads((out / "report.json").read_text())["manifest"]
         assert manifest["config_hash"] == _sha(CONFIGS / "headline.ini")
         assert manifest["topology_hash"] == _sha(path)
+
+
+def test_piped_topology_manifest_carries_the_digest_of_the_bytes_sent(tmp_path):
+    # a pipe can be read only once, so the digest must come from the bytes parsed
+    data = bundled_topology_path("toy3").read_bytes()
+    src = Path(oxsim.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-m", "oxsim.cli", "evaluate", "--topology",
+                          "/dev/stdin", "--out", str(tmp_path)], input=data,
+                         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr.decode(errors="replace")
+    digest = hashlib.sha256(data).hexdigest()
+    manifest = json.loads((tmp_path / "report.json").read_text())["manifest"]
+    assert manifest["topology_hash"] == digest
+    assert f"# topology_hash = {digest}" in (tmp_path / "report.csv").read_text().splitlines()
+
+
+# counts the `open` audit events of each path over one in-process run
+OPEN_COUNT_SCRIPT = """
+import json, os, sys
+from collections import Counter
+opened = Counter()
+
+def count(event, args):
+    if event == "open" and isinstance(args[0], (str, bytes, os.PathLike)):
+        opened[os.path.abspath(os.fsdecode(args[0]))] += 1
+
+sys.addaudithook(count)
+from oxsim.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "opened": opened}))
+"""
+
+
+def test_each_input_file_is_opened_once(tmp_path):
+    inputs = {"--config": tmp_path / "chip.ini", "--profile": tmp_path / "profile.ini",
+              "--topology": tmp_path / "net.csv"}
+    inputs["--config"].write_text(CONFIG_HEADLINE)
+    inputs["--profile"].write_text("[profile]\nname = local\n\n[overrides]\np_tia = 1e-3\n")
+    inputs["--topology"].write_bytes(bundled_topology_path("toy3").read_bytes())
+    argv = ["evaluate", *[str(x) for pair in inputs.items() for x in pair],
+            "--out", str(tmp_path / "out")]
+    env = {**os.environ, "PYTHONPATH": str(Path(oxsim.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", OPEN_COUNT_SCRIPT, *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert {flag: result["opened"].get(str(path.resolve()), 0)
+            for flag, path in inputs.items()} == dict.fromkeys(inputs, 1)
+
+
+ONE_LAYER_TOPOLOGY = ("name,ifmap_h,ifmap_w,channels,filter_h,filter_w,num_filters,stride\n"
+                      "c,8,8,2,3,3,4,1\n")
+
+
+@pytest.mark.parametrize("make, code, err", [
+    (lambda p: p.write_text(ONE_LAYER_TOPOLOGY), 0, ""),
+    (lambda p: p.mkdir(), 2, "topology error: toy3: "),
+], ids=["file-wins", "directory"])
+def test_topology_value_names_a_bundled_fixture_only_where_nothing_is_at_that_path(
+        tmp_path, monkeypatch, capsys, make, code, err):
+    monkeypatch.chdir(tmp_path)
+    make(tmp_path / "toy3")
+    assert main(["evaluate", "--topology", "toy3", "--out", "out"]) == code
+    assert capsys.readouterr().err.startswith(err)
+    if code == 0:
+        manifest = json.loads((tmp_path / "out" / "report.json").read_text())["manifest"]
+        assert manifest["topology_hash"] == hashlib.sha256(ONE_LAYER_TOPOLOGY.encode()).hexdigest()
 
 
 def test_outputs_are_utf8_whatever_the_locale(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 from bisect import bisect_right
 
@@ -83,7 +84,7 @@ def _axis(pool):
        profile=st.sampled_from(["paper-default", "paper-consistent"]))
 def test_sweep_memo_equals_evaluate_at_every_point(topology, rows, cols, batch, cores, sram,
                                                    b_in, b_out, profile):
-    layers = load_topology(topology)
+    layers = load_topology(topology)[0]
     tech = apply_profile(default_tech_params(), get_profile(profile))
     grid = SweepGrid(template=ChipConfig(b_in=b_in, b_out=b_out), rows=rows, cols=cols,
                      batch=batch, input_sram_mb=tuple(sram), cores=cores)
@@ -315,7 +316,7 @@ def test_stages_report_and_evaluate_agree_or_fail_alike(topology, configs, profi
     # so its checks must still fail in the plain sequence's order, with its
     # message; one memo reports the whole sequence, so later configs hit its
     # entries, and `evaluate` is a fresh one-point memo
-    layers = load_topology(topology)
+    layers = load_topology(topology)[0]
     tech = apply_profile(default_tech_params(), get_profile(profile))._replace(**overrides)
     stages = dse.Stages(layers, tech)
     for cfg in configs:
@@ -477,7 +478,7 @@ def _scan_every_candidate(layers, tpl, tech, n_candidates, step_mb):
        units=st.integers(1, 150), slack=st.floats(0.0, 0.99))
 def test_size_sram_memo_equals_scan_of_every_candidate(
         tech_calibrated, topology, batch, b_in, b_out, side, step_mb, units, slack):
-    layers = load_topology(topology)
+    layers = load_topology(topology)[0]
     tpl = ChipConfig(rows=side, cols=side, cores=2, batch=batch, b_in=b_in, b_out=b_out)
     fixed = sum(area_model(tpl.with_(sram_input_mb=step_mb), tech_calibrated).values()) \
         - step_mb * tech_calibrated.a_sram_per_mb
@@ -515,6 +516,19 @@ def test_size_sram_memo_counts_a_capacity_equal_to_a_breakpoint_as_resident(tech
                      Constraints(area_cap_mm2=cap, sram_step_mb=0.5))
     assert plan.candidates == _scan_every_candidate(layers, tpl, tech_default, 4, 0.5)[0]
     assert plan.chosen["critical_input_sram_mb"] == 1.0
+
+
+def test_size_sram_floor_is_the_all_resident_mapping(tech_calibrated):
+    # layer a's ifmap is 1e16 bits, about 1.19e9 MB: above any finite probe
+    # of 1e9 MB, and far above every size the grid reaches
+    layers = [LayerSpec("a", 100000, 100000, 1, 1, 1, 64, 100000),
+              LayerSpec("b", 1, 1, 64, 1, 1, 10, 1)]
+    tpl = ChipConfig(b_in=10**6, b_out=1, batch=1)
+    assert Network.of(layers).breakpoints(tpl)[-1] == 10**16
+    plan = size_sram(Stages(layers, tech_calibrated), tpl, Constraints())
+    resident = network_runtime(layers, tpl.with_(sram_input_mb=math.inf)).total.dram_bits
+    assert resident < min(c["dram_bits"] for c in plan.candidates)
+    assert plan.chosen["critical_input_sram_mb"] is None
 
 
 # --- array selection ------------------------------------------------------------
@@ -736,7 +750,7 @@ def _step_or_error(step, stages, cons):
        profile=st.sampled_from(["paper-default", "paper-consistent"]))
 def test_a_warm_stages_memo_gives_each_step_the_answer_of_a_fresh_one(topology, first, second,
                                                                      profile):
-    layers = load_topology(topology)
+    layers = load_topology(topology)[0]
     tech = apply_profile(default_tech_params(), get_profile(profile))
     steps = (find_min_hiding_batch, size_sram, pick_array_size)
     warm = Stages(layers, tech)

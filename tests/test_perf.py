@@ -346,7 +346,7 @@ def test_second_core_cuts_time_not_energy(topology, rows, cols, batch, sram_mb, 
                                           profile):
     # every energy category is charged on compute cycles or t_compute, never
     # on t_total, so the energy per pass is the same to the last bit
-    layers = load_topology(topology)
+    layers = load_topology(topology)[0]
     tech = apply_profile(default_tech_params(), get_profile(profile))
     cfg = ChipConfig(rows=rows, cols=cols, cores=1, batch=batch, sram_input_mb=sram_mb,
                      b_in=b_in, b_out=b_out)
@@ -368,7 +368,7 @@ def test_second_core_cuts_time_not_energy(topology, rows, cols, batch, sram_mb, 
        profile=st.sampled_from(["paper-default", "paper-consistent"]))
 def test_input_sram_buys_energy_not_speed_and_batch_hides_programming(
         topology, rows, cols, batches, srams, b_in, b_out, profile):
-    layers = load_topology(topology)
+    layers = load_topology(topology)[0]
     tech = apply_profile(default_tech_params(), get_profile(profile))
     cfg = ChipConfig(rows=rows, cols=cols, cores=2, batch=batches[0], b_in=b_in, b_out=b_out)
     small, large = (evaluate(layers, cfg.with_(sram_input_mb=mb), tech) for mb in srams)
@@ -445,7 +445,7 @@ def _floats(obj):
 def test_evaluate_is_finite_or_fails_cleanly(topology, case):
     cfg, tech = case
     try:
-        report = evaluate(load_topology(topology), cfg, tech)
+        report = evaluate(load_topology(topology)[0], cfg, tech)
     except EvaluationError:
         return
     for out in (json_payload(cfg, report, {}), flat_row(cfg, report)):
@@ -462,7 +462,7 @@ def test_evaluate_breakdowns_sum(topology, case):
     # roll_up does not re-check these sums; every report it returns must hold them
     cfg, tech = case
     try:
-        r = evaluate(load_topology(topology), cfg, tech)
+        r = evaluate(load_topology(topology)[0], cfg, tech)
     except EvaluationError:
         return
     for parts, total in ((r.energy_j, r.energy_total_j), (r.power_by_w, r.power_w),

@@ -78,7 +78,7 @@ def test_breakdowns_are_keyed_in_category_order(profile, topology, cfg):
     # flat_row reads the breakdowns' values in their own order, under columns
     # named in category order
     tech = apply_profile(default_tech_params(), get_profile(profile))
-    report = evaluate(load_topology(topology), cfg, tech)
+    report = evaluate(load_topology(topology)[0], cfg, tech)
     energy = energy_model(report.stats, report.timeline, cfg, tech, report.budget)
     assert tuple(energy) == tuple(report.energy_j) == ENERGY_CATEGORIES
     assert tuple(report.power_by_w) == ENERGY_CATEGORIES

@@ -22,8 +22,8 @@ from oxsim import (
     bundled_topology_path,
     default_tech_params,
     evaluate,
+    load_topology,
     network_runtime,
-    parse_topology,
 )
 from oxsim.reports import json_payload
 from oxsim.workload import MB_BITS, TOPOLOGY_COLUMNS, Network, RuntimeStats
@@ -40,12 +40,12 @@ def _write(tmp_path, body, name="net.csv"):
 # --- parsing -----------------------------------------------------------------
 
 def test_parse_row_maps_fields(tmp_path):
-    layers = parse_topology(_write(tmp_path, "conv1,224,224,3,7,7,64,2\n"))
+    layers = load_topology(_write(tmp_path, "conv1,224,224,3,7,7,64,2\n"))[0]
     assert layers == [LayerSpec("conv1", 224, 224, 3, 7, 7, 64, 2)]
 
 
 def test_parse_tolerates_trailing_comma(tmp_path):
-    layers = parse_topology(_write(tmp_path, "c,8,8,2,3,3,4,1,\n"))
+    layers = load_topology(_write(tmp_path, "c,8,8,2,3,3,4,1,\n"))[0]
     assert layers[0].num_filters == 4
 
 
@@ -53,40 +53,40 @@ def test_parse_empty_file_raises(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("")
     with pytest.raises(TopologyError, match=f"topology file {p} contains no layers"):
-        parse_topology(p)
+        load_topology(p)
 
 
 def test_parse_header_only_raises(tmp_path):
     p = tmp_path / "hdr.csv"
     p.write_text(HEADER)
     with pytest.raises(TopologyError, match=f"topology file {p} contains no layers"):
-        parse_topology(p)
+        load_topology(p)
 
 
 def test_parse_missing_file():
-    with pytest.raises(TopologyError, match="not found"):
-        parse_topology("/nonexistent/net.csv")
+    with pytest.raises(TopologyError, match="no bundled topology"):
+        load_topology("/nonexistent/net.csv")
 
 
 def test_parse_malformed_row_names_line(tmp_path):
     p = _write(tmp_path, "ok,8,8,2,3,3,4,1\nbad,8,8,2\n")
     with pytest.raises(TopologyError, match=":3:"):
-        parse_topology(p)
+        load_topology(p)
 
 
 def test_parse_non_integer_field(tmp_path):
     with pytest.raises(TopologyError, match=":2:"):
-        parse_topology(_write(tmp_path, "c,8,8,two,3,3,4,1\n"))
+        load_topology(_write(tmp_path, "c,8,8,two,3,3,4,1\n"))
 
 
 def test_parse_nonpositive_dimension(tmp_path):
     with pytest.raises(TopologyError, match="positive"):
-        parse_topology(_write(tmp_path, "c,8,8,0,3,3,4,1\n"))
+        load_topology(_write(tmp_path, "c,8,8,0,3,3,4,1\n"))
 
 
 def test_parse_filter_larger_than_ifmap(tmp_path):
     with pytest.raises(TopologyError, match="does not fit"):
-        parse_topology(_write(tmp_path, "c,2,2,1,3,3,4,1\n"))
+        load_topology(_write(tmp_path, "c,2,2,1,3,3,4,1\n"))
 
 
 @pytest.mark.parametrize("text", [
@@ -99,7 +99,7 @@ def test_parse_rejects_a_first_row_that_is_not_the_header(tmp_path, text):
     p = tmp_path / "net.csv"
     p.write_text(text)
     with pytest.raises(TopologyError) as info:
-        parse_topology(p)
+        load_topology(p)
     assert f"{p}:1:" in str(info.value)
     assert HEADER.strip() in str(info.value)
 
@@ -107,7 +107,7 @@ def test_parse_rejects_a_first_row_that_is_not_the_header(tmp_path, text):
 def test_parse_takes_the_first_non_blank_row_as_the_header(tmp_path):
     p = tmp_path / "net.csv"
     p.write_text("\n  \n" + HEADER + "c,8,8,2,3,3,4,1\n")
-    assert parse_topology(p) == [LayerSpec("c", 8, 8, 2, 3, 3, 4, 1)]
+    assert load_topology(p)[0] == [LayerSpec("c", 8, 8, 2, 3, 3, 4, 1)]
 
 
 def _csv_parse_topology(path) -> list[LayerSpec]:
@@ -190,10 +190,10 @@ def test_topology_reader_reads_quote_free_text_as_csv_did(tmp_path_factory, text
         want = _csv_parse_topology(path)
     except TopologyError as exc:
         with pytest.raises(TopologyError) as info:
-            parse_topology(path)
+            load_topology(path)
         assert str(info.value) == str(exc)
     else:
-        assert parse_topology(path) == want
+        assert load_topology(path)[0] == want
 
 
 @pytest.mark.parametrize("row", [
@@ -231,12 +231,12 @@ def test_every_shipped_and_perfbench_topology_loads(tmp_path, monkeypatch):
     assert generated and len(shipped) >= 2
     for topology in shipped + generated:
         text = topology.read_text()
-        layers = parse_topology(topology)
+        layers = load_topology(topology)[0]
         assert len(layers) == len(text.strip().splitlines()) - 1
         # a UTF-8 byte-order mark before the header is accepted too
         with_bom = tmp_path / "bom.csv"
         with_bom.write_text("\ufeff" + text, encoding="utf-8")
-        assert parse_topology(with_bom) == layers
+        assert load_topology(with_bom)[0] == layers
 
 
 def test_resnet_fixture_layer_count(resnet_layers):
