@@ -8,28 +8,16 @@ stamps a time).
 """
 import gc
 import io
+import itertools
 import math
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__
 from .errors import ConfigError, EvaluationError, OxsimError
-from .perf import evaluate
-from .reports import RunManifest, audit_payload, csv_text, dump_json, flat_row, json_payload
-from .tech import (
-    CalibrationProfile,
-    TechParams,
-    apply_overrides,
-    apply_profile,
-    builtin_profiles,
-    default_tech_params,
-    get_profile,
-)
-from .workload import ChipConfig, load_topology, read_input
 
 # The manifest digests come from the builtin SHA-256, so a run does not load
 # OpenSSL, as hashlib does at import, to hash two small files. Its module is
@@ -42,18 +30,33 @@ try:
 except ImportError:  # an interpreter built without it
     from hashlib import sha256
 
-# The package loads `grid` and `dse` on first use of these names, so
-# `evaluate` compiles neither, `sweep` only `grid` and `optimize` only `dse`.
-# They stay attributes of this module, which `cmd_sweep` and `cmd_optimize`
-# look up on the module object, so a wrapper set on it (perfbench --trace 1)
-# is the function that runs.
-_PACKAGE_NAMES = ("SweepGrid", "sweep", "Constraints", "optimize")
+# module -> the names this module takes from it. Each module loads on first
+# use of one of its names, so --version, --help and a usage error load none
+# of them, `evaluate` neither `grid` nor `dse`, `sweep` not `dse` and
+# `optimize` not `grid`. A name, once resolved, is a global here, and the
+# code reads each on the module object `_cli`, so a wrapper set on it
+# (perfbench --trace 1) is the function that runs.
+_NAMES = {
+    "perf": ("evaluate",),
+    "reports": ("RunManifest", "audit_payload", "csv_text", "dump_json", "flat_row",
+                "json_payload"),
+    "tech": ("CalibrationProfile", "TechParams", "apply_overrides", "apply_profile",
+             "builtin_profiles", "default_tech_params", "get_profile"),
+    "workload": ("ChipConfig", "load_topology", "read_input"),
+    "grid": ("SweepGrid", "sweep"),
+    "dse": ("Constraints", "optimize"),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+_cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    if name not in _PACKAGE_NAMES:
+    if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(sys.modules[__package__], name)
+    module = f"{__package__}.{_MODULE_OF[name]}"
+    __import__(module)
+    value = globals()[name] = getattr(sys.modules[module], name)
+    return value
 
 
 def _finite(raw: str) -> float:
@@ -145,7 +148,7 @@ def _read_ini(path: Path, allowed_sections: set[str], missing: str | None = None
     bytes they were parsed from). A file that cannot be read or decoded is a
     ConfigError that names it; `missing` replaces the message for an absent one."""
     try:
-        text, data = read_input(path, ConfigError)
+        text, data = _cli.read_input(path, ConfigError)
     except FileNotFoundError:
         raise ConfigError(missing or f"config file not found: {path}") from None
     sections = _parse_ini(text, path)
@@ -190,8 +193,9 @@ def _build(where: str, make, *args, **kwargs):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _chip(sections: dict, source) -> ChipConfig:
-    return _build(f"{source} [chip]", ChipConfig, **_section(sections, "chip", ChipConfig, source))
+def _chip(sections: dict, source) -> "ChipConfig":
+    cls = _cli.ChipConfig
+    return _build(f"{source} [chip]", cls, **_section(sections, "chip", cls, source))
 
 
 def _path(option: str, value: str) -> Path:
@@ -202,27 +206,27 @@ def _path(option: str, value: str) -> Path:
     return Path(value)
 
 
-def load_profile(spec: str | None) -> CalibrationProfile:
+def load_profile(spec: str | None) -> "CalibrationProfile":
     """A built-in profile name, or a profile file with [profile]/[overrides]."""
     if spec is None:
-        return get_profile("paper-default")
-    builtin_names = sorted(builtin_profiles())
+        return _cli.get_profile("paper-default")
+    builtin_names = sorted(_cli.builtin_profiles())
     if spec in builtin_names:
-        return get_profile(spec)
+        return _cli.get_profile(spec)
     path = _path("--profile", spec)
     sections, _ = _read_ini(path, {"profile", "overrides", "notes"},
                             f"profile {spec!r} is neither a built-in ({', '.join(builtin_names)}) "
                             f"nor a file")
-    name = _section(sections, "profile", CalibrationProfile, path).get("name", path.stem)
+    name = _section(sections, "profile", _cli.CalibrationProfile, path).get("name", path.stem)
     # a report names its profile, so a file may not pass for a built-in
     if name in builtin_names:
         raise ConfigError(f"{path} [profile]: name {name!r} is a built-in profile's; "
                           f"a profile file must have a name of its own")
     # the name is checked alone first, so an error about it names [profile]
-    _build(f"{path} [profile]", CalibrationProfile, name=name)
+    _build(f"{path} [profile]", _cli.CalibrationProfile, name=name)
     return _build(
-        f"{path} [overrides]", CalibrationProfile, name=name,
-        overrides=_section(sections, "overrides", TechParams, path),
+        f"{path} [overrides]", _cli.CalibrationProfile, name=name,
+        overrides=_section(sections, "overrides", _cli.TechParams, path),
         notes=sections.get("notes", {}),
     )
 
@@ -230,24 +234,34 @@ def load_profile(spec: str | None) -> CalibrationProfile:
 def load_run_inputs(config_path: str | None, profile_spec: str | None):
     """Resolve (ChipConfig, TechParams, profile, config digest) from CLI arguments."""
     profile = load_profile(profile_spec)
-    tech = apply_profile(default_tech_params(), profile)
+    tech = _cli.apply_profile(_cli.default_tech_params(), profile)
     if config_path is None:
-        cfg = ChipConfig()
+        cfg = _cli.ChipConfig()
         return cfg, tech, profile, _sha256_text(repr(cfg))
     path = _path("--config", config_path)
     sections, config_hash = _read_ini(path, {"chip", "tech"})
     cfg = _chip(sections, path)
-    tech = _build(f"{path} [tech]", apply_overrides, tech,
-                  _section(sections, "tech", TechParams, path))
+    tech = _build(f"{path} [tech]", _cli.apply_overrides, tech,
+                  _section(sections, "tech", _cli.TechParams, path))
     return cfg, tech, profile, config_hash
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    """Write `text` to a temp file beside `path`, then rename it over `path`.
+    The temp file is created exclusively, under a name of this process and
+    write (its id and the first number free), so no other write shares it;
+    `path` ends 0o644 whatever the umask, and a failed write leaves no temp file."""
+    for number in itertools.count(1):
+        tmp = path.parent / f"{path.name}.{os.getpid()}.{number}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+            break
+        except FileExistsError:
+            pass
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.chmod(tmp, 0o644)  # mkstemp makes 0600; match a plain write under umask 022
+        os.chmod(tmp, 0o644)  # the umask masked the mode os.open gave
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -266,7 +280,7 @@ def _write_out(path: Path, text: str) -> None:
 
 def _topology(spec: str) -> tuple[list, str]:
     """(the layers of `--topology`, the SHA-256 of the bytes they were parsed from)."""
-    layers, data = load_topology(_path("--topology", spec))
+    layers, data = _cli.load_topology(_path("--topology", spec))
     return layers, sha256(data).hexdigest()
 
 
@@ -275,16 +289,17 @@ def cmd_evaluate(args) -> int:
     cfg, tech, profile, config_hash = load_run_inputs(args.config, args.profile)
     layers, topology_hash = _topology(args.topology)
     try:
-        report = evaluate(layers, cfg, tech)
+        report = _cli.evaluate(layers, cfg, tech)
     except OxsimError:
         raise
     except Exception as exc:
         raise EvaluationError(str(exc)) from exc
 
-    manifest = RunManifest(__version__, "evaluate", config_hash, profile.name, topology_hash,
-                           args.timestamp)
-    _write_out(out_dir / "report.json", dump_json(json_payload(cfg, report, manifest._asdict())))
-    _write_out(out_dir / "report.csv", csv_text([flat_row(cfg, report)], manifest))
+    manifest = _cli.RunManifest(__version__, "evaluate", config_hash, profile.name,
+                                topology_hash, args.timestamp)
+    _write_out(out_dir / "report.json",
+               _cli.dump_json(_cli.json_payload(cfg, report, manifest._asdict())))
+    _write_out(out_dir / "report.csv", _cli.csv_text([_cli.flat_row(cfg, report)], manifest))
     print(
         f"ips={report.ips:.1f} ips_per_w={report.ips_per_w:.1f} "
         f"power_w={report.power_w:.3f} area_mm2={report.area_mm2:.2f} "
@@ -314,37 +329,35 @@ def _over_chip(option: str, value: str | None, section: str, cls):
 
 
 def cmd_sweep(args) -> int:
-    this = sys.modules[__name__]
     out_path = Path("sweep.csv") if args.out is None else _path("--out", args.out)
     _, tech, profile, _ = load_run_inputs(None, args.profile)
-    grid, grid_hash = _over_chip("--grid", args.grid, "grid", this.SweepGrid)
+    grid, grid_hash = _over_chip("--grid", args.grid, "grid", _cli.SweepGrid)
     layers, topology_hash = _topology(args.topology)
-    results = this.sweep(grid, layers, tech)
-    manifest = RunManifest(__version__, "sweep", grid_hash, profile.name, topology_hash,
-                           args.timestamp)
-    rows = [flat_row(cfg, report) for cfg, report in results]
-    _write_out(out_path, csv_text(rows, manifest))
+    results = _cli.sweep(grid, layers, tech)
+    manifest = _cli.RunManifest(__version__, "sweep", grid_hash, profile.name, topology_hash,
+                                args.timestamp)
+    rows = [_cli.flat_row(cfg, report) for cfg, report in results]
+    _write_out(out_path, _cli.csv_text(rows, manifest))
     print(f"evaluated {len(rows)} configs; wrote {out_path}")
     return 0
 
 
 def cmd_optimize(args) -> int:
-    this = sys.modules[__name__]
     out_path = Path("optimize_audit.json") if args.out is None else _path("--out", args.out)
     _, tech, profile, _ = load_run_inputs(None, args.profile)
     cons, cons_hash = _over_chip("--constraints", args.constraints, "constraints",
-                                 this.Constraints)
+                                 _cli.Constraints)
     layers, topology_hash = _topology(args.topology)
 
-    result = this.optimize(layers, tech, cons)
+    result = _cli.optimize(layers, tech, cons)
     timeline = result.report.timeline
     if not cons.hides(timeline):
         print(f"warning: batch {result.config.batch} leaves "
               f"{timeline.t_program_exposed / timeline.t_total:.2%} of the batch time as "
               f"exposed programming, over hiding_eps ({cons.hiding_eps:.2%})", file=sys.stderr)
-    manifest = RunManifest(__version__, "optimize", cons_hash, profile.name, topology_hash,
-                           args.timestamp)
-    _write_out(out_path, dump_json(audit_payload(result, manifest)))
+    manifest = _cli.RunManifest(__version__, "optimize", cons_hash, profile.name,
+                                topology_hash, args.timestamp)
+    _write_out(out_path, _cli.dump_json(_cli.audit_payload(result, manifest)))
     cfg = result.config
     print(
         f"chosen: rows={cfg.rows} cols={cfg.cols} batch={cfg.batch} "

@@ -384,7 +384,9 @@ def read_input(path: Path, error) -> tuple[str, bytes]:
         text = data.decode("utf-8")
     except FileNotFoundError:
         raise
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:  # its str() names the path again
+        raise error(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
         raise error(f"{path}: {exc}") from exc
     return text.replace("\r\n", "\n").replace("\r", "\n").removeprefix("\ufeff"), data
 

@@ -568,7 +568,9 @@ _UNREADABLE = {"a" * 300: "long-name", "input.txt/x": "through-a-file", "missing
       for command, flag, code, body in _INPUT_OPTIONS for name, kind in _UNREADABLE.items()],
 ])
 def test_input_file_that_is_not_utf8_exits_naming_it(tmp_path, command, flag, code, body, name):
-    # the same for a path that cannot be read: too long, through a file, or absent
+    # the same for a path that cannot be read: too long, through a file, or
+    # absent. An OSError's own text names the path too, so the message takes
+    # only its reason and names the path once
     (tmp_path / "input.txt").write_bytes(body)
     path = tmp_path / name
     out = tmp_path / "out"
@@ -580,7 +582,7 @@ def test_input_file_that_is_not_utf8_exits_naming_it(tmp_path, command, flag, co
                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == code, run.stderr
-    assert str(path) in run.stderr
+    assert run.stderr.count(str(path)) == 1, run.stderr
     assert "Traceback" not in run.stderr
     assert not out.exists()
 
@@ -1154,6 +1156,21 @@ def test_atomic_write_failure_leaves_target_and_no_temp_file(tmp_path, monkeypat
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_atomic_write_skips_a_taken_temp_name_and_ends_0644_whatever_the_umask(tmp_path):
+    target = tmp_path / "report.json"
+    taken = tmp_path / f"report.json.{os.getpid()}.1.tmp"  # another write's temp file
+    taken.write_text("theirs")
+    umask = os.umask(0o077)
+    try:
+        _atomic_write(target, "new")
+    finally:
+        os.umask(umask)
+    assert target.read_text() == "new"
+    assert target.stat().st_mode & 0o777 == 0o644
+    assert taken.read_text() == "theirs"
+    assert {p.name for p in tmp_path.iterdir()} == {"report.json", taken.name}
+
+
 @pytest.mark.parametrize("command, out", [
     ("sweep", "dir"), ("optimize", "dir"), ("evaluate", "file"), ("sweep", "file/x.csv"),
 ])
@@ -1536,7 +1553,7 @@ def test_package_exports_resolve_and_functional_model_loads_on_first_use():
     for name in ("SweepGrid", "sweep"):
         assert name in oxsim.__all__
         assert getattr(oxsim, name) is getattr(oxsim.grid, name)
-    # cli resolves these through the package on first use (see
+    # cli resolves these from their modules on first use (see
     # test_each_command_imports_only_its_oxsim_modules)
     assert oxsim.cli.sweep is oxsim.grid.sweep
     assert oxsim.cli.SweepGrid is oxsim.grid.SweepGrid
@@ -1636,10 +1653,11 @@ assert not loaded, sorted(loaded)
     assert run.returncode == 0, run.stderr
 
 
-def test_no_command_imports_importlib_resources_typing_or_zipfile(tmp_path):
+def test_no_command_imports_importlib_resources_typing_zipfile_or_tempfile(tmp_path):
     # a site hook may preload these, so the interpreter runs without one (-S);
     # bundled topologies are listed from the package directory, which is all
-    # `importlib.resources` gave a package installed as a directory
+    # `importlib.resources` gave a package installed as a directory, and
+    # `_atomic_write` creates its temp file with os.open, not tempfile
     src = Path(oxsim.__file__).resolve().parents[1]
     script = f"""
 import sys
@@ -1650,7 +1668,7 @@ for argv in (["--version"],
              ["optimize", "--constraints", {str(CONFIGS / "optimize_default.ini")!r},
               "--topology", "toy3"]):
     assert main(argv) == 0, argv
-loaded = {{"importlib.resources", "typing", "zipfile"}} & set(sys.modules)
+loaded = {{"importlib.resources", "typing", "zipfile", "tempfile"}} & set(sys.modules)
 assert not loaded, sorted(loaded)
 """
     run = subprocess.run([sys.executable, "-S", "-W", "ignore", "-c", script], cwd=tmp_path,
@@ -1726,13 +1744,18 @@ print("_sha2" in searched, oxsim.cli.sha256.__module__)
 
 
 # the oxsim modules each process loads, keyed by its command: `import oxsim`
-# loads the package alone, every command loads the CLI's own set, sweep adds
-# grid, optimize adds dse, and the commands that write JSON add jsontext
-_CLI_IMPORTS = {"oxsim", "oxsim.errors", "oxsim.tech", "oxsim.workload", "oxsim.perf",
-                "oxsim.reports"}
+# loads the package alone, a process that runs no command (--version, --help,
+# a usage error) only the dispatcher's `errors`, every command the CLI's own
+# set, sweep adds grid, optimize adds dse, and the commands that write JSON
+# add jsontext
+_DISPATCH_IMPORTS = {"oxsim", "oxsim.errors"}
+_CLI_IMPORTS = _DISPATCH_IMPORTS | {"oxsim.tech", "oxsim.workload", "oxsim.perf",
+                                    "oxsim.reports"}
 _IMPORTS = {
     "import oxsim": {"oxsim"},
-    "--version": _CLI_IMPORTS,
+    "--version": _DISPATCH_IMPORTS,
+    "--help": _DISPATCH_IMPORTS,
+    "no_such_command": _DISPATCH_IMPORTS,
     "evaluate": _CLI_IMPORTS | {"oxsim.jsontext"},
     "sweep": _CLI_IMPORTS | {"oxsim.grid"},
     "optimize": _CLI_IMPORTS | {"oxsim.dse", "oxsim.jsontext"},
@@ -1746,6 +1769,8 @@ _IMPORTS = {
     (["-m", "oxsim.cli", "sweep", "--grid", str(CONFIGS / "array_sweep.ini"),
       "--topology", "toy3"], False),
     (["-m", "oxsim.cli", "optimize", "--topology", "toy3"], True),
+    (["-m", "oxsim.cli", "--help"], False),
+    (["-m", "oxsim.cli", "no_such_command"], False),
 ])
 def test_each_command_imports_only_its_oxsim_modules(tmp_path, argv, loads_dse):
     # compiling a module costs every process that imports it; evaluate calls
@@ -1754,12 +1779,12 @@ def test_each_command_imports_only_its_oxsim_modules(tmp_path, argv, loads_dse):
     env = {**os.environ, "PYTHONPATH": str(src)}
     run = subprocess.run([sys.executable, "-X", "importtime", *argv],
                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
+    command = argv[1] if argv[0] == "-c" else argv[2]
+    assert run.returncode == (1 if command == "no_such_command" else 0), run.stderr
     imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
                 if line.startswith("import time:")}
     assert "oxsim" in imported  # the trace was read
     assert ("oxsim.dse" in imported) is loads_dse
-    command = argv[1] if argv[0] == "-c" else argv[2]
     assert {m for m in imported if m.split(".")[0] == "oxsim"} == _IMPORTS[command]
     # the numpy functional model is never on a command's import path
     assert "numpy" not in imported and "oxsim.photonics" not in imported
@@ -1804,3 +1829,32 @@ def test_perfbench_tracer_records_the_optimize_spans(tmp_path):
     assert "dse.size_sram" in spans and "perf.timeline" in spans
     assert {span[4] for span in tracer.spans if span[0] == "workload.network_runtime"} == {3}
 
+
+
+def test_perfbench_tracer_installed_before_the_first_command_sees_every_cli_boundary(
+        tmp_path):
+    # cli resolves the names it takes from the simulator modules on first
+    # use; a tracer installed in a fresh process, before any command ran,
+    # must still be what those commands call
+    src = Path(oxsim.__file__).resolve().parents[1]
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    script = f"""
+import importlib.util, json
+spec = importlib.util.spec_from_file_location("perfbench_tracing", {str(tracing)!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+from oxsim.cli import main
+tracer = tracing.Tracer()
+with tracer.installed():
+    assert main(["evaluate", "--topology", "toy3", "--out", "ev"]) == 0
+    assert main(["optimize", "--topology", "toy3", "--out", "audit.json"]) == 0
+print(json.dumps(sorted({{span[0] for span in tracer.spans if span[2] > span[1]}})))
+"""
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    names = set(json.loads(run.stdout.splitlines()[-1]))
+    assert names >= {"cli.load_run_inputs", "tech.params", "perf.evaluate",
+                     "reports.json_payload", "reports.dump_json", "reports.flat_row",
+                     "dse.optimize"}

@@ -4,7 +4,7 @@ import warnings
 from bisect import bisect_right
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oxsim import (
@@ -453,8 +453,9 @@ def test_size_sram_critical_size_matches_traffic_scan(resnet_layers, tech_calibr
 
 
 def _scan_every_candidate(layers, tpl, tech, n_candidates, step_mb):
-    """Reference for size_sram: map the network once per candidate."""
-    floor = network_runtime(layers, tpl.with_(sram_input_mb=1e9)).total.dram_bits
+    """Reference for size_sram: map the network once per candidate; the floor
+    is the all-resident mapping."""
+    floor = network_runtime(layers, tpl.with_(sram_input_mb=math.inf)).total.dram_bits
     candidates, critical = [], None
     for unit in range(1, n_candidates + 1):
         mb = unit * step_mb
@@ -467,7 +468,13 @@ def _scan_every_candidate(layers, tpl, tech, n_candidates, step_mb):
     return tuple(candidates), critical
 
 
-@pytest.mark.parametrize("topology", ["toy3", "resnet50_v15"])
+# layer a's ifmap at b_in = 10**6 is 1e16 bits, about 1.19e9 MB: above any
+# finite probe of 1e9 MB, and far above every size the grid reaches
+_IFMAP_ABOVE_1E9_MB = [LayerSpec("a", 100000, 100000, 1, 1, 1, 64, 100000),
+                       LayerSpec("b", 1, 1, 64, 1, 1, 10, 1)]
+
+
+@pytest.mark.parametrize("topology", ["toy3", "resnet50_v15", "ifmap-above-1e9-mb"])
 @settings(max_examples=25, deadline=None)
 @given(batch=st.integers(1, 64), b_in=st.integers(1, 12), b_out=st.integers(1, 12),
        side=st.sampled_from([8, 32, 128, 512]),
@@ -476,9 +483,12 @@ def _scan_every_candidate(layers, tpl, tech, n_candidates, step_mb):
        step_mb=st.builds(lambda e, m: m * 2.0 ** e, st.integers(-22, 1),
                          st.one_of(st.just(1.0), st.floats(1.0, 2.0, exclude_max=True))),
        units=st.integers(1, 150), slack=st.floats(0.0, 0.99))
+# test_size_sram_floor_is_the_all_resident_mapping's case on its network
+@example(batch=1, b_in=10**6, b_out=1, side=32, step_mb=0.25, units=4, slack=0.0)
 def test_size_sram_memo_equals_scan_of_every_candidate(
         tech_calibrated, topology, batch, b_in, b_out, side, step_mb, units, slack):
-    layers = load_topology(topology)[0]
+    layers = (_IFMAP_ABOVE_1E9_MB if topology == "ifmap-above-1e9-mb"
+              else load_topology(topology)[0])
     tpl = ChipConfig(rows=side, cols=side, cores=2, batch=batch, b_in=b_in, b_out=b_out)
     fixed = sum(area_model(tpl.with_(sram_input_mb=step_mb), tech_calibrated).values()) \
         - step_mb * tech_calibrated.a_sram_per_mb
@@ -519,10 +529,7 @@ def test_size_sram_memo_counts_a_capacity_equal_to_a_breakpoint_as_resident(tech
 
 
 def test_size_sram_floor_is_the_all_resident_mapping(tech_calibrated):
-    # layer a's ifmap is 1e16 bits, about 1.19e9 MB: above any finite probe
-    # of 1e9 MB, and far above every size the grid reaches
-    layers = [LayerSpec("a", 100000, 100000, 1, 1, 1, 64, 100000),
-              LayerSpec("b", 1, 1, 64, 1, 1, 10, 1)]
+    layers = _IFMAP_ABOVE_1E9_MB
     tpl = ChipConfig(b_in=10**6, b_out=1, batch=1)
     assert Network.of(layers).breakpoints(tpl)[-1] == 10**16
     plan = size_sram(Stages(layers, tech_calibrated), tpl, Constraints())
