@@ -2,23 +2,26 @@
 
 __version__ = "0.1.0"
 
-# module -> the public names it defines. `import oxsim` loads none of these
-# modules; each loads on first use of one of its names, or of its own name
-# (`oxsim.perf`). So a process compiles only what it uses: `oxsim evaluate`
-# neither `grid` nor `dse`, `oxsim sweep` not `dse`, `oxsim optimize` not
-# `grid`, and no command the numpy-backed functional model (`photonics`);
-# numpy is an optional extra.
+# module -> the public names it defines, the one table of where each name
+# lives; `oxsim.cli` resolves its names through it too. `import oxsim` loads
+# none of these modules; each loads on first use of one of its names, or of
+# its own name (`oxsim.perf`). So a process compiles only what it uses:
+# `oxsim evaluate` neither `grid` nor `dse`, `oxsim sweep` not `dse`, `oxsim
+# optimize` not `grid`, and no command the numpy-backed functional model
+# (`photonics`); numpy is an optional extra.
 _NAMES = {
     "errors": ("OxsimError", "ConfigError", "TopologyError", "EvaluationError",
                "InfeasibleError"),
     "tech": ("TechParams", "CalibrationProfile", "default_tech_params", "apply_profile",
-             "builtin_profiles", "get_profile"),
+             "apply_overrides", "builtin_profiles", "get_profile"),
     "photonics": ("CouplerPlan", "WeightMatrix", "InputVector", "synth_input_couplers",
                   "synth_output_couplers", "quantize", "crossbar_mvm", "coherent_detect"),
     "workload": ("LayerSpec", "ChipConfig", "Counts", "RuntimeStats", "parse_topology",
-                 "load_topology", "bundled_topology_path", "network_runtime"),
+                 "load_topology", "bundled_topology_path", "read_input", "network_runtime"),
     "perf": ("LossBudget", "loss_budget", "Timeline", "PerfReport", "timeline_dual_core",
              "energy_model", "area_model", "Stages", "evaluate"),
+    "reports": ("RunManifest", "flat_row", "csv_text", "json_payload", "audit_payload",
+                "dump_json"),
     "grid": ("SweepGrid", "sweep"),
     "dse": ("Constraints", "OptimizationResult", "find_min_hiding_batch", "size_sram",
             "pick_array_size", "optimize"),

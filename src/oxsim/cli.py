@@ -30,32 +30,20 @@ try:
 except ImportError:  # an interpreter built without it
     from hashlib import sha256
 
-# module -> the names this module takes from it. Each module loads on first
-# use of one of its names, so --version, --help and a usage error load none
-# of them, `evaluate` neither `grid` nor `dse`, `sweep` not `dse` and
+# `_cli.<name>` reads a name of the package's table (`oxsim._NAMES`), which
+# loads its module on first use, so --version, --help and a usage error load
+# none of them, `evaluate` neither `grid` nor `dse`, `sweep` not `dse` and
 # `optimize` not `grid`. A name, once resolved, is a global here, and the
 # code reads each on the module object `_cli`, so a wrapper set on it
 # (perfbench --trace 1) is the function that runs.
-_NAMES = {
-    "perf": ("evaluate",),
-    "reports": ("RunManifest", "audit_payload", "csv_text", "dump_json", "flat_row",
-                "json_payload"),
-    "tech": ("CalibrationProfile", "TechParams", "apply_overrides", "apply_profile",
-             "builtin_profiles", "default_tech_params", "get_profile"),
-    "workload": ("ChipConfig", "load_topology", "read_input"),
-    "grid": ("SweepGrid", "sweep"),
-    "dse": ("Constraints", "optimize"),
-}
-_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
 _cli = sys.modules[__name__]
+_package = sys.modules[__package__]
 
 
 def __getattr__(name: str):
-    if name not in _MODULE_OF:
+    if name not in _package._MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = f"{__package__}.{_MODULE_OF[name]}"
-    __import__(module)
-    value = globals()[name] = getattr(sys.modules[module], name)
+    value = globals()[name] = getattr(_package, name)
     return value
 
 
@@ -269,13 +257,17 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _write_out(path: Path, text: str) -> None:
-    """`_atomic_write`, making `path`'s directory first; an OSError from either
-    is a ConfigError that names `path`."""
+    """`_atomic_write`, making `path`'s directory first. An OSError from either
+    is a ConfigError that names `path` and the OS's reason, and the directory
+    that could not be made, never the temp file."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.filename}: {exc.strerror or exc}") from exc
+    try:
         _atomic_write(path, text)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _topology(spec: str) -> tuple[list, str]:

@@ -168,11 +168,12 @@ PAPER_CONSISTENT_NOTES: dict[str, str] = {
     "the headline point (SRAM 36.1%, ADC 34.2%), against 74.4% at the 50 um "
     "estimate, so SRAM leads the area split as published",
     "p_rx_min_per_column": "model-level receiver floor sized so laser "
-    "wall-plug power is a minor power term (deterministic model, no noise "
-    "physics behind this number)",
+    "wall-plug power is a minor power term, 1.13% of the energy at the "
+    "headline point (deterministic model, no noise physics behind this number)",
     "e_dram_per_bit": "folds the source's unreported DRAM traffic accounting "
-    "into the per-bit energy so the DRAM-dominated 30 W power split is "
-    "reproduced at 3.9 pJ/bit-equivalent traffic volumes",
+    "into the per-bit energy so the DRAM-dominated 30 W power split (DRAM "
+    "59.94% of the energy at the headline point) is reproduced at 3.9 "
+    "pJ/bit-equivalent traffic volumes",
 }
 
 

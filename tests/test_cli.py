@@ -1,4 +1,5 @@
 import argparse
+import ast
 import configparser
 import gc
 import hashlib
@@ -1173,11 +1174,15 @@ def test_atomic_write_skips_a_taken_temp_name_and_ends_0644_whatever_the_umask(t
 
 @pytest.mark.parametrize("command, out", [
     ("sweep", "dir"), ("optimize", "dir"), ("evaluate", "file"), ("sweep", "file/x.csv"),
+    ("evaluate", "ev"),
 ])
 def test_unwritable_output_path_exits_1_naming_it(tmp_path, command, out):
-    # an existing directory where a file goes, or an existing file where a
-    # directory goes; checked in a subprocess, where a traceback would show
+    # an existing directory where a file goes (`ev/report.json` too), or an
+    # existing file where a directory goes; checked in a subprocess, where a
+    # traceback would show. The error names the target and the OS's reason,
+    # never the temp file that the failed rename came from.
     (tmp_path / "dir").mkdir()
+    (tmp_path / "ev" / "report.json").mkdir(parents=True)
     (tmp_path / "file").write_text("kept")
     grid = tmp_path / "grid.ini"
     grid.write_text(GRID_SMALL)
@@ -1189,6 +1194,9 @@ def test_unwritable_output_path_exits_1_naming_it(tmp_path, command, out):
     assert run.returncode == 1, run.stderr
     assert f"config error: cannot write {tmp_path / out}" in run.stderr
     assert "Traceback" not in run.stderr
+    assert ".tmp" not in run.stderr and run.stderr.count("cannot write") == 1
+    if out.startswith("file"):  # the directory that could not be made
+        assert f"{tmp_path / 'file'}: File exists" in run.stderr
     assert not list(tmp_path.rglob("*.tmp"))
     assert (tmp_path / "file").read_text() == "kept"
 
@@ -1553,7 +1561,7 @@ def test_package_exports_resolve_and_functional_model_loads_on_first_use():
     for name in ("SweepGrid", "sweep"):
         assert name in oxsim.__all__
         assert getattr(oxsim, name) is getattr(oxsim.grid, name)
-    # cli resolves these from their modules on first use (see
+    # cli resolves these through the package's table on first use (see
     # test_each_command_imports_only_its_oxsim_modules)
     assert oxsim.cli.sweep is oxsim.grid.sweep
     assert oxsim.cli.SweepGrid is oxsim.grid.SweepGrid
@@ -1574,6 +1582,38 @@ def test_package_name_table_lists_each_name_once_under_its_defining_module():
             assert getattr(oxsim, name) is getattr(module, name), name
             assert getattr(module, name).__module__ == module.__name__, name
     assert set(oxsim.__all__) | set(oxsim._NAMES) <= set(dir(oxsim))
+
+
+def test_cli_resolves_every_name_it_reads_through_the_package_table():
+    # one table says which module defines a name: every `_cli.<name>` read is
+    # cli's own or a name of `oxsim._NAMES`, and cli keeps no table of its own
+    tree = ast.parse(Path(oxsim.cli.__file__).read_text(encoding="utf-8"))
+    own = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            own.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            own.update(t.id for t in targets if isinstance(t, ast.Name))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "_cli"}
+    listed = {name for names in oxsim._NAMES.values() for name in names}
+    assert read and read <= own | listed, sorted(read - own - listed)
+    assert not own & {"_NAMES", "_MODULE_OF"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys = {k.value for k in node.keys if isinstance(k, ast.Constant)}
+            assert not keys & set(oxsim._NAMES), sorted(keys)
+    for name in sorted(read - own):
+        assert getattr(oxsim.cli, name) is getattr(oxsim, name), name
+    # a name the table does not list is not the package's: a star import and
+    # the import system see only cli's own
+    for name in ("__all__", "__path__", "no_such_name", "perf"):
+        with pytest.raises(AttributeError, match=rf"^module 'oxsim\.cli' has no attribute "
+                                                 rf"'{name}'$"):
+            getattr(oxsim.cli, name)
 
 
 def test_bare_package_import_loads_no_module_until_one_is_used():

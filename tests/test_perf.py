@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -491,3 +492,29 @@ def test_power_too_small_for_a_finite_ips_per_w_fails_naming_it(toy_layers, tech
     tech = tech_default._replace(**{**zero, "e_dram_per_bit": 5e-324})
     with pytest.raises(EvaluationError, match="IPS/W is inf"):
         evaluate(toy_layers, ChipConfig(), tech)
+
+
+# NVIDIA A100 Tensor Core GPU Architecture whitepaper: A100 SXM4 board power
+# and GA100 die area, the README's reference figures for the abstract's ratios
+A100_SXM4_BOARD_POWER_W = 400.0
+GA100_DIE_MM2 = 826.0
+
+
+def test_a100_ratios_in_the_readme_are_the_models(resnet_layers, headline_config,
+                                                  tech_calibrated):
+    # the abstract claims 15.4x lower power and 7.24x lower area than an A100;
+    # a model change that moves the headline moves these ratios and fails here
+    report = evaluate(resnet_layers, headline_config, tech_calibrated)
+    headline = (f"{report.ips:,.0f} IPS", f"{report.power_w:.1f} W",
+                f"{report.area_mm2:.2f} mm²")
+    assert headline == ("31,805 IPS", "30.0 W", "35.55 mm²")
+    power_ratio = A100_SXM4_BOARD_POWER_W / report.power_w
+    area_ratio = GA100_DIE_MM2 / report.area_mm2
+    implied = (15.4 * report.power_w, GA100_DIE_MM2 / 7.24)
+    figures = [f"{power_ratio:.1f}×", f"{area_ratio:.1f}×",
+               f"{implied[0]:.0f} W", f"{implied[1]:.0f} mm²",
+               f"{implied[1] / report.area_mm2:.1f}×"]
+    assert figures == ["13.3×", "23.2×", "462 W", "114 mm²", "3.2×"]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("### Against the A100"):readme.index("## Package layout")]
+    assert all(figure in table for figure in [*headline, *figures])

@@ -207,6 +207,19 @@ def test_pitch_note_states_the_photonic_array_share_of_area(headline_config):
     assert all(figure in note for figure in figures)
 
 
+def test_receiver_floor_and_dram_notes_state_their_energy_shares(resnet_layers,
+                                                                 headline_config,
+                                                                 tech_calibrated):
+    # "a minor power term" and "DRAM-dominated", each with its figure
+    report = evaluate(resnet_layers, headline_config, tech_calibrated)
+    total = float_sum(report.energy_j.values())
+    shares = {k: f"{100 * v / total:.2f}%" for k, v in report.energy_j.items()}
+    assert max(report.energy_j, key=report.energy_j.get) == "dram"
+    assert (shares["laser"], shares["dram"]) == ("1.13%", "59.94%")
+    assert "minor power term, 1.13% of the energy" in PAPER_CONSISTENT_NOTES["p_rx_min_per_column"]
+    assert "DRAM 59.94% of the energy" in PAPER_CONSISTENT_NOTES["e_dram_per_bit"]
+
+
 def test_headline_power_is_fitted_through_the_dram_energy_per_bit(resnet_layers,
                                                                  headline_config,
                                                                  tech_calibrated):
