@@ -257,26 +257,21 @@ class Stages:
 
     def timeline(self, cfg: ChipConfig) -> Timeline:
         key = (cfg.rows, cfg.cols, cfg.batch, cfg.cores, cfg.clock_hz)
-        if key not in self._timelines:
-            stats = network_runtime(self.layers, cfg)
-            self._timelines[key] = make_timeline(stats, cfg, self.tech)
-        return self._timelines[key]
+        return self._timelines.get(key) or self._timelines.setdefault(
+            key, make_timeline(network_runtime(self.layers, cfg), cfg, self.tech))
 
     def report(self, cfg: ChipConfig) -> PerfReport:
+        # each memo value is a non-empty record or dict, so `get` misses only on a new key
         stats = network_runtime(self.layers, cfg)
-        timeline, tech = self.timeline(cfg), self.tech
-        array = (cfg.rows, cfg.cols)
-        if array not in self._budgets:
-            self._budgets[array] = loss_budget(cfg, tech)
-        budget = self._budgets[array]
+        timeline, tech, array = self.timeline(cfg), self.tech, (cfg.rows, cfg.cols)
+        budget = self._budgets.get(array) or self._budgets.setdefault(array, loss_budget(cfg, tech))
         key = (stats.total, cfg.rows, cfg.cols, cfg.b_in, cfg.b_out, cfg.clock_hz)
-        if key not in self._energies:
-            self._energies[key] = energy_model(stats, timeline, cfg, tech, budget)
+        energy = self._energies.get(key) or self._energies.setdefault(
+            key, energy_model(stats, timeline, cfg, tech, budget))
         # area reads the SRAM banks only through their total
         area_key = (cfg.rows, cfg.cols, cfg.cores, cfg.total_sram_mb)
-        if area_key not in self._areas:
-            self._areas[area_key] = area_model(cfg, tech)
-        return roll_up(stats, timeline, cfg, budget, self._energies[key], self._areas[area_key])
+        area = self._areas.get(area_key) or self._areas.setdefault(area_key, area_model(cfg, tech))
+        return roll_up(stats, timeline, cfg, budget, energy, area)
 
 
 def evaluate(layers, cfg: ChipConfig, tech) -> PerfReport:

@@ -13,36 +13,29 @@ padding here.
 Counting is analytical and columnar. `Network` lifts a topology's geometry
 into int lists once (per layer: window size, filters, output pixels, ifmap,
 weight and output volume). `network_runtime` maps one config with list
-arithmetic over those lists and returns `RuntimeStats`, one column per
-quantity with entry i for layer i:
-
-    tiles       row_tiles, col_tiles, programming_events, vectors_per_tile
-    compute     compute_cycles, cells_programmed
-    SRAM bits   input_read_bits, input_write_bits, weight_bits, output_bits,
-                acc_bits
-    DRAM bits   dram_read_bits, dram_write_bits
-    residency   ifmap_resident, output_forwarded (bools)
-
-Its `total` sums the columns into one `Counts`, and its `layers` is the
-`Network` whose layers the entries belong to.
+arithmetic over those lists and returns `RuntimeStats`: its `layers`, the
+`Network` whose layers the entries belong to; one column per quantity with
+entry i for layer i; and `total`, one `Counts` of the count columns' sums.
 
 A mapping reads the array, the batch, the bit widths and, of the SRAM, only
 input SRAM's residency pattern: `bisect_right` of its capacity in the
-residency breakpoints, which are kept per (batch, b_in, b_out). Only
-`dse.size_sram` reads them outside this module, to map where the pattern
-changes. The `Network` keeps each `RuntimeStats` per mapping key (tiling
-key, residency pattern), so a repeat call returns the same object, and the
-columns it is built from, with their sums:
+residency breakpoints, which are kept per (batch, b_in, b_out) beside the
+batched ifmap and output bit columns. Only `dse.size_sram` reads them
+outside this module, to map where the pattern changes. The `Network` keeps
+each `RuntimeStats` per mapping key (tiling key, residency pattern), so a
+repeat call returns the same object, and the columns it is built from,
+with their sums, in three memos. Each memo owns the columns below, which
+come in this order in `RuntimeStats` (and their sums in `Counts`):
 
-    per array key (rows, cols, b_w):
+    array, per (rows, cols, b_w):
                 row_tiles, col_tiles, programming_events, cells_programmed,
-                weight_bits, and the compute cycles of one image
-    per tiling key (rows, cols, batch, b_in, b_w, b_out, b_acc):
+                weight_bits
+    tiling, per (rows, cols, batch, b_in, b_w, b_out, b_acc):
                 vectors_per_tile, compute_cycles, input_read_bits,
-                output_bits, acc_bits (batch-scaled)
-    per residency key (cols, b_w, batch, b_in, b_out, residency pattern):
+                output_bits, acc_bits
+    residency, per (cols, b_w, batch, b_in, b_out, residency pattern):
                 input_write_bits, dram_read_bits, dram_write_bits,
-                ifmap_resident, output_forwarded
+                ifmap_resident, output_forwarded (bools, not summed)
 """
 from bisect import bisect_right
 from pathlib import Path
@@ -157,14 +150,11 @@ class Network(tuple):
 
     Entry i of each column belongs to layer i. The columns are lifted once
     per topology; `network_runtime` then maps any config with list
-    arithmetic over them. It keeps each `RuntimeStats` in `_runtimes`, per
-    tiling key plus residency pattern; the columns that do not read input
-    SRAM in `_tilings`, per tiling key (rows, cols, batch, b_in, b_w, b_out,
-    b_acc), of which the batch-free ones in `_arrays`, per (rows, cols,
-    b_w); and the residency, input-write and DRAM columns in
-    `_residencies`, per (cols, b_w, batch, b_in, b_out, residency pattern).
-    `breakpoints` keeps the residency breakpoints per (batch, b_in, b_out).
-    `RuntimeStats` of one Network share those lists.
+    arithmetic over them. It keeps each `RuntimeStats` in `_runtimes`, and
+    the columns it is built from in the memos `_arrays`, `_tilings` and
+    `_residencies` of the module docstring; `_breakpoints` holds each
+    `breakpoints` list with its ifmap and output bit columns. `RuntimeStats`
+    of one Network share those lists.
     """
 
     names: list[str]
@@ -198,14 +188,17 @@ class Network(tuple):
         capacity` and `output_bits <= capacity`. Two configs that differ only
         in `sram_input_mb` and have the same `bisect_right(breakpoints,
         cfg.input_sram_bits)` therefore resolve every residency test alike
-        and get identical counts. Kept once per (batch, b_in, b_out); callers
-        must not change the list.
+        and get identical counts. Kept once per (batch, b_in, b_out), beside
+        the batched ifmap and output bit columns they are the sizes of;
+        callers must not change the list.
         """
         key = (cfg.batch, cfg.b_in, cfg.b_out)
         if key not in self._breakpoints:
-            ifmap_bits, output_bits = _io_columns(self, cfg)
-            self._breakpoints[key] = sorted({*ifmap_bits, *output_bits})
-        return self._breakpoints[key]
+            in_scale, out_scale = cfg.batch * cfg.b_in, cfg.batch * cfg.b_out
+            ifmap_bits = [v * in_scale for v in self.ifmaps]
+            output_bits = [v * out_scale for v in self.outputs]
+            self._breakpoints[key] = sorted({*ifmap_bits, *output_bits}), ifmap_bits, output_bits
+        return self._breakpoints[key][0]
 
     @classmethod
     def of(cls, layers) -> "Network":
@@ -220,13 +213,13 @@ class Counts(Record):
     """
 
     programming_events: int = 0
-    compute_cycles: int = 0
     cells_programmed: int = 0
-    input_read_bits: int = 0
-    input_write_bits: int = 0
     weight_bits: int = 0
+    compute_cycles: int = 0
+    input_read_bits: int = 0
     output_bits: int = 0
     acc_bits: int = 0
+    input_write_bits: int = 0
     dram_read_bits: int = 0
     dram_write_bits: int = 0
 
@@ -252,31 +245,26 @@ class RuntimeStats(Record):
 
     Entry i of each column belongs to `layers[i]`, named `layers.names[i]`.
     Weight, output and accumulator bits are each read once and written once.
+    The columns come grouped by the memo that owns them (module docstring).
     """
 
     layers: Network
     row_tiles: list[int]
     col_tiles: list[int]
-    vectors_per_tile: list[int]
     programming_events: list[int]
-    compute_cycles: list[int]
     cells_programmed: list[int]
-    input_read_bits: list[int]
-    input_write_bits: list[int]
     weight_bits: list[int]
+    vectors_per_tile: list[int]
+    compute_cycles: list[int]
+    input_read_bits: list[int]
     output_bits: list[int]
     acc_bits: list[int]
+    input_write_bits: list[int]
     dram_read_bits: list[int]
     dram_write_bits: list[int]
     ifmap_resident: list[bool]
     output_forwarded: list[bool]
     total: Counts
-
-
-def _io_columns(net: Network, cfg: ChipConfig) -> tuple[list[int], list[int]]:
-    """Batched ifmap and output sizes of each layer, in bits."""
-    in_scale, out_scale = cfg.batch * cfg.b_in, cfg.batch * cfg.b_out
-    return [v * in_scale for v in net.ifmaps], [v * out_scale for v in net.outputs]
 
 
 def network_runtime(layers, cfg: ChipConfig) -> RuntimeStats:
@@ -292,86 +280,70 @@ def network_runtime(layers, cfg: ChipConfig) -> RuntimeStats:
     net = Network.of(layers)
     if not net:
         raise ValueError("network must contain at least one layer")
-    breakpoints = net.breakpoints(cfg)
-    pattern = bisect_right(breakpoints, cfg.input_sram_bits)
+    pattern = bisect_right(net.breakpoints(cfg), cfg.input_sram_bits)
     key = (cfg.rows, cfg.cols, cfg.batch, cfg.b_in, cfg.b_w, cfg.b_out, cfg.b_acc, pattern)
-    if key in net._runtimes:
-        return net._runtimes[key]
-    tiling = key[:-1]
-    if tiling not in net._tilings:
-        net._tilings[tiling] = _tiling(net, cfg)
-    fixed, sums, ifmap_bits = net._tilings[tiling]
-    residency = (cfg.cols, cfg.b_w, cfg.batch, cfg.b_in, cfg.b_out, pattern)
-    if residency not in net._residencies:
-        # the sizes that fit are the first `pattern` breakpoints
-        net._residencies[residency] = _residency(fixed, ifmap_bits, set(breakpoints[:pattern]))
-    columns, residency_sums = net._residencies[residency]
-    sums, columns = {**sums, **residency_sums}, {**fixed, **columns, "layers": net}
-    columns["total"] = Counts(*[sums[name] for name in Counts._fields])
-    stats = net._runtimes[key] = RuntimeStats(*[columns[name] for name in RuntimeStats._fields])
+    stats = net._runtimes.get(key)
+    if stats:
+        return stats
+    tiling, tiling_sums = (net._tilings.get(key[:-1])
+                           or net._tilings.setdefault(key[:-1], _tiling(net, cfg)))
+    array, array_sums = net._arrays[cfg.rows, cfg.cols, cfg.b_w]  # built by the first tiling
+    res = (cfg.cols, cfg.b_w, cfg.batch, cfg.b_in, cfg.b_out, pattern)
+    residency, residency_sums = net._residencies.get(res) or net._residencies.setdefault(
+        res, _residency(array, net._breakpoints[cfg.batch, cfg.b_in, cfg.b_out], pattern))
+    stats = net._runtimes[key] = RuntimeStats(
+        net, *array, *tiling, *residency, Counts(*array_sums, *tiling_sums, *residency_sums))
     return stats
 
 
-def _tiling(net: Network, cfg: ChipConfig) -> tuple[dict, dict, list[int]]:
-    """The columns that do not read input SRAM, their sums, and the ifmap bits.
+def _tiling(net: Network, cfg: ChipConfig) -> tuple[tuple, tuple]:
+    """The batch-scaled columns that do not read input SRAM, and their sums.
 
-    Only the batch-scaled columns are built here, from the batch-free ones
-    that `_array_tiling` keeps per (rows, cols, b_w); the sums of compute
-    cycles and input reads are exact integer products of the batch and the
-    per-image sum.
+    They are built from the tile counts that `_array_tiling` keeps per (rows,
+    cols, b_w); the output bits are the list `Network.breakpoints` keeps.
     """
     array = (cfg.rows, cfg.cols, cfg.b_w)
-    if array not in net._arrays:
-        net._arrays[array] = _array_tiling(net, cfg)
-    columns, sums, image_cycles = net._arrays[array]
-    batch, (ifmap_bits, output_bits) = cfg.batch, _io_columns(net, cfg)
-    read_scale, acc_scale = batch * cfg.rows * cfg.b_in, batch * cfg.cols * cfg.b_acc
+    (row_tiles, _, events, _, _), _ = (net._arrays.get(array)
+                                       or net._arrays.setdefault(array, _array_tiling(net, cfg)))
+    batch, output_bits = cfg.batch, net._breakpoints[cfg.batch, cfg.b_in, cfg.b_out][2]
+    read_scale, acc_scale = cfg.rows * cfg.b_in, cfg.cols * cfg.b_acc
+    vectors = [p * batch for p in net.pixels]
+    cycles = [e * v for e, v in zip(events, vectors)]
     # partial sums go through the accumulator only when the window is row-tiled
-    acc_bits = [c * acc_scale if r > 1 else 0 for c, r in zip(image_cycles, columns["row_tiles"])]
-    fixed = dict(columns, vectors_per_tile=[p * batch for p in net.pixels],
-                 compute_cycles=[c * batch for c in image_cycles],
-                 input_read_bits=[c * read_scale for c in image_cycles],
-                 output_bits=output_bits, acc_bits=acc_bits)
-    sums = dict(sums, compute_cycles=batch * sums["image_cycles"], acc_bits=sum(acc_bits),
-                input_read_bits=read_scale * sums["image_cycles"], output_bits=sum(output_bits))
-    return fixed, sums, ifmap_bits
+    acc_bits = [c * acc_scale if r > 1 else 0 for c, r in zip(cycles, row_tiles)]
+    compute = sum(cycles)
+    return ((vectors, cycles, [c * read_scale for c in cycles], output_bits, acc_bits),
+            (compute, compute * read_scale, sum(output_bits), sum(acc_bits)))
 
 
-def _array_tiling(net: Network, cfg: ChipConfig) -> tuple[dict, dict, list[int]]:
-    """The batch-free tiling columns, their sums, and the compute cycles of one image."""
+def _array_tiling(net: Network, cfg: ChipConfig) -> tuple[tuple, tuple]:
+    """The batch-free tiling columns and their sums."""
     rows, cols = cfg.rows, cfg.cols
     row_tiles = [-(-w // rows) for w in net.windows]
     col_tiles = [-(-f // cols) for f in net.filters]
     events = [r * c for r, c in zip(row_tiles, col_tiles)]
     cells, weight_bits = [e * (rows * cols) for e in events], [w * cfg.b_w for w in net.weights]
-    image_cycles = [e * p for e, p in zip(events, net.pixels)]
-    columns = dict(row_tiles=row_tiles, col_tiles=col_tiles, programming_events=events,
-                   cells_programmed=cells, weight_bits=weight_bits)
-    sums = dict(programming_events=sum(events), cells_programmed=sum(cells),
-                weight_bits=sum(weight_bits), image_cycles=sum(image_cycles))
-    return columns, sums, image_cycles
+    return ((row_tiles, col_tiles, events, cells, weight_bits),
+            (sum(events), sum(cells), sum(weight_bits)))
 
 
-def _residency(fixed: dict, ifmap_bits: list[int], fits: set[int]) -> tuple[dict, dict]:
+def _residency(array: tuple, io: tuple, pattern: int) -> tuple[tuple, tuple]:
     """The residency, input-write and DRAM columns and their sums.
 
-    They read the col tiles, weight bits, ifmap bits and output bits of a
-    tiling, and `fits`, the set of those sizes that fit input SRAM.
+    They read the col tiles and weight bits of `array`, and of `io`, a
+    `Network.breakpoints` entry, the ifmap and output bits and the sizes that
+    fit input SRAM: the first `pattern` breakpoints.
     """
-    output_bits = fixed["output_bits"]
+    (_, col_tiles, _, _, weight_bits), (breakpoints, ifmap_bits, output_bits) = array, io
+    fits = set(breakpoints[:pattern])
     resident = [b in fits for b in ifmap_bits]
     forwarded = [b in fits for b in output_bits[:-1]] + [False]
-    input_write = [b if r else b * t
-                   for b, r, t in zip(ifmap_bits, resident, fixed["col_tiles"])]
-    fed_on_chip = [False, *forwarded[:-1]]
-    columns = dict(
-        input_write_bits=input_write,
-        dram_read_bits=[w if fed else w + b
-                        for w, b, fed in zip(fixed["weight_bits"], input_write, fed_on_chip)],
-        dram_write_bits=[0 if f else b for f, b in zip(forwarded, output_bits)],
-    )
-    sums = {n: sum(c) for n, c in columns.items()}
-    return {**columns, "ifmap_resident": resident, "output_forwarded": forwarded}, sums
+    input_write = [b if r else b * t for b, r, t in zip(ifmap_bits, resident, col_tiles)]
+    dram_read = [w if fed else w + b
+                 for w, b, fed in zip(weight_bits, input_write, [False, *forwarded[:-1]])]
+    dram_write = [0 if f else b for f, b in zip(forwarded, output_bits)]
+    return ((input_write, dram_read, dram_write, resident, forwarded),
+            (sum(input_write), sum(dram_read), sum(dram_write)))
 
 
 def read_input(path: Path, error) -> tuple[str, bytes]:

@@ -672,3 +672,10 @@ def test_one_network_maps_a_sequence_of_configs_as_fresh_layers_do(case):
         key = (cfg.rows, cfg.cols, cfg.batch, cfg.b_in, cfg.b_w, cfg.b_out, cfg.b_acc,
                bisect_right(net.breakpoints(cfg), cfg.input_sram_bits))
         assert first.setdefault(key, stats) is stats
+    # a column list belongs to the memo of its key: mappings that share that key share it
+    io, arrays = {}, {}
+    for cfg, stats in zip(configs, shared):
+        assert io.setdefault((cfg.batch, cfg.b_in, cfg.b_out), stats.output_bits) \
+            is stats.output_bits
+        assert arrays.setdefault((cfg.rows, cfg.cols, cfg.b_w), stats.row_tiles) \
+            is stats.row_tiles
