@@ -7,7 +7,6 @@ RunManifest; identical inputs give byte-identical files (SOURCE_DATE_EPOCH
 stamps a time).
 """
 import gc
-import io
 import itertools
 import math
 import os
@@ -446,7 +445,7 @@ def parse_args(argv: list[str]):
 
 
 def main(argv=None) -> int:
-    if isinstance(sys.stdout, io.TextIOWrapper):  # not when redirected to a StringIO
+    if hasattr(sys.stdout, "reconfigure"):  # not when redirected to a StringIO
         # the summary is UTF-8, as every output file is, whatever the locale
         sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
     try:
@@ -477,11 +476,52 @@ def run() -> None:
       (a `Network` and the `RuntimeStats` that refer back to it), which
       lives for the whole run anyway; reference counting frees everything
       else.
+
+    A write to stdout that fails (a full disk, a closed pipe) comes after
+    every output file is written; it is one stderr line and exit 1, as an
+    unwritable `--out` is. Stdout then goes to os.devnull, so the flush at
+    exit has nothing left to fail on. Every other exception propagates.
     """
     gc.disable()
-    code = main()
+    # sys.stdout is None when the process starts with stdout closed
+    stdout = sys.stdout = None if sys.stdout is None else _Stdout(sys.stdout)
+    try:
+        code = main()
+        if stdout is not None:
+            stdout.flush()
+    except OSError as exc:
+        if stdout is None or exc is not stdout.failed:
+            raise
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), stdout.fileno())
+        print(f"{ConfigError.label}: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        code = ConfigError.exit_code
     gc.freeze()
     sys.exit(code)
+
+
+class _Stdout:
+    """The stream `run` gives `main` as sys.stdout: that stream, but the
+    OSError of a write or flush that fails is kept as `failed`."""
+
+    def __init__(self, stream):
+        self.stream, self.failed = stream, None
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+    def write(self, text):
+        return self._call(self.stream.write, text)
+
+    def flush(self):
+        return self._call(self.stream.flush)
+
+    def _call(self, method, *args):
+        try:
+            return method(*args)
+        except OSError as exc:
+            self.failed = exc
+            raise
 
 
 if __name__ == "__main__":

@@ -119,13 +119,13 @@ def size_sram(stages: Stages, template: ChipConfig, cons: Constraints) -> StepRe
     headroom = cons.area_cap_mm2 - (float_sum(first.values()) - step_mb * tech.a_sram_per_mb)
     units = (headroom / tech.a_sram_per_mb + 1e-9) / step_mb
     if not math.isfinite(units):
-        raise InfeasibleError(f"sram step: {headroom:.3f} mm2 of headroom at a_sram_per_mb = "
+        raise InfeasibleError(f"sram step: {headroom:.6g} mm2 of headroom at a_sram_per_mb = "
                               f"{tech.a_sram_per_mb} mm2/MB is not a finite number of "
                               f"{step_mb} MB steps")
     max_units = int(units)
     if max_units < 1:
         raise InfeasibleError(
-            f"sram step: area cap {cons.area_cap_mm2} mm2 leaves {headroom:.3f} mm2 for "
+            f"sram step: area cap {cons.area_cap_mm2} mm2 leaves {headroom:.6g} mm2 for "
             f"input SRAM; even {step_mb} MB does not fit"
         )
     if max_units > MAX_SRAM_STEPS:

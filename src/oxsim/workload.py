@@ -19,20 +19,20 @@ entry i for layer i; and `total`, one `Counts` of the count columns' sums.
 
 A mapping reads the array, the batch, the bit widths and, of the SRAM, only
 input SRAM's residency pattern: `bisect_right` of its capacity in the
-residency breakpoints, which are kept per (batch, b_in, b_out) beside the
-batched ifmap and output bit columns. Only `dse.size_sram` reads them
+residency breakpoints, kept per (batch, b_in, b_out) beside the batched
+ifmap bits and the columns marked * below. Only `dse.size_sram` reads them
 outside this module, to map where the pattern changes. The `Network` keeps
 each `RuntimeStats` per mapping key (tiling key, residency pattern), so a
 repeat call returns the same object, and the columns it is built from,
-with their sums, in three memos. Each memo owns the columns below, which
+with their sums, in three memos. Each memo holds the columns below, which
 come in this order in `RuntimeStats` (and their sums in `Counts`):
 
     array, per (rows, cols, b_w):
                 row_tiles, col_tiles, programming_events, cells_programmed,
                 weight_bits
     tiling, per (rows, cols, batch, b_in, b_w, b_out, b_acc):
-                vectors_per_tile, compute_cycles, input_read_bits,
-                output_bits, acc_bits
+                vectors_per_tile*, compute_cycles, input_read_bits,
+                output_bits*, acc_bits
     residency, per (cols, b_w, batch, b_in, b_out, residency pattern):
                 input_write_bits, dram_read_bits, dram_write_bits,
                 ifmap_resident, output_forwarded (bools, not summed)
@@ -153,8 +153,8 @@ class Network(tuple):
     arithmetic over them. It keeps each `RuntimeStats` in `_runtimes`, and
     the columns it is built from in the memos `_arrays`, `_tilings` and
     `_residencies` of the module docstring; `_breakpoints` holds each
-    `breakpoints` list with its ifmap and output bit columns. `RuntimeStats`
-    of one Network share those lists.
+    `breakpoints` list with its ifmap bit, output bit and vectors-per-tile
+    columns. `RuntimeStats` of one Network share those lists.
     """
 
     names: list[str]
@@ -188,16 +188,17 @@ class Network(tuple):
         capacity` and `output_bits <= capacity`. Two configs that differ only
         in `sram_input_mb` and have the same `bisect_right(breakpoints,
         cfg.input_sram_bits)` therefore resolve every residency test alike
-        and get identical counts. Kept once per (batch, b_in, b_out), beside
-        the batched ifmap and output bit columns they are the sizes of;
-        callers must not change the list.
+        and get identical counts. Kept once per (batch, b_in, b_out), with
+        `vectors_per_tile` and the batched ifmap and output bit columns they
+        are the sizes of; callers must not change the lists.
         """
         key = (cfg.batch, cfg.b_in, cfg.b_out)
         if key not in self._breakpoints:
             in_scale, out_scale = cfg.batch * cfg.b_in, cfg.batch * cfg.b_out
             ifmap_bits = [v * in_scale for v in self.ifmaps]
             output_bits = [v * out_scale for v in self.outputs]
-            self._breakpoints[key] = sorted({*ifmap_bits, *output_bits}), ifmap_bits, output_bits
+            self._breakpoints[key] = (sorted({*ifmap_bits, *output_bits}), ifmap_bits,
+                                      output_bits, [p * cfg.batch for p in self.pixels])
         return self._breakpoints[key][0]
 
     @classmethod
@@ -300,14 +301,13 @@ def _tiling(net: Network, cfg: ChipConfig) -> tuple[tuple, tuple]:
     """The batch-scaled columns that do not read input SRAM, and their sums.
 
     They are built from the tile counts that `_array_tiling` keeps per (rows,
-    cols, b_w); the output bits are the list `Network.breakpoints` keeps.
+    cols, b_w); the vectors and output bits are lists `Network.breakpoints` keeps.
     """
     array = (cfg.rows, cfg.cols, cfg.b_w)
     (row_tiles, _, events, _, _), _ = (net._arrays.get(array)
                                        or net._arrays.setdefault(array, _array_tiling(net, cfg)))
-    batch, output_bits = cfg.batch, net._breakpoints[cfg.batch, cfg.b_in, cfg.b_out][2]
+    _, _, output_bits, vectors = net._breakpoints[cfg.batch, cfg.b_in, cfg.b_out]
     read_scale, acc_scale = cfg.rows * cfg.b_in, cfg.cols * cfg.b_acc
-    vectors = [p * batch for p in net.pixels]
     cycles = [e * v for e, v in zip(events, vectors)]
     # partial sums go through the accumulator only when the window is row-tiled
     acc_bits = [c * acc_scale if r > 1 else 0 for c, r in zip(cycles, row_tiles)]
@@ -330,14 +330,14 @@ def _array_tiling(net: Network, cfg: ChipConfig) -> tuple[tuple, tuple]:
 def _residency(array: tuple, io: tuple, pattern: int) -> tuple[tuple, tuple]:
     """The residency, input-write and DRAM columns and their sums.
 
-    They read the col tiles and weight bits of `array`, and of `io`, a
-    `Network.breakpoints` entry, the ifmap and output bits and the sizes that
-    fit input SRAM: the first `pattern` breakpoints.
+    They read the col tiles and weight bits of `array` and, of `io`, a
+    `Network.breakpoints` entry, the ifmap and output bits: each a breakpoint,
+    so it fits input SRAM iff at most the `pattern`-th one (none at 0, as all are >= 1).
     """
-    (_, col_tiles, _, _, weight_bits), (breakpoints, ifmap_bits, output_bits) = array, io
-    fits = set(breakpoints[:pattern])
-    resident = [b in fits for b in ifmap_bits]
-    forwarded = [b in fits for b in output_bits[:-1]] + [False]
+    (_, col_tiles, _, _, weight_bits), (breakpoints, ifmap_bits, output_bits, _) = array, io
+    top = breakpoints[pattern - 1] if pattern else 0
+    resident = [b <= top for b in ifmap_bits]
+    forwarded = [b <= top for b in output_bits[:-1]] + [False]
     input_write = [b if r else b * t for b, r, t in zip(ifmap_bits, resident, col_tiles)]
     dram_read = [w if fed else w + b
                  for w, b, fed in zip(weight_bits, input_write, [False, *forwarded[:-1]])]

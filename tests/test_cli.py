@@ -462,6 +462,25 @@ def test_optimize_sram_scan_too_long_exits_4(tmp_path, flag, text, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    "[constraints]\narea_cap_mm2 = 1e308\n",
+    "[constraints]\narea_cap_mm2 = 1e300\nsram_step_mb = 1e308\n",
+], ids=["headroom-not-finite", "huge-step"])
+def test_optimize_sram_headroom_prints_short(tmp_path, text):
+    # the headroom is about 1e308 or 1e300 mm2, which `:.3f` would print in 300 digits
+    path = tmp_path / "cons.ini"
+    path.write_text(text)
+    out = tmp_path / "audit.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(oxsim.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-m", "oxsim.cli", "optimize", "--topology", "toy3",
+                          "--constraints", str(path), "--out", str(out)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 4, run.stderr
+    [line] = run.stderr.splitlines()
+    assert line.startswith("infeasible: sram step: ") and len(line) < 200, line
+    assert not out.exists()
+
+
 def test_timestamp_honors_source_date_epoch(tmp_path, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     out = tmp_path / "o"
@@ -1000,6 +1019,58 @@ def test_run_exits_with_mains_code_after_atexit_and_a_flushed_stdout(tmp_path, f
     else:
         assert printed in proc.stderr and proc.stdout == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["evaluate", "--topology", "toy3", "--out", "ev"], ["--help"]],
+                         ids=["evaluate", "help"])
+@pytest.mark.parametrize("sink", ["full", "closed-pipe"])
+def test_run_reports_a_failed_stdout_write_in_one_line(tmp_path, sink, argv, unbuffered):
+    # a buffered stdout fails at run()'s flush, an unbuffered one in the print itself
+    env = {**os.environ, "PYTHONPATH": str(Path(oxsim.__file__).resolve().parents[1]),
+           "PYTHONUNBUFFERED": unbuffered}
+    if sink == "full":
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "oxsim.cli", *argv], cwd=tmp_path, env=env,
+                              stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("config error: cannot write stdout: "), proc.stderr
+    if argv[0] == "evaluate":
+        assert sorted(p.name for p in (tmp_path / "ev").iterdir()) == ["report.csv",
+                                                                       "report.json"]
+
+
+@pytest.mark.parametrize("argv", [["evaluate", "--topology", "toy3", "--out", "ev"], ["--version"]],
+                         ids=["evaluate", "version"])
+def test_run_with_stdout_closed_prints_nothing(tmp_path, argv):
+    # a process started with fd 1 closed has sys.stdout None, and print writes nothing
+    env = {**os.environ, "PYTHONPATH": str(Path(oxsim.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "oxsim.cli", *argv], cwd=tmp_path, env=env,
+                          preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_run_propagates_an_oserror_not_from_stdout(tmp_path):
+    script = ("import oxsim.cli\n"
+              "def main():\n"
+              "    raise OSError(5, 'not stdout')\n"
+              "oxsim.cli.main = main\n"
+              "oxsim.cli.run()\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(oxsim.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr
+    assert proc.stderr.splitlines()[-1] == "OSError: [Errno 5] not stdout"
 
 
 def test_sweep_cyclic_garbage_does_not_grow_with_its_points(tmp_path, capsys):

@@ -679,3 +679,8 @@ def test_one_network_maps_a_sequence_of_configs_as_fresh_layers_do(case):
             is stats.output_bits
         assert arrays.setdefault((cfg.rows, cfg.cols, cfg.b_w), stats.row_tiles) \
             is stats.row_tiles
+    # the vectors per tile are kept with the breakpoints, beside the output bits
+    vectors = {}
+    for cfg, stats in zip(configs, shared):
+        assert vectors.setdefault((cfg.batch, cfg.b_in, cfg.b_out), stats.vectors_per_tile) \
+            is stats.vectors_per_tile
