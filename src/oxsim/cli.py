@@ -7,6 +7,7 @@ RunManifest; identical inputs give byte-identical files (SOURCE_DATE_EPOCH
 stamps a time).
 """
 import gc
+import io
 import itertools
 import math
 import os
@@ -209,13 +210,13 @@ def load_profile(spec: str | None) -> "CalibrationProfile":
     if name in builtin_names:
         raise ConfigError(f"{path} [profile]: name {name!r} is a built-in profile's; "
                           f"a profile file must have a name of its own")
-    # the name is checked alone first, so an error about it names [profile]
+    # the name is checked alone first, then with the overrides, so an error
+    # names the section it is about
     _build(f"{path} [profile]", _cli.CalibrationProfile, name=name)
-    return _build(
-        f"{path} [overrides]", _cli.CalibrationProfile, name=name,
-        overrides=_section(sections, "overrides", _cli.TechParams, path),
-        notes=sections.get("notes", {}),
-    )
+    overrides = _section(sections, "overrides", _cli.TechParams, path)
+    _build(f"{path} [overrides]", _cli.CalibrationProfile, name=name, overrides=overrides)
+    return _build(f"{path} [notes]", _cli.CalibrationProfile, name=name, overrides=overrides,
+                  notes=sections.get("notes", {}))
 
 
 def load_run_inputs(config_path: str | None, profile_spec: str | None):
@@ -343,9 +344,12 @@ def cmd_optimize(args) -> int:
     result = _cli.optimize(layers, tech, cons)
     timeline = result.report.timeline
     if not cons.hides(timeline):
-        print(f"warning: batch {result.config.batch} leaves "
-              f"{timeline.t_program_exposed / timeline.t_total:.2%} of the batch time as "
-              f"exposed programming, over hiding_eps ({cons.hiding_eps:.2%})", file=sys.stderr)
+        share, eps = 100 * timeline.t_program_exposed / timeline.t_total, 100 * cons.hiding_eps
+        # three significant digits, or the fewest more that tell the share from hiding_eps
+        digits = next((n for n in range(3, 17) if f"{share:#.{n}g}" != f"{eps:#.{n}g}"), 17)
+        print(f"warning: batch {result.config.batch} leaves {share:#.{digits}g}% of the batch "
+              f"time as exposed programming, over hiding_eps ({eps:#.{digits}g}%)",
+              file=sys.stderr)
     manifest = _cli.RunManifest(__version__, "optimize", cons_hash, profile.name,
                                 topology_hash, args.timestamp)
     _write_out(out_path, _cli.dump_json(_cli.audit_payload(result, manifest)))
@@ -477,51 +481,33 @@ def run() -> None:
       lives for the whole run anyway; reference counting frees everything
       else.
 
-    A write to stdout that fails (a full disk, a closed pipe) comes after
-    every output file is written; it is one stderr line and exit 1, as an
-    unwritable `--out` is. Stdout then goes to os.devnull, so the flush at
-    exit has nothing left to fail on. Every other exception propagates.
+    `main` prints into a StringIO; once it returns, what it printed goes to
+    stdout as UTF-8 in one write and one flush (every command prints after
+    its files are written, so nothing is delayed). A failed write (a full
+    disk, a closed pipe) is one stderr line and exit 1, as an unwritable
+    `--out` is; stdout then goes to os.devnull, so the flush at exit has
+    nothing left to fail on. Any exception from `main` propagates.
     """
     gc.disable()
-    # sys.stdout is None when the process starts with stdout closed
-    stdout = sys.stdout = None if sys.stdout is None else _Stdout(sys.stdout)
+    stdout, sys.stdout = sys.stdout, io.StringIO()
     try:
         code = main()
-        if stdout is not None:
+    finally:
+        printed, sys.stdout = sys.stdout.getvalue(), stdout
+    # sys.stdout is None when the process starts with stdout closed
+    if stdout is not None:
+        try:
+            stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
+            stdout.write(printed)
             stdout.flush()
-    except OSError as exc:
-        if stdout is None or exc is not stdout.failed:
-            raise
-        with open(os.devnull, "wb") as null:
-            os.dup2(null.fileno(), stdout.fileno())
-        print(f"{ConfigError.label}: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
-        code = ConfigError.exit_code
+        except OSError as exc:
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), stdout.fileno())
+            print(f"{ConfigError.label}: cannot write stdout: {exc.strerror or exc}",
+                  file=sys.stderr)
+            code = ConfigError.exit_code
     gc.freeze()
     sys.exit(code)
-
-
-class _Stdout:
-    """The stream `run` gives `main` as sys.stdout: that stream, but the
-    OSError of a write or flush that fails is kept as `failed`."""
-
-    def __init__(self, stream):
-        self.stream, self.failed = stream, None
-
-    def __getattr__(self, name):
-        return getattr(self.stream, name)
-
-    def write(self, text):
-        return self._call(self.stream.write, text)
-
-    def flush(self):
-        return self._call(self.stream.flush)
-
-    def _call(self, method, *args):
-        try:
-            return method(*args)
-        except OSError as exc:
-            self.failed = exc
-            raise
 
 
 if __name__ == "__main__":

@@ -107,8 +107,9 @@ class CalibrationProfile(Record):
     """Sparse named overlay on TechParams.
 
     `overrides` maps field name -> value; `notes` documents why each
-    override exists. The stock profile has no overrides at all. Each value
-    must pass the same check as the TechParams field it replaces.
+    override exists, so each of its keys must be an override. The stock
+    profile has no overrides at all. Each value must pass the same check as
+    the TechParams field it replaces.
     """
 
     name: str
@@ -128,6 +129,10 @@ class CalibrationProfile(Record):
             if key not in TechParams._fields:
                 raise ConfigError(f"profile {self.name!r} overrides unknown tech parameter {key!r}")
         TechParams(**self.overrides)
+        for key in self.notes:
+            if key not in self.overrides:
+                raise ConfigError(f"profile {self.name!r} has a note on {key!r}, which it does "
+                                  f"not override")
 
 
 def default_tech_params() -> TechParams:

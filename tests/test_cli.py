@@ -220,6 +220,19 @@ def test_profile_file_bad_field_exits_1(tmp_path, capsys):
     assert "not_a_field" in capsys.readouterr().err
 
 
+def test_profile_file_note_on_no_override_exits_1_naming_notes(tmp_path, capsys):
+    # a note explains an override; one under a misspelt key explains nothing
+    prof = tmp_path / "cal.ini"
+    prof.write_text("[overrides]\np_tia = 1e-3\n\n[notes]\np_tai = a lower-power TIA\n")
+    out = tmp_path / "out"
+    rc = main(["evaluate", "--topology", "toy3", "--profile", str(prof), "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {prof} [notes]: ")
+    assert "'p_tai'" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_tech_section_override(tmp_path):
     p = tmp_path / "chip.ini"
     p.write_text("[chip]\nrows = 8\ncols = 8\n\n[tech]\ne_dram_per_bit = 1e-11\n")
@@ -1439,6 +1452,20 @@ def test_optimize_that_hides_nothing_writes_one_warning_line(tmp_path):
     audit = json.loads(out.read_text())
     batch_steps = [s for s in audit["steps"] if s["step"] == "batch"]
     assert not any(row["hidden"] for s in batch_steps for row in s["candidates"])
+
+
+def test_optimize_warning_tells_the_exposed_share_from_hiding_eps(tmp_path, capsys):
+    # the dual core never hides its first tile's programming (1e-7 s of the
+    # 0.1024 s batch at 256), so hiding_eps = 0 falls back to the largest batch;
+    # the share, under 0.005%, must still print unlike hiding_eps
+    cons = tmp_path / "eps0.ini"
+    cons.write_text("[constraints]\nhiding_eps = 0\n")
+    rc = main(["optimize", "--constraints", str(cons), "--topology", "resnet50_v15",
+               "--out", str(tmp_path / "audit.json")])
+    assert rc == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: batch 256 leaves 9.76e-05% of the batch time as exposed programming, "
+        "over hiding_eps (0.00%)"]
 
 
 @pytest.mark.parametrize("profile", ["paper-consistent", "paper-default"])

@@ -84,6 +84,11 @@ def test_unknown_override_field_rejected():
         CalibrationProfile(name="t", overrides={"bogus_field": 1.0})
 
 
+def test_note_on_no_override_rejected():
+    with pytest.raises(ConfigError, match="note on 'p_tia'"):
+        CalibrationProfile(name="t", overrides={"p_adc": 1e-3}, notes={"p_tia": "why"})
+
+
 def test_builtin_profiles():
     assert get_profile("paper-default").overrides == {}
     cal = get_profile("paper-consistent")
